@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import udu_factor
+from ._linalg import cholesky_upper
 from .errors import UnsupportedGroup
 from .quaternion import QuaternionMatrix
 
@@ -139,7 +139,7 @@ class Family:
         """log of the Iwasawa A-diagonal for a batch of split matrices."""
         zs = np.asarray(z_split, dtype=complex)
         m = zs @ np.conj(np.swapaxes(zs, -1, -2))
-        _, d = udu_factor(m)
+        _, d = cholesky_upper(m)
         return np.log(d)
 
     @property

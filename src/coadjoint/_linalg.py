@@ -23,12 +23,14 @@ MINOR_TOL = 1e-14
 CELL_TOL = 1e-12
 
 
-def udu_factor(m: np.ndarray):
-    """Factor hermitian positive definite ``m`` (stacked ok) as n D n*.
+def cholesky_upper(m: np.ndarray):
+    """Upper factor ``u`` of ``m = u u*`` (stacked ok) and its diagonal ``d``.
 
-    Returns ``(n, d)`` with ``n`` unit upper triangular and ``d > 0`` such
-    that ``m = n @ diag(d**2) @ n*``. Raises NumericalBreakdown when a
-    trailing principal minor falls below tolerance.
+    ``u`` is the index reversal of the Cholesky factor of the index-reversed
+    ``m``; ``d`` is its real positive diagonal. Raises NumericalBreakdown when
+    ``m`` is not numerically positive definite or a trailing principal minor
+    falls below tolerance. Callers that need only ``d`` (the Iwasawa A-part)
+    take it from here and skip forming ``n``.
     """
     m = np.asarray(m, dtype=complex)
     rev = m[..., ::-1, ::-1]
@@ -40,6 +42,17 @@ def udu_factor(m: np.ndarray):
     d = np.diagonal(u, axis1=-2, axis2=-1).real.copy()
     if np.min(d) ** 2 < MINOR_TOL:
         raise NumericalBreakdown("principal minor below tolerance")
+    return u, d
+
+
+def udu_factor(m: np.ndarray):
+    """Factor hermitian positive definite ``m`` (stacked ok) as n D n*.
+
+    Returns ``(n, d)`` with ``n`` unit upper triangular and ``d > 0`` such
+    that ``m = n @ diag(d**2) @ n*``. Raises NumericalBreakdown when a
+    trailing principal minor falls below tolerance.
+    """
+    u, d = cholesky_upper(m)
     n = u / d[..., None, :]
     return n, d
 
@@ -240,9 +253,12 @@ def wirtinger_hessian(f, z0, h: float = 1e-4, richardson: bool = True):
 def complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
     """Quarter Laplacian d^2 f / dt dtbar for a batch of complex points.
 
-    ``f`` maps a flat complex array to a real array of the same length;
-    ``t`` is any-shaped complex input. Vectorizes the stencil into a single
-    call to ``f``.
+    ``f`` maps a flat complex array of M points to a real ndarray of shape
+    (M,), one scalar function, or (M, k), k functions side by side; ``t`` is
+    any-shaped complex input. The result has shape ``t.shape`` or
+    ``t.shape + (k,)``. The stencil is vectorized into a single call to
+    ``f``, and each column goes through the same arithmetic as a scalar
+    ``f`` returning that column alone.
     """
     t = np.asarray(t, dtype=complex)
     flat = t.ravel()
@@ -251,7 +267,9 @@ def complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
     for s in steps:
         shifts.extend([s, -s, 1j * s, -1j * s])
     pts = (flat[None, :] + np.asarray(shifts, dtype=complex)[:, None]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(len(shifts), flat.size)
+    vals = f(pts).astype(float, copy=False)
+    cols = vals.shape[1:]
+    vals = vals.reshape((len(shifts), flat.size) + cols)
     f0 = vals[0]
 
     def lap(base):
@@ -263,7 +281,7 @@ def complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
         full = (4.0 * lap(1) - lap(5)) / 3.0
     else:
         full = lap(1)
-    return (0.25 * full).reshape(t.shape)
+    return (0.25 * full).reshape(t.shape + cols)
 
 
 @lru_cache(maxsize=8)

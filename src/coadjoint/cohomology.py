@@ -8,7 +8,9 @@ simple-root two-cycles gamma_i form the identity matrix. The quadrature
 compactifies each cycle with the substitution r = tan(theta/2), switching to
 the Weyl-flipped chart past theta = pi/2 (the flipped chart representative
 z w has the same Iwasawa A-part as z, so the integrand function is
-unchanged there).
+unchanged there). One finite-difference stencil pass over a cycle evaluates
+all rank potentials together, so it yields the integrals of every basis
+form over that cycle: the pairing matrix costs one quadrature per cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from ._linalg import complex_laplacian, gauss_legendre
 from .decompose import ChartPoint, chart_point
 from .errors import MaximalDegenerate, QuadratureNotConverged
-from .groups import GroupSpec, InitialPoint, classify_initial_point, weyl_group
+from .groups import (GroupSpec, InitialPoint, _action_key, classify_initial_point,
+                     weyl_group)
 from .orbit import FibrationDescription, fibration
 
 
@@ -34,13 +37,6 @@ class BettiVector:
     @property
     def total(self) -> int:
         return int(sum(self.b))
-
-    def poincare_polynomial(self) -> tuple:
-        return self.b
-
-
-def _action_key(a):
-    return tuple(np.round(np.asarray(a), 6).ravel().tolist())
 
 
 def _parabolic_actions(wg, gen_indices):
@@ -191,7 +187,8 @@ def basis_two_forms(spec: GroupSpec) -> list:
             for j in range(fam.rank)]
 
 
-def _pairing_quadrature(spec: GroupSpec, j: int, i: int, order: int) -> float:
+def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
+    """Row int_{gamma_i} omega_j, j = 1..rank, from one stencil pass."""
     fam = spec.adapter
     xs, ws = gauss_legendre(order)
     theta = (xs + 1.0) * (np.pi / 2.0)
@@ -205,12 +202,25 @@ def _pairing_quadrature(spec: GroupSpec, j: int, i: int, order: int) -> float:
     t = rho[:, None] * np.exp(1j * phi[None, :])
 
     def f(tflat):
-        z = fam.cycle_chart(i, tflat)
-        return fam.potentials(z)[:, j]
+        return fam.potentials(fam.cycle_chart(i, tflat))
 
-    lap = complex_laplacian(f, t)            # d^2 Phi_j / dt dtbar on the grid
+    lap = complex_laplacian(f, t)            # d^2 Phi_j / dt dtbar, j last
     jac = rho * (1.0 + rho ** 2) / 2.0
-    return float(wth @ (lap * jac[:, None]) @ wph / np.pi)
+    return np.array([wth @ (lap[..., j] * jac[:, None]) @ wph / np.pi
+                     for j in range(lap.shape[-1])])
+
+
+def _pairing_row(spec: GroupSpec, i: int, order: int,
+                 check_convergence: bool) -> np.ndarray:
+    row = _pairing_quadrature(spec, i, order)
+    if check_convergence:
+        coarse = _pairing_quadrature(spec, i, max(order // 2, 8))
+        delta = float(np.max(np.abs(row - coarse)))
+        if delta > 1e-6:
+            raise QuadratureNotConverged(
+                f"rule {order // 2} -> {order} moved the integrals over "
+                f"cycle {i} by up to {delta:.3e}")
+    return row
 
 
 def pairing_integral(form: BasisTwoForm, cycle: TwoCycle, order: int = 128,
@@ -218,30 +228,25 @@ def pairing_integral(form: BasisTwoForm, cycle: TwoCycle, order: int = 128,
     """int_{gamma_i} omega_j by Gauss-Legendre quadrature on the cycle.
 
     Uses an order x order product rule in (theta, phi) with r = tan(theta/2)
-    and the finite-difference Laplacian of the pulled-back potential. Raises
-    QuadratureNotConverged if halving the rule moves the value by > 1e-6.
+    and the finite-difference Laplacian of the pulled-back potentials. One
+    stencil pass over the cycle yields the integrals of every basis form;
+    this returns the entry of ``form``. Raises QuadratureNotConverged if
+    halving the rule moves any integral over the cycle by > 1e-6.
     """
     if form.spec != cycle.spec:
         raise ValueError("form and cycle belong to different groups")
-    val = _pairing_quadrature(form.spec, form.index, cycle.index, order)
-    if check_convergence:
-        coarse = _pairing_quadrature(form.spec, form.index, cycle.index,
-                                     max(order // 2, 8))
-        if abs(val - coarse) > 1e-6:
-            raise QuadratureNotConverged(
-                f"rule {order // 2} -> {order} moved the integral by "
-                f"{abs(val - coarse):.3e}")
-    return val
+    row = _pairing_row(form.spec, cycle.index, order, check_convergence)
+    return float(row[form.index])
 
 
 def pairing_matrix(spec: GroupSpec, order: int = 128,
                    check_convergence: bool = False) -> np.ndarray:
-    """Full matrix int_{gamma_i} omega_j; identity when all is well."""
-    cycles = basis_cycles(spec)
-    forms = basis_two_forms(spec)
-    out = np.zeros((len(cycles), len(forms)))
-    for i, cyc in enumerate(cycles):
-        for j, form in enumerate(forms):
-            out[i, j] = pairing_integral(form, cyc, order=order,
-                                         check_convergence=check_convergence)
-    return out
+    """Full matrix int_{gamma_i} omega_j; identity when all is well.
+
+    Row i comes from one stencil pass over gamma_i that evaluates every basis
+    potential at once, so the matrix costs rank quadratures, not rank^2.
+    With ``check_convergence`` each row is compared with the half-order rule
+    as in ``pairing_integral``.
+    """
+    return np.array([_pairing_row(spec, cyc.index, order, check_convergence)
+                     for cyc in basis_cycles(spec)])

@@ -38,11 +38,6 @@ class ChartPoint:
                 f"got {len(coords)}")
         object.__setattr__(self, "coords", coords)
 
-    def root_coordinates(self) -> dict:
-        """Map from positive-root label to the coordinate along it."""
-        fam = self.spec.adapter
-        return {info.label: z for info, z in zip(fam.chart_roots, self.coords)}
-
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=complex)
 

@@ -22,11 +22,6 @@ class Quaternion:
         self.z1 = complex(z1)
         self.z2 = complex(z2)
 
-    @classmethod
-    def from_parts(cls, a, b, c, d):
-        """Quaternion a + b*i + c*j + d*k from four real parts."""
-        return cls(complex(a, b), complex(c, d))
-
     def conjugate(self) -> "Quaternion":
         # conj(z1 + z2*j) = conj(z1) - j*conj(z2) = conj(z1) - z2*j
         return Quaternion(self.z1.conjugate(), -self.z2)

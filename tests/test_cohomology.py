@@ -5,6 +5,7 @@ from coadjoint import (QuadratureNotConverged, basis_cycles, basis_two_forms,
                        betti, build_group, fibration, initial_point,
                        leray_hirsch, leray_hirsch_check, pairing_integral,
                        pairing_matrix, weyl_group)
+from coadjoint._linalg import complex_laplacian, gauss_legendre
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -156,6 +157,44 @@ def test_pairing_convergence_guard():
     cycles = basis_cycles(SU3)
     with pytest.raises(QuadratureNotConverged):
         pairing_integral(forms[0], cycles[0], order=4)
+
+
+def _oracle_pairing_entry(spec, j, i, order):
+    """One (cycle i, form j) quadrature with a scalar integrand reading column j."""
+    fam = spec.adapter
+    xs, ws = gauss_legendre(order)
+    theta = (xs + 1.0) * (np.pi / 2.0)
+    wth = ws * (np.pi / 2.0)
+    phi = (xs + 1.0) * np.pi
+    wph = ws * np.pi
+    rho = np.where(theta <= np.pi / 2.0,
+                   np.tan(theta / 2.0), np.tan((np.pi - theta) / 2.0))
+    t = rho[:, None] * np.exp(1j * phi[None, :])
+
+    def f(tflat):
+        return fam.potentials(fam.cycle_chart(i, tflat))[:, j]
+
+    lap = complex_laplacian(f, t)
+    jac = rho * (1.0 + rho ** 2) / 2.0
+    return float(wth @ (lap * jac[:, None]) @ wph / np.pi)
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("sp", 2), ("sp", 3), ("so", 3),
+                                      ("so", 4)])
+def test_pairing_matrix_matches_per_entry_oracle(family, n):
+    spec = build_group(family, n)
+    rank = spec.adapter.rank
+    oracle = np.array([[_oracle_pairing_entry(spec, j, i, 16)
+                        for j in range(rank)] for i in range(rank)])
+    assert np.array_equal(pairing_matrix(spec, order=16), oracle)
+
+
+def test_pairing_matrix_convergence_guard():
+    with pytest.raises(QuadratureNotConverged):
+        pairing_matrix(SU3, order=4, check_convergence=True)
+    m = pairing_matrix(SU3, order=128, check_convergence=True)
+    assert np.max(np.abs(m - np.eye(2))) < 1e-6
 
 
 def test_form_cycle_group_mismatch():
