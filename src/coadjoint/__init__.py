@@ -17,8 +17,8 @@ from .errors import (AllWeightsZero, CoadjointError, DegeneracyViolation,
                      UnsupportedGroup, ZeroTorusEntry)
 from .groups import (GroupSpec, InitialPoint, OrbitClass, OrbitKind,
                      RootDatum, WeylElement, WeylGroup, build_group,
-                     classify_initial_point, initial_point, root_datum,
-                     weyl_group)
+                     classify_initial_point, initial_point,
+                     poincare_polynomial, root_datum, weyl_group)
 from .kahler import (KahlerTensor, cocycle_shift, integrality_check,
                      kks_pairing, metric, potential, potential_batch)
 from .orbit import (FibrationDescription, OrbitPoint, chart_transition,
@@ -41,6 +41,6 @@ __all__ = [
     "dressing_matrix", "fibration", "gauss_bruhat", "initial_point",
     "integrality_check", "iwasawa", "kks_pairing", "leray_hirsch",
     "leray_hirsch_check", "metric", "pairing_integral", "pairing_matrix",
-    "potential", "potential_batch", "root_datum", "su3_closed_form",
+    "poincare_polynomial", "potential", "potential_batch", "root_datum", "su3_closed_form",
     "su3_transition_closed", "torus_character", "weyl_group",
 ]

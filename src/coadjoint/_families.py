@@ -156,6 +156,16 @@ class Family:
             self.__dict__["_potential_weights"] = w
         return w
 
+    @property
+    def simple_root_coefficients(self) -> np.ndarray:
+        """Integer rows c with positive root beta = sum_k c_k alpha_k."""
+        c = self.__dict__.get("_simple_root_coefficients")
+        if c is None:
+            vecs = np.array([info.vec for info in self.positive_roots])
+            c = np.rint(vecs @ self.dual_weights.T).astype(int)
+            self.__dict__["_simple_root_coefficients"] = c
+        return c
+
     def potentials(self, z_split) -> np.ndarray:
         """All rank basis potentials Phi_k at a batch of split matrices."""
         return self.log_a(z_split) @ self.potential_weights.T

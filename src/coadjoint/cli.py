@@ -21,12 +21,13 @@ import sys
 import numpy as np
 
 from . import cohomology, decompose, kahler, orbit
+from .checks import haar_su, iwasawa_residuals, random_chart, spectral_mismatch
 from .errors import (AllWeightsZero, DegeneracyViolation,
                      MaximalDegenerate, NumericalBreakdown, OutsideCell,
                      PoleOnChart, QuadratureNotConverged, StepUnderflow,
                      UnsupportedGroup, ZeroTorusEntry)
 from .groups import build_group, classify_initial_point, initial_point, \
-    weyl_group
+    poincare_polynomial, weyl_group
 from .quaternion import QuaternionMatrix
 
 CONFIG_ERRORS = (UnsupportedGroup, AllWeightsZero, ValueError)
@@ -58,6 +59,9 @@ def _parse_grid(text: str):
         for f in fields:
             if ":" in f:
                 a, b, s = f.split(":")
+                if int(s) < 1:
+                    raise ValueError(f"grid component {part!r} needs at "
+                                     f"least 1 step, got {s}")
                 vals.append(np.linspace(float(a), float(b), int(s)))
             else:
                 vals.append(np.array([float(f)]))
@@ -90,31 +94,6 @@ def _check(name, value, tol):
             "pass": bool(value < tol)}
 
 
-def _spectral_mismatch(a, b) -> float:
-    # sort by imaginary part first; real parts of these spectra are noise
-    a = np.asarray(a)[np.lexsort((np.asarray(a).real, np.asarray(a).imag))]
-    b = np.asarray(b)[np.lexsort((np.asarray(b).real, np.asarray(b).imag))]
-    return float(np.max(np.abs(a - b)))
-
-
-def _random_chart(spec, point, rng, scale=1.0):
-    fam = spec.adapter
-    mask = orbit.required_zero_mask(spec, point)
-    z = scale * (rng.standard_normal(fam.chart_dim)
-                 + 1j * rng.standard_normal(fam.chart_dim))
-    if fam.family == "sp":
-        z[fam.n * (fam.n - 1):] = 0.0   # stay on the quaternionic chart
-    z[mask] = 0.0
-    return decompose.chart_point(spec, z)
-
-
-def _haar_unitary(n, rng):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
-    return q / np.linalg.det(q) ** (1.0 / n)
-
-
 def _get_point(args, spec):
     return initial_point(spec, _parse_weights(args.weights))
 
@@ -122,7 +101,7 @@ def _get_point(args, spec):
 def _get_chart(args, spec, point, rng):
     if args.z is not None:
         return decompose.chart_point(spec, _parse_z(args.z))
-    return _random_chart(spec, point, rng)
+    return random_chart(spec, rng, point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +138,7 @@ def cmd_decompose(args, spec, report):
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
     fac = decompose.iwasawa(spec, chart)
-    z = decompose.chart_matrix(spec, chart)
-    back = fac.multiply_back()
-    if isinstance(z, QuaternionMatrix):
-        res_mb = (back - z).norm_max()
-        kk = fac.k @ fac.k.h
-        res_un = (kk - QuaternionMatrix.eye(spec.n)).norm_max()
-    else:
-        res_mb = float(np.max(np.abs(back - z)))
-        kk = fac.k @ np.conj(fac.k.T)
-        res_un = float(np.max(np.abs(kk - np.eye(kk.shape[0]))))
+    res_mb, res_un = iwasawa_residuals(spec, chart, fac)
     report["results"].append({
         "z": [_c(v) for v in chart.coords],
         "a_parameters": [float(x) for x in fac.a_parameters],
@@ -203,10 +173,10 @@ def cmd_dress(args, spec, report):
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
     op = orbit.dress(spec, point, chart)
-    spectrum = _spectral_mismatch(op.spectrum(),
-                                  spec.adapter.spectrum(point.matrix_native
-                                                        if spec.family == "sp"
-                                                        else point.matrix))
+    spectrum = spectral_mismatch(op.spectrum(),
+                                 spec.adapter.spectrum(point.matrix_native
+                                                       if spec.family == "sp"
+                                                       else point.matrix))
     res = {"z": [_c(v) for v in chart.coords],
            "mu_matrix": _matrix(op.mu_matrix)}
     if op.coords:
@@ -278,11 +248,10 @@ def cmd_betti(args, spec, report):
     point = _get_point(args, spec)
     bv = cohomology.betti(spec, point)
     lh = cohomology.leray_hirsch(spec, point)
-    wg = weyl_group(spec)
     report["results"].append({
         "betti": list(bv.b),
         "total": bv.total,
-        "weyl_order": wg.order,
+        "weyl_order": sum(poincare_polynomial(spec)),
         "leray_hirsch": {"ok": lh.ok, "total": list(lh.total),
                          "base": list(lh.base), "fiber": list(lh.fiber),
                          "note": lh.note},
@@ -318,22 +287,14 @@ def cmd_verify(args, spec, report):
 
     worst_mb = worst_un = worst_spec = 0.0
     for _ in range(npts):
-        chart = _random_chart(spec, point, rng)
-        fac = decompose.iwasawa(spec, chart)
-        z = decompose.chart_matrix(spec, chart)
-        back = fac.multiply_back()
-        if isinstance(z, QuaternionMatrix):
-            worst_mb = max(worst_mb, (back - z).norm_max())
-            worst_un = max(worst_un, (fac.k @ fac.k.h
-                                      - QuaternionMatrix.eye(spec.n)).norm_max())
-        else:
-            worst_mb = max(worst_mb, float(np.max(np.abs(back - z))))
-            kk = fac.k @ np.conj(fac.k.T)
-            worst_un = max(worst_un,
-                           float(np.max(np.abs(kk - np.eye(kk.shape[0])))))
+        chart = random_chart(spec, rng, point=point)
+        res_mb, res_un = iwasawa_residuals(spec, chart,
+                                           decompose.iwasawa(spec, chart))
+        worst_mb = max(worst_mb, res_mb)
+        worst_un = max(worst_un, res_un)
         op = orbit.dress(spec, point, chart)
         ref = point.matrix_native if spec.family == "sp" else point.matrix
-        worst_spec = max(worst_spec, _spectral_mismatch(
+        worst_spec = max(worst_spec, spectral_mismatch(
             op.spectrum(), spec.adapter.spectrum(ref)))
     checks.append(_check("iwasawa_multiply_back", worst_mb, 1e-10))
     checks.append(_check("compactness_kk*", worst_un, 1e-10))
@@ -343,12 +304,12 @@ def cmd_verify(args, spec, report):
         worst_cf = 0.0
         worst_cov = 0.0
         for _ in range(npts):
-            chart = _random_chart(spec, point, rng)
+            chart = random_chart(spec, rng, point=point)
             op = orbit.dress(spec, point, chart)
             closed = orbit.su3_closed_form(point, chart)
             worst_cf = max(worst_cf,
                            float(np.max(np.abs(np.array(op.coords) - closed))))
-            g = _haar_unitary(3, rng)
+            g = haar_su(3, rng)
             try:
                 zg, shift = kahler.cocycle_shift(spec, point, chart, g)
             except OutsideCell:
@@ -360,10 +321,9 @@ def cmd_verify(args, spec, report):
         checks.append(_check("potential_covariance", worst_cov, 1e-8))
 
     bv = cohomology.betti(spec, point)
-    wg = weyl_group(spec)
     walls = [i for i, w in enumerate(point.weights) if abs(w) < 1e-12]
-    sub = cohomology._parabolic_actions(wg, walls)
-    expected = wg.order // len(sub)
+    # ties the polynomial to the group that chart transitions enumerate
+    expected = weyl_group(spec).order // sum(poincare_polynomial(spec, walls))
     checks.append({"name": "betti_sum", "residual": abs(bv.total - expected),
                    "tol": 0, "pass": bv.total == expected})
 

@@ -1,7 +1,9 @@
 """Betti numbers, the Leray-Hirsch product, two-cycles and basis two-forms.
 
-Even Betti numbers are graded by Bruhat word length: b_{2k} counts the
-minimal-length representatives of length k in W(G_mu0)\\W(G); their total is
+Even Betti numbers b_{2k} of G/G_mu0 are the coefficients of the exact
+integer quotient P_W / P_{W(G_mu0)} of Poincare polynomials from Macdonald's
+product formula (``groups.poincare_polynomial``), as are the Leray-Hirsch
+total, base and fiber; the Betti numbers sum to
 ord W(G) / ord W(G_mu0). Basis two-forms are omega_j = (i/2pi) ddbar Phi_j
 with Phi_j the torus-coordinate potentials; their integrals over the
 simple-root two-cycles gamma_i form the identity matrix. The quadrature
@@ -15,7 +17,6 @@ form over that cycle: the pairing matrix costs one quadrature per cycle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 from ._linalg import complex_laplacian, gauss_legendre
 from .decompose import ChartPoint, chart_point
 from .errors import MaximalDegenerate, QuadratureNotConverged
-from .groups import (GroupSpec, InitialPoint, _action_key, classify_initial_point,
-                     weyl_group)
+from .groups import (GroupSpec, InitialPoint, _poly_divide, _poly_multiply,
+                     classify_initial_point, poincare_polynomial)
 from .orbit import FibrationDescription, fibration
 
 
@@ -39,53 +40,13 @@ class BettiVector:
         return int(sum(self.b))
 
 
-def _parabolic_actions(wg, gen_indices):
-    """Closure (as actions) of the subgroup generated by given reflections."""
-    dim = wg.generators[0].action.shape[0] if wg.generators else 1
-    ident = np.eye(dim)
-    actions = {_action_key(ident): ident}
-    frontier = [ident]
-    gens = [wg.generators[k].action for k in gen_indices]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = g @ a
-                key = _action_key(b)
-                if key not in actions:
-                    actions[key] = b
-                    nxt.append(b)
-        frontier = nxt
-    return actions
-
-
-def _coset_length_counts(wg, sub_gens, within_gens=None) -> tuple:
-    """Length distribution of minimal coset representatives in H\\W (or H\\W_K)."""
-    sub = _parabolic_actions(wg, sub_gens)
-    within = None
-    if within_gens is not None:
-        within = set(_parabolic_actions(wg, within_gens).keys())
-    length_of = {el.action_key(): el.length for el in wg.elements}
-    counts = Counter()
-    done = set()
-    for el in wg.elements:
-        key = el.action_key()
-        if key in done or (within is not None and key not in within):
-            continue
-        coset = {_action_key(el.action @ h) for h in sub.values()}
-        done |= coset
-        counts[min(length_of[k] for k in coset)] += 1
-    top = max(counts) if counts else 0
-    return tuple(counts.get(i, 0) for i in range(top + 1))
-
-
 def betti(spec: GroupSpec, point: InitialPoint) -> BettiVector:
     """Betti vector of the orbit through ``point``."""
     classify_initial_point(spec, point)
-    wg = weyl_group(spec)
     weights = np.asarray(point.weights)
     walls = [int(i) for i in np.nonzero(np.abs(weights) < 1e-12)[0]]
-    return BettiVector(b=_coset_length_counts(wg, walls))
+    return BettiVector(b=_poly_divide(poincare_polynomial(spec),
+                                      poincare_polynomial(spec, walls)))
 
 
 @dataclass(frozen=True)
@@ -97,22 +58,14 @@ class LerayHirschResult:
     note: str = ""
 
 
-def _poly_multiply(p, q) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def leray_hirsch_check(fib: FibrationDescription) -> LerayHirschResult:
     """Poincare polynomial of the total space vs the base-fiber product."""
-    wg = weyl_group(fib.spec)
-    stab = list(fib.stabilizer_generators)
-    kg = list(fib.intermediate_generators)
-    total = _coset_length_counts(wg, stab)
-    base = _coset_length_counts(wg, kg)
-    fiber = _coset_length_counts(wg, stab, within_gens=kg)
+    p_w = poincare_polynomial(fib.spec)
+    p_stab = poincare_polynomial(fib.spec, fib.stabilizer_generators)
+    p_k = poincare_polynomial(fib.spec, fib.intermediate_generators)
+    total = _poly_divide(p_w, p_stab)
+    base = _poly_divide(p_w, p_k)
+    fiber = _poly_divide(p_k, p_stab)
     ok = _poly_multiply(base, fiber) == total
     return LerayHirschResult(ok=ok, total=total, base=base, fiber=fiber)
 

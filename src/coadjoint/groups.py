@@ -1,4 +1,4 @@
-"""Groups, root data, Weyl groups, and orbit classification.
+"""Groups, root data, Weyl groups, Poincare polynomials, orbit classification.
 
 Conventions. Points of the dual Cartan are written in weight coordinates
 (vectors c of length n for SU(n)/Sp(n), m for SO(2m)/SO(2m+1)); the chamber
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,6 +180,7 @@ class WeylGroup:
         return self.find(act)
 
 
+@lru_cache(maxsize=16)
 def weyl_group(spec: GroupSpec) -> WeylGroup:
     """Enumerate the Weyl group by closure over the simple reflections."""
     fam = spec.adapter
@@ -210,6 +212,47 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
         frontier = nxt
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
     return WeylGroup(spec=spec, elements=elements, generators=tuple(gens))
+
+
+def _poly_multiply(p, q) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _poly_divide(p, q) -> tuple:
+    """Exact quotient p / q of integer polynomials; ValueError otherwise."""
+    rem, out = list(p), []
+    for i in range(len(p) - len(q), -1, -1):
+        out.insert(0, rem[i + len(q) - 1] // q[-1])
+        rem[i:i + len(q)] = [r - out[0] * b for r, b in zip(rem[i:], q)]
+    if any(rem):
+        raise ValueError(f"{tuple(q)} does not divide {tuple(p)}")
+    return tuple(out)
+
+
+def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
+    """Poincare polynomial of the parabolic subgroup W_J, J = ``gens``.
+
+    Macdonald's product P_W(t) = prod_{alpha > 0} [ht alpha + 1]_t / [ht alpha]_t
+    with [m]_t = 1 + t + ... + t^{m-1}, over the positive roots whose
+    simple-root support lies in J (all of them when ``gens`` is None).
+    Coefficient k counts the elements of length k: P_W(1) = |W|, and the
+    degree is the number of positive roots of W_J. P_{G/P_J} = P_W / P_{W_J}
+    (Macdonald, Math. Ann. 199 (1972); Humphreys, Reflection Groups and
+    Coxeter Groups, section 3.15).
+    """
+    coeff = spec.adapter.simple_root_coefficients
+    if gens is not None:
+        outside = sorted(set(range(coeff.shape[1])) - set(gens))
+        coeff = coeff[~coeff[:, outside].any(axis=1)]
+    num = den = (1,)
+    for h in coeff.sum(axis=1).tolist():
+        num = _poly_multiply(num, (1,) * (h + 1))
+        den = _poly_multiply(den, (1,) * h)
+    return _poly_divide(num, den)
 
 
 # ---------------------------------------------------------------------------

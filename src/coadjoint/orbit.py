@@ -11,7 +11,6 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .decompose import ChartPoint, chart_matrix, chart_point, dressing_matrix, \
 from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
     PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
-    weyl_group
+    poincare_polynomial, weyl_group
 from .quaternion import QuaternionMatrix
 
 GELL_MANN = (
@@ -36,11 +35,6 @@ GELL_MANN = (
 
 # dual-space basis Y_a = -(i/2) lambda_a and pairing <A, B> = -2 Tr(A B)
 DUAL_PAIRING_SCALE = -2.0
-
-
-@lru_cache(maxsize=16)
-def _weyl(spec: GroupSpec):
-    return weyl_group(spec)
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     Computed by Gauss-Bruhat factorization of z(coords) w; raises
     PoleOnChart where the target cell misses the point.
     """
-    wg = _weyl(spec)
+    wg = weyl_group(spec)
     el = w if isinstance(w, WeylElement) else wg.element_by_word(tuple(w))
     z = chart_matrix(spec, chart)
     m = z @ el.matrix
@@ -193,19 +187,6 @@ class FibrationDescription:
     intermediate_generators: tuple    # simple reflections of K
 
 
-def _root_support(fam, vec) -> frozenset:
-    simple = np.array([i.as_array() for i in fam.simple_roots])
-    coeff, *_ = np.linalg.lstsq(simple.T, np.asarray(vec, dtype=float),
-                                rcond=None)
-    coeff = np.round(coeff, 9)
-    return frozenset(int(i) for i in np.nonzero(np.abs(coeff) > 1e-9)[0])
-
-
-def _parabolic_root_count(fam, gens: frozenset) -> int:
-    return sum(1 for info in fam.positive_roots
-               if _root_support(fam, info.as_array()) <= gens)
-
-
 def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     """The bundle E(K\\G, G_mu0\\K, pi) through a standard parabolic K.
 
@@ -229,9 +210,9 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
         raise MaximalDegenerate(
             f"no standard parabolic sits strictly between the stabilizer "
             f"and {spec.name}; the orbit is maximally degenerate")
-    n_pos = len(fam.positive_roots)
-    n_stab = _parabolic_root_count(fam, stab)
-    n_k = _parabolic_root_count(fam, k_gens)
+    # deg P_{W_J} is the number of positive roots of W_J
+    n_pos, n_stab, n_k = (len(poincare_polynomial(spec, gens)) - 1
+                          for gens in (None, stab, k_gens))
     base_dim = 2 * (n_pos - n_k)
     fiber_dim = 2 * (n_k - n_stab)
     total = SpaceDescriptor(_orbit_label(spec, cls), cls.real_dimension)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coadjoint.cli import main
 
 
@@ -159,3 +161,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(path.read_text())
     assert rep["results"][0]["betti_total"] == 6
+
+
+@pytest.mark.parametrize("command,group,n,weights,grid", [
+    ("potential", "su", "2", "1", "-1:1:0,0"),
+    ("metric", "su", "2", "1", "-1:1:0,0"),
+    ("dress", "su", "3", "1,2", "-1:1:0,0;0,0;0,0"),
+])
+def test_zero_step_grid_exits_2(capsys, command, group, n, weights, grid):
+    code = main([command, "--group", group, "--n", n, "--weights", weights,
+                 f"--grid={grid}", "--out", "csv"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ValueError"
+    assert "-1:1:0,0" in err["message"]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from coadjoint import (QuadratureNotConverged, basis_cycles, basis_two_forms,
                        betti, build_group, fibration, initial_point,
                        leray_hirsch, leray_hirsch_check, pairing_integral,
                        pairing_matrix, weyl_group)
+from coadjoint import MaximalDegenerate, poincare_polynomial
 from coadjoint._linalg import complex_laplacian, gauss_legendre
+from coadjoint.groups import _poly_divide
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -21,7 +25,7 @@ def test_betti_known_values():
 
 
 def test_betti_sum_equals_weyl_ratio():
-    from coadjoint.cohomology import _parabolic_actions
+    from helpers import _parabolic_actions
     cases = [("su", 3, (1, 1)), ("su", 3, (0, 1)), ("su", 4, (1, 1, 1)),
              ("su", 4, (1, 0, 1)), ("sp", 2, (1, 1)), ("sp", 2, (1, 0)),
              ("sp", 3, (1, 1, 1)), ("so", 4, (1, 1)), ("so", 3, (1,))]
@@ -33,6 +37,41 @@ def test_betti_sum_equals_weyl_ratio():
         walls = [i for i, x in enumerate(w) if x == 0]
         stab_order = len(_parabolic_actions(wg, walls))
         assert bv.total * stab_order == wg.order
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("su", 5), ("sp", 2), ("sp", 3),
+                                      ("sp", 4), ("so", 3), ("so", 4)])
+def test_poincare_polynomials_match_weyl_enumeration(family, n):
+    from helpers import _coset_length_counts
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    assert sum(poincare_polynomial(spec)) == wg.order
+    for w in itertools.product((0, 1), repeat=spec.rank):
+        if not any(w):
+            continue
+        point = initial_point(spec, w)
+        walls = [i for i, x in enumerate(w) if x == 0]
+        assert betti(spec, point).b == _coset_length_counts(wg, walls)
+        try:
+            fib = fibration(spec, point)
+        except MaximalDegenerate:
+            continue
+        stab = list(fib.stabilizer_generators)
+        kg = list(fib.intermediate_generators)
+        lh = leray_hirsch(spec, point)
+        assert lh.ok
+        assert lh.total == _coset_length_counts(wg, stab)
+        assert lh.base == _coset_length_counts(wg, kg)
+        assert lh.fiber == _coset_length_counts(wg, stab, within_gens=kg)
+
+
+def test_poly_divide_is_exact():
+    assert _poly_divide((1, 2, 2, 1), (1, 1)) == (1, 1, 1)
+    with pytest.raises(ValueError):
+        _poly_divide((1, 2, 2), (1, 1))
+    with pytest.raises(ValueError):
+        _poly_divide((1, 1), (1, 1, 1))
 
 
 def test_betti_palindrome():
