@@ -93,7 +93,7 @@ class Family:
 
     @property
     def chart_dim(self) -> int:
-        return len(self.chart_roots)
+        return len(self.positive_roots)
 
     def chart_split(self, coords):
         """Split-basis matrices for a batch of chart coordinates (N, dim)."""
@@ -201,7 +201,8 @@ class Family:
 
     # --- misc ---------------------------------------------------------------
 
-    def stabilizer_description(self, coords) -> str:
+    def stabilizer_description(self, walls) -> str:
+        """Name of the stabilizer of a point on the given simple-root walls."""
         raise NotImplementedError
 
 
@@ -241,7 +242,6 @@ class SUFamily(Family):
             others.append(RootInfo(tuple(e(c) - e(r)), f"e{c + 1}-e{r + 1}"))
         self.simple_roots = simple
         self.positive_roots = simple + others
-        self.chart_roots = self.positive_roots
         self._positions = positions
         self.slot_weights = np.eye(n)
         # dual basis: fundamental weight vectors
@@ -313,8 +313,8 @@ class SUFamily(Family):
             gens.append(w)
         return gens
 
-    def stabilizer_description(self, coords):
-        blocks = _equal_blocks(coords)
+    def stabilizer_description(self, walls):
+        blocks = _wall_blocks(walls, self.n)
         if all(b == 1 for b in blocks):
             return "x".join(["U(1)"] * self.rank)
         big = [b for b in blocks if b > 1]
@@ -370,7 +370,6 @@ class SpFamily(Family):
                  for k in range(n - 1, -1, -1)]
         self.simple_roots = simple
         self.positive_roots = shorts + longs
-        self.chart_roots = shorts + longs
         self._qpos = qpos
         w = np.zeros((2 * n, n))
         for k in range(n):
@@ -531,14 +530,13 @@ class SpFamily(Family):
         gens.append(w)
         return gens
 
-    def stabilizer_description(self, coords):
-        c = np.asarray(coords, dtype=float)
-        zero = int(np.sum(np.abs(c) < 1e-12))
-        blocks = _equal_blocks(c[np.abs(c) >= 1e-12])
-        parts = [f"U({b})" if b > 1 else "U(1)" for b in blocks]
-        if zero:
-            parts.append(f"Sp({zero})")
-        return "x".join(parts) if parts else "Sp(0)"
+    def stabilizer_description(self, walls):
+        # a wall on the long root 2e_n sends the last block to zero: Sp(b)
+        blocks = _wall_blocks(walls, self.n)
+        parts = [f"U({b})" for b in blocks]
+        if self.n - 1 in walls:
+            parts[-1] = f"Sp({blocks[-1]})"
+        return "x".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +592,6 @@ class SOFamily(Family):
             t[:, 2] = [0.0, 0.0, rt, 1j * rt]     # u_2
             t[:, 3] = [rt, 1j * rt, 0.0, 0.0]     # u_1
             self._t = t
-        self.chart_roots = list(self.simple_roots)
 
     # matrices ----------------------------------------------------------------
 
@@ -685,28 +682,16 @@ class SOFamily(Family):
         w2[1, 3] = w2[3, 1] = -1.0
         return [w1, w2]
 
-    def stabilizer_description(self, coords):
+    def stabilizer_description(self, walls):
         if self.n == 3:
             return "SO(2)"
-        c = np.asarray(coords, dtype=float)
-        if abs(abs(c[0]) - abs(c[1])) < 1e-12:
-            return "U(2)"
-        return "SO(2)xSO(2)"
+        return "U(2)" if walls else "SO(2)xSO(2)"
 
 
-def _equal_blocks(values, tol: float = 1e-12):
-    """Multiplicities of equal consecutive entries of a sorted-ish vector."""
-    vals = list(np.asarray(values, dtype=float))
-    if not vals:
-        return []
-    vals = sorted(vals, reverse=True)
-    blocks = [1]
-    for prev, cur in zip(vals, vals[1:]):
-        if abs(prev - cur) < tol:
-            blocks[-1] += 1
-        else:
-            blocks.append(1)
-    return blocks
+def _wall_blocks(walls, size: int) -> list:
+    """Sizes of the runs of slots 0..size-1, wall k joining slots k and k+1."""
+    cuts = [0] + [k + 1 for k in range(size - 1) if k not in walls] + [size]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 @lru_cache(maxsize=32)

@@ -321,9 +321,9 @@ def cmd_verify(args, spec, report):
         checks.append(_check("potential_covariance", worst_cov, 1e-8))
 
     bv = cohomology.betti(spec, point)
-    walls = [i for i, w in enumerate(point.weights) if abs(w) < 1e-12]
     # ties the polynomial to the group that chart transitions enumerate
-    expected = weyl_group(spec).order // sum(poincare_polynomial(spec, walls))
+    expected = (weyl_group(spec).order
+                // sum(poincare_polynomial(spec, point.walls)))
     checks.append({"name": "betti_sum", "residual": abs(bv.total - expected),
                    "tol": 0, "pass": bv.total == expected})
 

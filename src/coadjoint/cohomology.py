@@ -43,10 +43,8 @@ class BettiVector:
 def betti(spec: GroupSpec, point: InitialPoint) -> BettiVector:
     """Betti vector of the orbit through ``point``."""
     classify_initial_point(spec, point)
-    weights = np.asarray(point.weights)
-    walls = [int(i) for i in np.nonzero(np.abs(weights) < 1e-12)[0]]
     return BettiVector(b=_poly_divide(poincare_polynomial(spec),
-                                      poincare_polynomial(spec, walls)))
+                                      poincare_polynomial(spec, point.walls)))
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,12 @@ class BasisTwoForm:
 def basis_cycles(spec: GroupSpec) -> list:
     """One two-cycle per simple root, along the matching chart coordinate."""
     fam = spec.adapter
+    coeff = fam.simple_root_coefficients
+    unit = np.eye(fam.rank, dtype=int)
     cycles = []
     for k, info in enumerate(fam.simple_roots):
-        ci = next(i for i, r in enumerate(fam.chart_roots)
-                  if np.allclose(r.as_array(), info.as_array()))
+        # alpha_k is the positive root whose coefficient row is the unit e_k
+        ci = int(np.flatnonzero((coeff == unit[k]).all(axis=1))[0])
         cycles.append(TwoCycle(spec=spec, index=k, root_label=info.label,
                                coord_index=ci))
     return cycles

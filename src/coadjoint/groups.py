@@ -1,5 +1,11 @@
 """Groups, root data, Weyl groups, Poincare polynomials, orbit classification.
 
+Walls. The simple roots on which mu0 sits are decided once, in
+``InitialPoint``: weight k is a wall when it is zero or below ``WALL_TOL``
+times the largest weight. A positive root vanishes on mu0 exactly when its
+simple-root support lies in the walls, so the required-zero chart
+coordinates, the orbit dimension and the stabilizer follow exactly.
+
 Conventions. Points of the dual Cartan are written in weight coordinates
 (vectors c of length n for SU(n)/Sp(n), m for SO(2m)/SO(2m+1)); the chamber
 pairing of a weight against a root is the euclidean dot product of their
@@ -160,17 +166,17 @@ class WeylGroup:
     spec: GroupSpec
     elements: tuple
     generators: tuple
+    by_key: dict = field(repr=False, compare=False)   # _action_key -> element
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def find(self, action: np.ndarray) -> WeylElement:
-        key = _action_key(action)
-        for el in self.elements:
-            if el.action_key() == key:
-                return el
-        raise KeyError("action is not a Weyl element")
+        el = self.by_key.get(_action_key(action))
+        if el is None:
+            raise KeyError("action is not a Weyl element")
+        return el
 
     def element_by_word(self, word) -> WeylElement:
         fam = self.spec.adapter
@@ -211,7 +217,8 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
                 nxt.append(new)
         frontier = nxt
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-    return WeylGroup(spec=spec, elements=elements, generators=tuple(gens))
+    return WeylGroup(spec=spec, elements=elements, generators=tuple(gens),
+                     by_key=seen)
 
 
 def _poly_multiply(p, q) -> tuple:
@@ -233,6 +240,13 @@ def _poly_divide(p, q) -> tuple:
     return tuple(out)
 
 
+def parabolic_roots(spec: GroupSpec, gens) -> np.ndarray:
+    """Mask of the positive roots with simple-root support inside ``gens``."""
+    coeff = spec.adapter.simple_root_coefficients
+    outside = sorted(set(range(coeff.shape[1])) - set(gens))
+    return ~coeff[:, outside].any(axis=1)
+
+
 def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
     """Poincare polynomial of the parabolic subgroup W_J, J = ``gens``.
 
@@ -246,8 +260,7 @@ def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
     """
     coeff = spec.adapter.simple_root_coefficients
     if gens is not None:
-        outside = sorted(set(range(coeff.shape[1])) - set(gens))
-        coeff = coeff[~coeff[:, outside].any(axis=1)]
+        coeff = coeff[parabolic_roots(spec, gens)]
     num = den = (1,)
     for h in coeff.sum(axis=1).tolist():
         num = _poly_multiply(num, (1,) * (h + 1))
@@ -261,11 +274,12 @@ def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
 
 @dataclass(frozen=True)
 class InitialPoint:
-    """A dominant weight: chamber weights and the matrix it pins down."""
+    """A dominant weight: chamber weights, walls and the matrix they fix."""
 
     spec: GroupSpec
     weights: tuple
     coords: tuple = field(default=())
+    walls: tuple = field(default=(), init=False)   # simple roots on mu0
 
     def __post_init__(self):
         fam = self.spec.adapter
@@ -273,11 +287,17 @@ class InitialPoint:
             raise ValueError(
                 f"{self.spec.name} needs {fam.rank} weights, "
                 f"got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
+        w = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if (w < 0).any():
             raise ValueError("weights must be nonnegative "
                              "(closed positive Weyl chamber)")
         object.__setattr__(self, "coords",
                            tuple(fam.initial_coords(self.weights)))
+        # the one wall decision: zero, or small against the largest weight
+        walls = np.nonzero((w == 0) | (w < WALL_TOL * w.max()))[0]
+        object.__setattr__(self, "walls", tuple(int(k) for k in walls))
 
     @property
     def matrix(self):
@@ -323,18 +343,14 @@ def classify_initial_point(spec: GroupSpec, point: InitialPoint) -> OrbitClass:
     ``orbit.fibration``, which raises MaximalDegenerate in that case.
     """
     fam = spec.adapter
-    weights = np.asarray(point.weights, dtype=float)
-    if np.all(np.abs(weights) < WALL_TOL):
+    if len(point.walls) == fam.rank:
         raise AllWeightsZero("all weights vanish; the orbit is a point")
-    walls = tuple(info.label for info, w in zip(fam.simple_roots, weights)
-                  if abs(w) < WALL_TOL)
-    c = np.asarray(point.coords)
-    nonzero = sum(1 for info in fam.positive_roots
-                  if abs(float(c @ info.as_array())) >= WALL_TOL)
-    kind = OrbitKind.GENERIC if not walls else OrbitKind.DEGENERATE
+    # one complex chart coordinate per positive root off the walls
+    nonzero = int(np.count_nonzero(~parabolic_roots(spec, point.walls)))
+    kind = OrbitKind.GENERIC if not point.walls else OrbitKind.DEGENERATE
     return OrbitClass(
         kind=kind,
-        vanishing_walls=walls,
+        vanishing_walls=tuple(fam.simple_roots[k].label for k in point.walls),
         real_dimension=2 * nonzero,
-        stabilizer=fam.stabilizer_description(c),
+        stabilizer=fam.stabilizer_description(point.walls),
     )

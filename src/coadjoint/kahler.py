@@ -93,7 +93,7 @@ def metric(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
         return potential_batch(spec, point, full)
 
     g = wirtinger_hessian(f, z0[list(active)], h=step, richardson=richardson)
-    labels = tuple(fam.chart_roots[i].label for i in active)
+    labels = tuple(fam.positive_roots[i].label for i in active)
     return KahlerTensor(g=g, active_indices=active, active_labels=labels,
                         base_point=chart)
 

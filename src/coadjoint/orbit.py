@@ -19,7 +19,7 @@ from .decompose import ChartPoint, chart_matrix, chart_point, dressing_matrix, \
 from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
     PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
-    poincare_polynomial, weyl_group
+    parabolic_roots, poincare_polynomial, weyl_group
 from .quaternion import QuaternionMatrix
 
 GELL_MANN = (
@@ -51,11 +51,8 @@ class OrbitPoint:
 
 
 def required_zero_mask(spec: GroupSpec, point: InitialPoint) -> np.ndarray:
-    """Chart coordinates that must vanish on the orbit through ``point``."""
-    fam = spec.adapter
-    c = np.asarray(point.coords)
-    return np.array([abs(float(c @ info.as_array())) < 1e-12
-                     for info in fam.chart_roots])
+    """Chart coordinates that must vanish: the roots supported on the walls."""
+    return parabolic_roots(spec, point.walls)
 
 
 def gell_mann_coordinates(mu: np.ndarray) -> np.ndarray:
@@ -70,7 +67,7 @@ def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint
     classify_initial_point(spec, point)   # rejects the zero orbit
     mask = required_zero_mask(spec, point)
     coords = chart.array()
-    bad = [spec.adapter.chart_roots[i].label
+    bad = [spec.adapter.positive_roots[i].label
            for i in np.nonzero(mask & (np.abs(coords) > 0))[0]]
     if bad:
         raise DegeneracyViolation(
@@ -199,8 +196,7 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     """
     fam = spec.adapter
     cls = classify_initial_point(spec, point)
-    weights = np.asarray(point.weights)
-    stab = frozenset(int(i) for i in np.nonzero(np.abs(weights) < 1e-12)[0])
+    stab = frozenset(point.walls)
     missing = sorted(set(range(fam.rank)) - stab)
     if not missing:
         raise MaximalDegenerate("stabilizer equals the group")
@@ -226,7 +222,7 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
 
 def _orbit_label(spec, cls) -> str:
     tag = "generic" if cls.is_generic else "degenerate"
-    return f"O^{spec.name})"[:-1] + f" ({tag})"
+    return f"O^{spec.name} ({tag})"
 
 
 def _base_label(spec, drop, base_dim) -> str:

@@ -38,6 +38,18 @@ def test_classify_all_zero_exits_2(capsys):
                  "--weights", "0,0"]) == 2
 
 
+def test_classify_tiny_uniform_weights_is_generic(capsys):
+    # walls are relative to the largest weight: a scaled-down generic point
+    # is still generic, not the zero orbit
+    code, out = run(capsys, "classify", "--group", "su", "--n", "3",
+                    "--weights", "1e-13,1e-13")
+    assert code == 0
+    res = json.loads(out)["results"][0]
+    assert res["kind"] == "generic"
+    assert res["real_dimension"] == 6
+    assert res["stabilizer"] == "U(1)xU(1)"
+
+
 def test_unsupported_group_exits_2(capsys):
     assert main(["verify", "--group", "so", "--n", "5",
                  "--weights", "1,1"]) == 2

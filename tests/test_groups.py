@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        build_group, classify_initial_point, initial_point,
-                       root_datum, weyl_group)
+                       poincare_polynomial, root_datum, weyl_group)
+from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 
 
@@ -279,3 +281,89 @@ def test_classify_sp2_walls():
     oc2 = classify_initial_point(spec, initial_point(spec, (0.0, 1.0)))
     assert oc2.stabilizer == "U(2)"
     assert oc2.real_dimension == 6
+
+
+# ---------------------------------------------------------------------------
+# walls: decided once, everything else from the integer root table
+
+WALL_GROUPS = [("su", n) for n in range(2, 8)] + \
+    [("sp", n) for n in range(2, 6)] + [("so", 3), ("so", 4)]
+
+
+def _wall_weights(rank, seed):
+    """Every nonzero 0/1 pattern, then seeded random weights with zeros."""
+    out = [w for w in itertools.product((0.0, 1.0), repeat=rank) if any(w)]
+    rng = np.random.default_rng(seed)
+    while len(out) < 2 ** rank - 1 + 200:
+        w = rng.uniform(0.01, 5.0, rank) * (rng.random(rank) < 0.6)
+        if w.any():
+            out.append(tuple(w))
+    return out
+
+
+@pytest.mark.parametrize("family,n", WALL_GROUPS)
+def test_wall_derivation_matches_float_oracle(family, n):
+    from helpers import float_degeneracy
+    spec = build_group(family, n)
+    n_pos = len(poincare_polynomial(spec)) - 1
+    for w in _wall_weights(spec.rank, seed=100 * n + len(family)):
+        point = initial_point(spec, w)
+        assert point.walls == tuple(k for k, x in enumerate(w) if x == 0)
+        oc = classify_initial_point(spec, point)
+        mask, dim, stab = float_degeneracy(spec, point)
+        assert np.array_equal(required_zero_mask(spec, point), mask)
+        assert oc.real_dimension == dim
+        assert oc.stabilizer == stab
+        n_walls = len(poincare_polynomial(spec, point.walls)) - 1
+        assert oc.real_dimension == 2 * (n_pos - n_walls)
+
+
+def test_walls_are_relative_to_the_largest_weight():
+    su3 = build_group("su", 3)
+    assert initial_point(su3, (1e-13, 1e-13)).walls == ()
+    assert initial_point(su3, (1e-13, 1.0)).walls == (0,)
+    assert initial_point(su3, (5e-12, 10.0)).walls == (0,)
+    assert initial_point(su3, (0.0, 1e-300)).walls == (0,)
+    assert initial_point(su3, (0.0, 0.0)).walls == (0, 1)
+    oc = classify_initial_point(su3, initial_point(su3, (1e-13, 2e-13)))
+    assert oc == classify_initial_point(su3, initial_point(su3, (1.0, 2.0)))
+    # an infinite weight would put every finite one on a wall
+    for bad in ((math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            initial_point(su3, bad)
+
+
+def test_near_wall_generic_point_has_torus_stabilizer():
+    # a weight just above the threshold is no wall: the orbit is generic, so
+    # its stabilizer is the maximal torus, not U(1)xSp(1)
+    sp2 = build_group("sp", 2)
+    oc = classify_initial_point(sp2, initial_point(sp2, (1.0, 1.5e-12)))
+    assert oc.kind is OrbitKind.GENERIC
+    assert oc.real_dimension == 8
+    assert oc.stabilizer == "U(1)xU(1)"
+
+
+def test_near_wall_point_matches_its_wall():
+    # weights below the threshold sit on the walls, so every degeneracy
+    # fact equals that of the point exactly on them
+    sp3 = build_group("sp", 3)
+    near = initial_point(sp3, (1.0, 6e-13, 6e-13))
+    on = initial_point(sp3, (1.0, 0.0, 0.0))
+    assert classify_initial_point(sp3, near).real_dimension == 10
+    assert classify_initial_point(sp3, near) == classify_initial_point(sp3, on)
+    assert np.array_equal(required_zero_mask(sp3, near),
+                          required_zero_mask(sp3, on))
+    assert near.walls == on.walls == (1, 2)
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("su", 5), ("su", 6), ("sp", 2),
+                                      ("sp", 3), ("sp", 4), ("so", 3),
+                                      ("so", 4)])
+def test_find_matches_linear_scan(family, n):
+    from helpers import linear_find
+    wg = weyl_group(build_group(family, n))
+    for el in wg.elements:
+        assert wg.find(el.action) is linear_find(wg, el.action)
+    with pytest.raises(KeyError):
+        wg.find(2.0 * wg.elements[0].action)
