@@ -13,8 +13,8 @@ from .decompose import (BruhatFactors, ChartPoint, IwasawaFactors,
                         gauss_bruhat, iwasawa, torus_character)
 from .errors import (AllWeightsZero, CoadjointError, DegeneracyViolation,
                      MaximalDegenerate, NumericalBreakdown, OutsideCell,
-                     PoleOnChart, QuadratureNotConverged, StepUnderflow,
-                     UnsupportedGroup, ZeroTorusEntry)
+                     PoleOnChart, QuadratureNotConverged, UnsupportedGroup,
+                     ZeroTorusEntry)
 from .groups import (GroupSpec, InitialPoint, OrbitClass, OrbitKind,
                      RootDatum, WeylElement, WeylGroup, build_group,
                      classify_initial_point, initial_point,
@@ -34,7 +34,7 @@ __all__ = [
     "KahlerTensor", "MaximalDegenerate", "NumericalBreakdown", "OrbitClass",
     "OrbitKind", "OrbitPoint", "OutsideCell", "PoleOnChart", "Quaternion",
     "QuaternionMatrix", "QuadratureNotConverged", "RootDatum",
-    "StepUnderflow", "TwoCycle", "UnsupportedGroup", "WeylElement",
+    "TwoCycle", "UnsupportedGroup", "WeylElement",
     "WeylGroup", "ZeroTorusEntry", "basis_cycles", "basis_two_forms",
     "betti", "build_group", "chart_matrix", "chart_point",
     "chart_transition", "classify_initial_point", "cocycle_shift", "dress",

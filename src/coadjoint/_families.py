@@ -103,6 +103,26 @@ class Family:
         """Single chart matrix in the family's working basis."""
         raise NotImplementedError
 
+    def chart_jacobian(self, coords):
+        """Split charts and their Wirtinger derivatives at a coordinate batch.
+
+        Returns ``z`` (N, s, s) and ``a``, ``b`` (N, dim, s, s) with
+        a[:, k] = dz/dz_k and b[:, k] = dz/dzbar_k. Every chart entry is a
+        holomorphic or antiholomorphic polynomial of degree <= 2, so the
+        unit-step central difference is the exact derivative and the mixed
+        derivatives d dbar z vanish.
+        """
+        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
+        nb, dim = coords.shape
+        e = np.eye(dim)
+        steps = np.concatenate([e, -e, 1j * e, -1j * e])
+        z = self.chart_split(np.concatenate(
+            [coords, (coords[:, None] + steps).reshape(-1, dim)]))
+        d = z[nb:].reshape((nb, 4, dim) + z.shape[1:])
+        dx = 0.5 * (d[:, 0] - d[:, 1])
+        dy = 0.5 * (d[:, 2] - d[:, 3])
+        return z[:nb], 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
     def coords_from_zeta_split(self, zeta):
         """Chart coordinates of a split-basis lower-unitriangular element."""
         raise NotImplementedError
@@ -116,8 +136,8 @@ class Family:
     # --- cycles and potentials ---------------------------------------------
 
     def cycle_chart(self, k: int, t):
-        """Split chart of the k-th simple-root two-cycle at coordinates t."""
-        x = self._cycle_generators()[k]
+        """Split chart exp(t x_k) of the k-th simple-root two-cycle at t."""
+        x = self.cycle_generators()[k]
         t = np.asarray(t, dtype=complex)
         out = np.broadcast_to(np.eye(self.slots, dtype=complex),
                               t.shape + (self.slots, self.slots)).copy()
@@ -131,7 +151,7 @@ class Family:
             out += tk[..., None, None] * term
         return out
 
-    def _cycle_generators(self):
+    def cycle_generators(self):
         """Calibrated lowering generators, one per simple root."""
         raise NotImplementedError
 
@@ -166,9 +186,21 @@ class Family:
             self.__dict__["_simple_root_coefficients"] = c
         return c
 
+    @property
+    def minor_weights(self) -> np.ndarray:
+        """Rows C_k with Phi_k = sum_j C_kj log det G[j:, j:], G = z z*.
+
+        From log a_j = (log det G[j:, j:] - log det G[j+1:, j+1:]) / 2.
+        """
+        return 0.5 * np.diff(self.potential_weights, axis=1, prepend=0.0)
+
     def potentials(self, z_split) -> np.ndarray:
         """All rank basis potentials Phi_k at a batch of split matrices."""
         return self.log_a(z_split) @ self.potential_weights.T
+
+    def chart_potentials(self, coords) -> np.ndarray:
+        """All rank basis potentials at a batch (N, dim) of chart coordinates."""
+        return self.potentials(self.chart_split(coords))
 
     # --- torus ------------------------------------------------------------
 
@@ -279,7 +311,7 @@ class SUFamily(Family):
     def coords_from_zeta_split(self, zeta):
         return np.array([zeta[r, c] for (r, c) in self._positions])
 
-    def _cycle_generators(self):
+    def cycle_generators(self):
         gens = []
         for k in range(self.rank):
             x = np.zeros((self.n, self.n), dtype=complex)
@@ -473,7 +505,7 @@ class SpFamily(Family):
         out.extend([0.0] * self.n)
         return np.array(out, dtype=complex)
 
-    def _cycle_generators(self):
+    def cycle_generators(self):
         gens = []
         n = self.n
         for k in range(n - 1):   # short simple roots e_k - e_{k+1}
@@ -645,7 +677,7 @@ class SOFamily(Family):
             return np.array([zeta[1, 0] / np.sqrt(2.0)])
         return np.array([zeta[1, 0], zeta[2, 0]])
 
-    def _cycle_generators(self):
+    def cycle_generators(self):
         if self.n == 3:
             x = np.zeros((3, 3), dtype=complex)
             x[1, 0] = np.sqrt(2.0)

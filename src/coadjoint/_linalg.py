@@ -1,4 +1,4 @@
-"""Numerical kernels: triangular factorizations and finite differencing.
+"""Numerical kernels: triangular factorizations and log-det derivatives.
 
 Everything here works on plain complex ndarrays (batched where useful) or on
 QuaternionMatrix. The factorizations are the two workhorses of the library:
@@ -8,6 +8,10 @@ QuaternionMatrix. The factorizations are the two workhorses of the library:
   matrix. This is the Iwasawa A/N data of a chart representative.
 * ``ul_decompose``: g = n d zeta with n unit upper triangular, d diagonal,
   zeta unit lower triangular (Gauss-Bruhat on the open cell).
+
+``wirtinger_hessian`` differentiates log det of every trailing minor of
+z z* twice in closed form, from the Cholesky factor of ``cholesky_upper``;
+the Kahler metric and the pairing integrand are combinations of these.
 """
 
 from __future__ import annotations
@@ -174,114 +178,72 @@ def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
 
 
 # ---------------------------------------------------------------------------
-# finite differencing
+# second derivatives of log det of the trailing minors of z z*
 
 
-def wirtinger_hessian(f, z0, h: float = 1e-4, richardson: bool = True):
-    """Hermitian matrix of mixed second derivatives d^2 f / dz_a dzbar_b.
+@lru_cache(maxsize=16)
+def _trailing_masks(s: int):
+    """(s*s, s) indicators of the blocks {i >= j > k} and {i, k >= j} per j."""
+    i, k = np.indices((s, s)).reshape(2, s * s, 1)
+    j = np.arange(s)
+    below = (i >= j) & (k < j)
+    return below.astype(float), ((i >= j) & (k >= j)).astype(float)
 
-    ``f`` maps an (N, m) complex batch to an (N,) real batch; ``z0`` is a
-    length-m complex point. Central differences with step ``h`` on the real
-    coordinates (Re z_1..Re z_m, Im z_1..Im z_m); one Richardson step
-    (base h against 2h) removes the leading h^2 error.
+
+def wirtinger_hessian(z, a, b=None) -> np.ndarray:
+    """d_a dbar_b log det G[j:, j:] of G = z z*, for every trailing size j.
+
+    ``z`` is a stack (N, s, s) of invertible matrices and ``a``, ``b``
+    (N, m, s, s) hold dz/dz_a and dz/dzbar_a (``b`` None when z is
+    holomorphic); z must have no mixed second derivatives d_a dbar_b z.
+    Returns the hermitian (N, m, m, s), j last: the closed form
+    tr(G^-1 (a_a a_b* + b_b b_a*)) - tr(G^-1 d_aG G^-1 dbar_bG) on each
+    trailing block, with d_aG = a_a z* + z b_a*.
+
+    One Cholesky factor G = u u* and one triangular solve serve every j:
+    with the unitary k = u^-1 z, put p_a = u^-1 a_a k* and q_a = u^-1 b_a k*.
+    As u is upper triangular, G[j:, j:]^-1 = u[j:, j:]^-* u[j:, j:]^-1 reads
+    rows j: of them, and the closed form becomes
+
+        sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]) + q_b[i,k] conj(q_a[i,k])
+        - sum_{i, k >= j} p_a[i,k] q_b[k,i] + conj(q_a[k,i] p_b[i,k]),
+
+    free of cancellation (and positive semidefinite) for holomorphic z.
+    G^-1 is never formed. Raises NumericalBreakdown where ``cholesky_upper``
+    does.
     """
-    z0 = np.asarray(z0, dtype=complex).ravel()
-    m = z0.size
-    nreal = 2 * m
-    steps = (1, 2) if richardson else (1,)
+    nb, m, s = a.shape[:3]
+    u, _ = cholesky_upper(z @ np.conj(np.swapaxes(z, -1, -2)))
+    dirs = [a] if b is None else [a, b]
+    rhs = np.concatenate([z] + [d.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
+                                for d in dirs], axis=-1)
+    x = np.linalg.solve(u, rhs)
+    kh = np.conj(np.swapaxes(x[..., :s], -1, -2))
+    pq = x[..., s:].reshape(nb, s, len(dirs) * m, s).transpose(0, 2, 1, 3) \
+        @ kh[:, None]
+    below, trail = _trailing_masks(s)
 
-    offsets = {}
+    def pair(v, w):
+        # v_a[i, k] conj(w_b[i, k]), flattened over (i, k)
+        return (v[:, :, None] * np.conj(w[:, None])).reshape(nb, m, m, s * s)
 
-    def register(vec):
-        key = tuple(vec)
-        if key not in offsets:
-            offsets[key] = len(offsets)
-        return offsets[key]
-
-    def unit(u):
-        v = [0] * nreal
-        v[u] = 1
-        return np.array(v)
-
-    register([0] * nreal)
-    needed = []
-    for u in range(nreal):
-        for v in range(u, nreal):
-            for s in steps:
-                if u == v:
-                    pts = [register(s * unit(u)), register(-s * unit(u))]
-                else:
-                    eu, ev = unit(u), unit(v)
-                    pts = [register(s * (eu + ev)), register(s * (eu - ev)),
-                           register(s * (-eu + ev)), register(s * (-eu - ev))]
-                needed.append((u, v, s, pts))
-
-    grid = np.zeros((len(offsets), m), dtype=complex)
-    for key, idx in offsets.items():
-        vec = np.asarray(key, dtype=float) * h
-        grid[idx] = z0 + vec[:m] + 1j * vec[m:]
-    vals = np.asarray(f(grid), dtype=float)
-    f0 = vals[0]
-
-    raw = {}
-    for u, v, s, pts in needed:
-        hs = s * h
-        if u == v:
-            raw[(u, v, s)] = (vals[pts[0]] - 2.0 * f0 + vals[pts[1]]) / hs ** 2
-        else:
-            raw[(u, v, s)] = (vals[pts[0]] - vals[pts[1]]
-                              - vals[pts[2]] + vals[pts[3]]) / (4.0 * hs ** 2)
-
-    def d2(u, v):
-        if u > v:
-            u, v = v, u
-        if richardson:
-            return (4.0 * raw[(u, v, 1)] - raw[(u, v, 2)]) / 3.0
-        return raw[(u, v, 1)]
-
-    g = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            xx = d2(a, b)
-            yy = d2(m + a, m + b)
-            xy = d2(a, m + b)
-            yx = d2(m + a, b)
-            g[a, b] = 0.25 * ((xx + yy) + 1j * (xy - yx))
-    return 0.5 * (g + g.conj().T)
+    p = pq[:, :m]
+    h = pair(p, p) @ below
+    if b is not None:
+        q = pq[:, m:]
+        cross = pair(p, np.conj(np.swapaxes(q, -1, -2))) @ trail
+        h = (h + np.swapaxes(pair(q, q), 1, 2) @ below
+             - cross - np.conj(np.swapaxes(cross, 1, 2)))
+    return h
 
 
-def complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
-    """Quarter Laplacian d^2 f / dt dtbar for a batch of complex points.
+def complex_laplacian(z, dz) -> np.ndarray:
+    """d dbar log det G[j:, j:] along one holomorphic coordinate t.
 
-    ``f`` maps a flat complex array of M points to a real ndarray of shape
-    (M,), one scalar function, or (M, k), k functions side by side; ``t`` is
-    any-shaped complex input. The result has shape ``t.shape`` or
-    ``t.shape + (k,)``. The stencil is vectorized into a single call to
-    ``f``, and each column goes through the same arithmetic as a scalar
-    ``f`` returning that column alone.
+    ``z`` (N, s, s) is holomorphic in t with dz/dt = ``dz``; returns the real
+    (N, s), j last. The one-coordinate case of ``wirtinger_hessian``.
     """
-    t = np.asarray(t, dtype=complex)
-    flat = t.ravel()
-    steps = [h, 2 * h] if richardson else [h]
-    shifts = [0.0]
-    for s in steps:
-        shifts.extend([s, -s, 1j * s, -1j * s])
-    pts = (flat[None, :] + np.asarray(shifts, dtype=complex)[:, None]).ravel()
-    vals = f(pts).astype(float, copy=False)
-    cols = vals.shape[1:]
-    vals = vals.reshape((len(shifts), flat.size) + cols)
-    f0 = vals[0]
-
-    def lap(base):
-        # rows base..base+3 hold +s, -s, +is, -is
-        s = steps[(base - 1) // 4]
-        return (vals[base] + vals[base + 1] + vals[base + 2] + vals[base + 3]
-                - 4.0 * f0) / s ** 2
-    if richardson:
-        full = (4.0 * lap(1) - lap(5)) / 3.0
-    else:
-        full = lap(1)
-    return (0.25 * full).reshape(t.shape + cols)
+    return wirtinger_hessian(z, dz[:, None])[:, 0, 0].real
 
 
 @lru_cache(maxsize=8)

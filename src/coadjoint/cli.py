@@ -24,16 +24,15 @@ from . import cohomology, decompose, kahler, orbit
 from .checks import haar_su, iwasawa_residuals, random_chart, spectral_mismatch
 from .errors import (AllWeightsZero, DegeneracyViolation,
                      MaximalDegenerate, NumericalBreakdown, OutsideCell,
-                     PoleOnChart, QuadratureNotConverged, StepUnderflow,
-                     UnsupportedGroup, ZeroTorusEntry)
+                     PoleOnChart, QuadratureNotConverged, UnsupportedGroup,
+                     ZeroTorusEntry)
 from .groups import build_group, classify_initial_point, initial_point, \
     poincare_polynomial, weyl_group
 from .quaternion import QuaternionMatrix
 
 CONFIG_ERRORS = (UnsupportedGroup, AllWeightsZero, ValueError)
-DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, StepUnderflow,
-                 ZeroTorusEntry, NumericalBreakdown, MaximalDegenerate,
-                 QuadratureNotConverged)
+DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, ZeroTorusEntry,
+                 NumericalBreakdown, MaximalDegenerate, QuadratureNotConverged)
 
 
 def _parse_weights(text: str):
@@ -209,14 +208,12 @@ def cmd_potential(args, spec, report):
 
 def cmd_metric(args, spec, report):
     point = _get_point(args, spec)
-    step = args.step
     if args.grid:
         pts = _grid_points(_parse_grid(args.grid))
         rows = {}
         gs = []
         for row in pts:
-            kt = kahler.metric(spec, point, decompose.chart_point(spec, row),
-                               step=step)
+            kt = kahler.metric(spec, point, decompose.chart_point(spec, row))
             gs.append(kt.g)
         m = gs[0].shape[0]
         for a in range(m):
@@ -228,7 +225,7 @@ def cmd_metric(args, spec, report):
         return 0
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
-    kt = kahler.metric(spec, point, chart, step=step)
+    kt = kahler.metric(spec, point, chart)
     herm = float(np.max(np.abs(kt.g - kt.g.conj().T)))
     eig = kt.eigenvalues()
     report["results"].append({
@@ -388,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "joined by ';' (potential/metric)")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--tol", type=float, default=None)
-        q.add_argument("--step", type=float, default=kahler.DEFAULT_STEP)
         q.add_argument("--order", type=int, default=128,
                        help="quadrature rule size for pairing integrals")
         q.add_argument("--points", type=int, default=100,

@@ -10,9 +10,11 @@ simple-root two-cycles gamma_i form the identity matrix. The quadrature
 compactifies each cycle with the substitution r = tan(theta/2), switching to
 the Weyl-flipped chart past theta = pi/2 (the flipped chart representative
 z w has the same Iwasawa A-part as z, so the integrand function is
-unchanged there). One finite-difference stencil pass over a cycle evaluates
-all rank potentials together, so it yields the integrals of every basis
-form over that cycle: the pairing matrix costs one quadrature per cycle.
+unchanged there). The integrand is exact: every Phi_j is a combination of
+log det of the trailing minors of z z*, whose Laplacian along the cycle
+``_linalg.complex_laplacian`` gives in closed form, all j from one
+factorization. So one pass over a cycle yields the integrals of every basis
+form over it, and the pairing matrix costs one quadrature per cycle.
 """
 
 from __future__ import annotations
@@ -114,9 +116,7 @@ class BasisTwoForm:
     normalization: str = "i/(2*pi)"
 
     def potential(self, coords) -> np.ndarray:
-        fam = self.spec.adapter
-        z = fam.chart_split(np.atleast_2d(np.asarray(coords, dtype=complex)))
-        return fam.potentials(z)[:, self.index]
+        return self.spec.adapter.chart_potentials(coords)[:, self.index]
 
 
 def basis_cycles(spec: GroupSpec) -> list:
@@ -141,7 +141,7 @@ def basis_two_forms(spec: GroupSpec) -> list:
 
 
 def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
-    """Row int_{gamma_i} omega_j, j = 1..rank, from one stencil pass."""
+    """Row int_{gamma_i} omega_j, j = 1..rank, from one pass over the cycle."""
     fam = spec.adapter
     xs, ws = gauss_legendre(order)
     theta = (xs + 1.0) * (np.pi / 2.0)
@@ -153,11 +153,10 @@ def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
     rho = np.where(theta <= np.pi / 2.0,
                    np.tan(theta / 2.0), np.tan((np.pi - theta) / 2.0))
     t = rho[:, None] * np.exp(1j * phi[None, :])
-
-    def f(tflat):
-        return fam.potentials(fam.cycle_chart(i, tflat))
-
-    lap = complex_laplacian(f, t)            # d^2 Phi_j / dt dtbar, j last
+    z = fam.cycle_chart(i, t.ravel())
+    # the cycle chart is exp(t x_i), so dz/dt = z x_i
+    lap = complex_laplacian(z, z @ fam.cycle_generators()[i])
+    lap = (lap @ fam.minor_weights.T).reshape(t.shape + (-1,))
     jac = rho * (1.0 + rho ** 2) / 2.0
     return np.array([wth @ (lap[..., j] * jac[:, None]) @ wph / np.pi
                      for j in range(lap.shape[-1])])
@@ -181,10 +180,10 @@ def pairing_integral(form: BasisTwoForm, cycle: TwoCycle, order: int = 128,
     """int_{gamma_i} omega_j by Gauss-Legendre quadrature on the cycle.
 
     Uses an order x order product rule in (theta, phi) with r = tan(theta/2)
-    and the finite-difference Laplacian of the pulled-back potentials. One
-    stencil pass over the cycle yields the integrals of every basis form;
-    this returns the entry of ``form``. Raises QuadratureNotConverged if
-    halving the rule moves any integral over the cycle by > 1e-6.
+    and the exact Laplacian of the pulled-back potentials. One pass over the
+    cycle yields the integrals of every basis form; this returns the entry
+    of ``form``. Raises QuadratureNotConverged if halving the rule moves any
+    integral over the cycle by > 1e-6.
     """
     if form.spec != cycle.spec:
         raise ValueError("form and cycle belong to different groups")
@@ -196,7 +195,7 @@ def pairing_matrix(spec: GroupSpec, order: int = 128,
                    check_convergence: bool = False) -> np.ndarray:
     """Full matrix int_{gamma_i} omega_j; identity when all is well.
 
-    Row i comes from one stencil pass over gamma_i that evaluates every basis
+    Row i comes from one pass over gamma_i that differentiates every basis
     potential at once, so the matrix costs rank quadratures, not rank^2.
     With ``check_convergence`` each row is compared with the half-order rule
     as in ``pairing_integral``.

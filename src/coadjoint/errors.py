@@ -43,9 +43,5 @@ class MaximalDegenerate(CoadjointError):
     """No intermediate subgroup exists: the orbit is not a nontrivial bundle."""
 
 
-class StepUnderflow(CoadjointError):
-    """Finite differencing is unreliable at this point/step combination."""
-
-
 class QuadratureNotConverged(CoadjointError):
     """Successive quadrature rule sizes disagree beyond tolerance."""

@@ -317,6 +317,12 @@ def initial_point(spec: GroupSpec, weights) -> InitialPoint:
     return InitialPoint(spec, tuple(float(w) for w in weights))
 
 
+def reject_zero_orbit(point: InitialPoint) -> None:
+    """Raise AllWeightsZero when all weights are walls; the orbit is a point."""
+    if len(point.walls) == point.spec.adapter.rank:
+        raise AllWeightsZero("all weights vanish; the orbit is a point")
+
+
 class OrbitKind(str, Enum):
     GENERIC = "generic"
     DEGENERATE = "degenerate"
@@ -343,8 +349,7 @@ def classify_initial_point(spec: GroupSpec, point: InitialPoint) -> OrbitClass:
     ``orbit.fibration``, which raises MaximalDegenerate in that case.
     """
     fam = spec.adapter
-    if len(point.walls) == fam.rank:
-        raise AllWeightsZero("all weights vanish; the orbit is a point")
+    reject_zero_orbit(point)
     # one complex chart coordinate per positive root off the walls
     nonzero = int(np.count_nonzero(~parabolic_roots(spec, point.walls)))
     kind = OrbitKind.GENERIC if not point.walls else OrbitKind.DEGENERATE

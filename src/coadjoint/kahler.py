@@ -3,8 +3,9 @@
 The potential of the orbit through mu0 with chamber weights (xi_1..xi_l) is
 Phi = sum_k xi_k Phi_k, where Phi_k are the basis potentials dual to the
 simple-root two-cycles (for SU(n) these are ln r_k^2 in terms of the Iwasawa
-torus parameters). The metric is the finite-difference Wirtinger Hessian of
-Phi restricted to the active chart coordinates.
+torus parameters). Each Phi_k is a combination of log det of the trailing
+minors of z z*, so the metric, the Wirtinger Hessian of Phi restricted to
+the active chart coordinates, is exact (``_linalg.wirtinger_hessian``).
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ import numpy as np
 
 from ._linalg import wirtinger_hessian
 from .decompose import ChartPoint, chart_matrix, chart_point, gauss_bruhat
-from .errors import StepUnderflow
 from .groups import GroupSpec, InitialPoint
 from .orbit import OrbitPoint, required_zero_mask, _zeta_coords
 from .quaternion import QuaternionMatrix
-
-DEFAULT_STEP = 1e-4
 
 # scale of the trace form <X, Y> on the compact algebra; for Sp it refers to
 # the 2n-dimensional embedding (half the embedded trace equals the
@@ -35,22 +33,12 @@ KKS_METRIC_RATIO = 2.0
 
 def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """Phi at a batch (N, chart_dim) of chart coordinates."""
-    fam = spec.adapter
-    weights = np.asarray(point.weights)
-    z = fam.chart_split(np.atleast_2d(np.asarray(coords, dtype=complex)))
-    return fam.potentials(z) @ weights
+    return spec.adapter.chart_potentials(coords) @ np.asarray(point.weights)
 
 
 def potential(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> float:
     """Kahler potential Phi = sum_k <mu0, alpha_k> ln r_k^2 at the point."""
     return float(potential_batch(spec, point, chart.array()[None])[0])
-
-
-def basis_potential_batch(spec: GroupSpec, k: int, coords) -> np.ndarray:
-    """The k-th basis potential Phi_k on a coordinate batch."""
-    fam = spec.adapter
-    z = fam.chart_split(np.atleast_2d(np.asarray(coords, dtype=complex)))
-    return fam.potentials(z)[:, k]
 
 
 @dataclass(frozen=True)
@@ -71,31 +59,24 @@ class KahlerTensor:
         return np.linalg.eigvalsh(self.g)
 
 
-def metric(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
-           step: float = DEFAULT_STEP, richardson: bool = True) -> KahlerTensor:
-    """g_{a bbar} = d^2 Phi / dz_a dzbar_b by central differences.
+def metric(spec: GroupSpec, point: InitialPoint,
+           chart: ChartPoint) -> KahlerTensor:
+    """g_{a bbar} = d^2 Phi / dz_a dzbar_b in closed form.
 
+    Phi = sum_j c_j log det G[j:, j:] with G = z z* and c = weights @
+    ``minor_weights``; its Hessian comes from the exact chart Jacobian.
     Degenerate orbits restrict to the active coordinates (those not forced
     to vanish), keeping the tensor positive definite on its actual domain.
-    Raises StepUnderflow when |z| is too large for the step.
+    Raises NumericalBreakdown where ``potential`` does.
     """
     fam = spec.adapter
-    mask = required_zero_mask(spec, point)
-    active = tuple(int(i) for i in np.nonzero(~mask)[0])
-    z0 = chart.array()
-    if np.max(np.abs(z0)) > 1e3 / step:
-        raise StepUnderflow(
-            f"|z| = {np.max(np.abs(z0)):.3e} too large for step {step:g}")
-
-    def f(batch):
-        full = np.tile(z0, (len(batch), 1))
-        full[:, list(active)] = batch
-        return potential_batch(spec, point, full)
-
-    g = wirtinger_hessian(f, z0[list(active)], h=step, richardson=richardson)
+    active = np.flatnonzero(~required_zero_mask(spec, point))
+    z, a, b = fam.chart_jacobian(chart.array())
+    c = np.asarray(point.weights) @ fam.minor_weights
+    g = wirtinger_hessian(z, a[:, active], b[:, active])[0] @ c
     labels = tuple(fam.positive_roots[i].label for i in active)
-    return KahlerTensor(g=g, active_indices=active, active_labels=labels,
-                        base_point=chart)
+    return KahlerTensor(g=g, active_indices=tuple(int(i) for i in active),
+                        active_labels=labels, base_point=chart)
 
 
 def kks_pairing(point: OrbitPoint, x, y) -> float:

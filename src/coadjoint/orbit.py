@@ -19,7 +19,7 @@ from .decompose import ChartPoint, chart_matrix, chart_point, dressing_matrix, \
 from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
     PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
-    parabolic_roots, poincare_polynomial, weyl_group
+    parabolic_roots, poincare_polynomial, reject_zero_orbit, weyl_group
 from .quaternion import QuaternionMatrix
 
 GELL_MANN = (
@@ -63,8 +63,12 @@ def gell_mann_coordinates(mu: np.ndarray) -> np.ndarray:
 
 
 def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint:
-    """mu = k(z)* mu0 k(z); raises DegeneracyViolation off the orbit chart."""
-    classify_initial_point(spec, point)   # rejects the zero orbit
+    """mu = k(z)* mu0 k(z).
+
+    Raises AllWeightsZero for the zero orbit and DegeneracyViolation off the
+    orbit chart.
+    """
+    reject_zero_orbit(point)
     mask = required_zero_mask(spec, point)
     coords = chart.array()
     bad = [spec.adapter.positive_roots[i].label

@@ -6,6 +6,8 @@ import numpy as np
 
 from coadjoint.checks import haar_su, random_chart, spectral_mismatch  # noqa: F401
 from coadjoint.groups import _action_key
+from coadjoint.kahler import potential_batch
+from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 
 
@@ -130,3 +132,128 @@ def linear_find(wg, action):
         if el.action_key() == key:
             return el
     raise KeyError("action is not a Weyl element")
+
+
+# ---------------------------------------------------------------------------
+# Finite differences: the oracle for the closed-form metric and Laplacian
+
+
+def fd_wirtinger_hessian(f, z0, h: float = 1e-4, richardson: bool = True):
+    """Hermitian matrix of mixed second derivatives d^2 f / dz_a dzbar_b.
+
+    ``f`` maps an (N, m) complex batch to an (N,) real batch; ``z0`` is a
+    length-m complex point. Central differences with step ``h`` on the real
+    coordinates (Re z_1..Re z_m, Im z_1..Im z_m); one Richardson step
+    (base h against 2h) removes the leading h^2 error.
+    """
+    z0 = np.asarray(z0, dtype=complex).ravel()
+    m = z0.size
+    nreal = 2 * m
+    steps = (1, 2) if richardson else (1,)
+
+    offsets = {}
+
+    def register(vec):
+        key = tuple(vec)
+        if key not in offsets:
+            offsets[key] = len(offsets)
+        return offsets[key]
+
+    def unit(u):
+        v = [0] * nreal
+        v[u] = 1
+        return np.array(v)
+
+    register([0] * nreal)
+    needed = []
+    for u in range(nreal):
+        for v in range(u, nreal):
+            for s in steps:
+                if u == v:
+                    pts = [register(s * unit(u)), register(-s * unit(u))]
+                else:
+                    eu, ev = unit(u), unit(v)
+                    pts = [register(s * (eu + ev)), register(s * (eu - ev)),
+                           register(s * (-eu + ev)), register(s * (-eu - ev))]
+                needed.append((u, v, s, pts))
+
+    grid = np.zeros((len(offsets), m), dtype=complex)
+    for key, idx in offsets.items():
+        vec = np.asarray(key, dtype=float) * h
+        grid[idx] = z0 + vec[:m] + 1j * vec[m:]
+    vals = np.asarray(f(grid), dtype=float)
+    f0 = vals[0]
+
+    raw = {}
+    for u, v, s, pts in needed:
+        hs = s * h
+        if u == v:
+            raw[(u, v, s)] = (vals[pts[0]] - 2.0 * f0 + vals[pts[1]]) / hs ** 2
+        else:
+            raw[(u, v, s)] = (vals[pts[0]] - vals[pts[1]]
+                              - vals[pts[2]] + vals[pts[3]]) / (4.0 * hs ** 2)
+
+    def d2(u, v):
+        if u > v:
+            u, v = v, u
+        if richardson:
+            return (4.0 * raw[(u, v, 1)] - raw[(u, v, 2)]) / 3.0
+        return raw[(u, v, 1)]
+
+    g = np.zeros((m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            xx = d2(a, b)
+            yy = d2(m + a, m + b)
+            xy = d2(a, m + b)
+            yx = d2(m + a, b)
+            g[a, b] = 0.25 * ((xx + yy) + 1j * (xy - yx))
+    return 0.5 * (g + g.conj().T)
+
+
+def fd_complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
+    """Quarter Laplacian d^2 f / dt dtbar for a batch of complex points.
+
+    ``f`` maps a flat complex array of M points to a real ndarray of shape
+    (M,), one scalar function, or (M, k), k functions side by side; ``t`` is
+    any-shaped complex input. The result has shape ``t.shape`` or
+    ``t.shape + (k,)``. The stencil is vectorized into a single call to
+    ``f``, and each column goes through the same arithmetic as a scalar
+    ``f`` returning that column alone.
+    """
+    t = np.asarray(t, dtype=complex)
+    flat = t.ravel()
+    steps = [h, 2 * h] if richardson else [h]
+    shifts = [0.0]
+    for s in steps:
+        shifts.extend([s, -s, 1j * s, -1j * s])
+    pts = (flat[None, :] + np.asarray(shifts, dtype=complex)[:, None]).ravel()
+    vals = f(pts).astype(float, copy=False)
+    cols = vals.shape[1:]
+    vals = vals.reshape((len(shifts), flat.size) + cols)
+    f0 = vals[0]
+
+    def lap(base):
+        # rows base..base+3 hold +s, -s, +is, -is
+        s = steps[(base - 1) // 4]
+        return (vals[base] + vals[base + 1] + vals[base + 2] + vals[base + 3]
+                - 4.0 * f0) / s ** 2
+    if richardson:
+        full = (4.0 * lap(1) - lap(5)) / 3.0
+    else:
+        full = lap(1)
+    return (0.25 * full).reshape(t.shape + cols)
+
+
+def fd_metric(spec, point, chart, step=1e-4):
+    """Metric on the active coordinates by Richardson central differences."""
+    mask = required_zero_mask(spec, point)
+    active = tuple(int(i) for i in np.nonzero(~mask)[0])
+    z0 = chart.array()
+
+    def f(batch):
+        full = np.tile(z0, (len(batch), 1))
+        full[:, list(active)] = batch
+        return potential_batch(spec, point, full)
+
+    return fd_wirtinger_hessian(f, z0[list(active)], h=step)

@@ -8,8 +8,9 @@ from coadjoint import (QuadratureNotConverged, basis_cycles, basis_two_forms,
                        leray_hirsch, leray_hirsch_check, pairing_integral,
                        pairing_matrix, weyl_group)
 from coadjoint import MaximalDegenerate, poincare_polynomial
-from coadjoint._linalg import complex_laplacian, gauss_legendre
+from coadjoint._linalg import gauss_legendre
 from coadjoint.groups import _poly_divide
+from helpers import fd_complex_laplacian
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -213,7 +214,7 @@ def _oracle_pairing_entry(spec, j, i, order):
     def f(tflat):
         return fam.potentials(fam.cycle_chart(i, tflat))[:, j]
 
-    lap = complex_laplacian(f, t)
+    lap = fd_complex_laplacian(f, t)
     jac = rho * (1.0 + rho ** 2) / 2.0
     return float(wth @ (lap * jac[:, None]) @ wph / np.pi)
 
@@ -222,11 +223,15 @@ def _oracle_pairing_entry(spec, j, i, order):
                                       ("sp", 2), ("sp", 3), ("so", 3),
                                       ("so", 4)])
 def test_pairing_matrix_matches_per_entry_oracle(family, n):
+    # the exact integrand makes the order-16 rule exact to rounding; the
+    # finite-difference oracle, one column at a time, is off by up to 1.7e-8
     spec = build_group(family, n)
     rank = spec.adapter.rank
     oracle = np.array([[_oracle_pairing_entry(spec, j, i, 16)
                         for j in range(rank)] for i in range(rank)])
-    assert np.array_equal(pairing_matrix(spec, order=16), oracle)
+    m = pairing_matrix(spec, order=16)
+    assert np.max(np.abs(m - np.eye(rank))) < 1e-12
+    assert np.max(np.abs(m - oracle)) < 1e-7
 
 
 def test_pairing_matrix_convergence_guard():

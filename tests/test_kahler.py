@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from coadjoint import (OutsideCell, StepUnderflow, build_group, chart_point,
-                       cocycle_shift, dress, initial_point, integrality_check,
-                       kks_pairing, metric, potential, potential_batch,
-                       weyl_group)
-from coadjoint._linalg import wirtinger_hessian
-from coadjoint.kahler import KKS_METRIC_RATIO, basis_potential_batch
-from helpers import haar_su, random_chart
+from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms,
+                       build_group, chart_point, cocycle_shift, dress,
+                       initial_point, integrality_check, kks_pairing, metric,
+                       potential, potential_batch, weyl_group)
+from coadjoint.kahler import KKS_METRIC_RATIO
+from coadjoint.orbit import required_zero_mask
+from helpers import fd_metric, fd_wirtinger_hessian, haar_su, random_chart
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -69,10 +71,74 @@ def test_metric_hermitian_and_positive():
         assert kt.eigenvalues().min() > -1e-9
 
 
-def test_metric_step_underflow():
+def test_metric_breakdown_far_out():
+    # where z z* is numerically singular the metric fails like the potential
     ip = initial_point(SU2, (1.0,))
-    with pytest.raises(StepUnderflow):
-        metric(SU2, ip, chart_point(SU2, (1e9,)), step=1e-4)
+    far = chart_point(SU2, (1e9,))
+    with pytest.raises(NumericalBreakdown):
+        potential(SU2, ip, far)
+    with pytest.raises(NumericalBreakdown):
+        metric(SU2, ip, far)
+
+
+GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2), ("sp", 3),
+          ("so", 3), ("so", 4)]
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_metric_matches_fd_oracle(family, n):
+    # weights 1..rank on every wall pattern, at random |z| <= 2; for Sp the
+    # long-root coordinates are drawn too
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(8)
+    for pattern in itertools.product((0, 1), repeat=fam.rank):
+        if not any(pattern):
+            continue
+        ip = initial_point(spec, np.multiply(pattern, range(1, fam.rank + 1)))
+        z = rng.standard_normal(fam.chart_dim) \
+            + 1j * rng.standard_normal(fam.chart_dim)
+        z[required_zero_mask(spec, ip)] = 0.0
+        z *= 2.0 * rng.uniform() / np.linalg.norm(z)
+        pt = chart_point(spec, z)
+        g = metric(spec, ip, pt).g
+        oracle = fd_metric(spec, ip, pt)
+        assert np.max(np.abs(g - oracle)) <= 5e-6 * np.max(np.abs(oracle))
+
+
+def test_metric_positive_far_from_origin():
+    # far out on the chart, where a finite-difference metric loses every digit
+    ip = initial_point(SU3, (1.0, 2.0))
+    kt = metric(SU3, ip, chart_point(SU3, (100 + 1j, 99 - 1j, 101 + 1j)))
+    assert kt.eigenvalues().min() > -1e-9
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_chart_split_degree_at_most_two(family, n):
+    # chart_jacobian differences with unit steps, exact only because every
+    # chart entry is a polynomial of degree <= 2; the closed-form metric also
+    # needs the mixed derivatives d dbar z to vanish
+    fam = build_group(family, n).adapter
+    rng = np.random.default_rng(9)
+    dim = fam.chart_dim
+    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for _ in range(5):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        f = fam.chart_split(c + np.arange(-2, 2)[:, None] * v)
+        third = f[3] - 3.0 * f[2] + 3.0 * f[1] - f[0]
+        assert np.max(np.abs(third)) < 1e-12 * np.max(np.abs(f))
+
+    def d2(u, v):
+        # exact second derivative of a quadratic along real directions u, v
+        f = fam.chart_split(c + np.array([u + v, u - v, v - u, -u - v]))
+        return 0.25 * (f[0] - f[1] - f[2] + f[3])
+
+    e = np.eye(dim)
+    for a in range(dim):
+        for b in range(dim):
+            mixed = 0.25 * (d2(e[a], e[b]) + d2(1j * e[a], 1j * e[b])
+                            + 1j * (d2(e[a], 1j * e[b]) - d2(1j * e[a], e[b])))
+            assert np.max(np.abs(mixed)) < 1e-12
 
 
 def test_closedness_of_omega():
@@ -83,8 +149,7 @@ def test_closedness_of_omega():
     z0 = 0.4 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
 
     def g_at(z):
-        # a larger inner step keeps the outer difference above the FD noise
-        return metric(SU3, ip, chart_point(SU3, z), step=1e-3).g
+        return metric(SU3, ip, chart_point(SU3, z)).g
 
     def dg(direction, h):
         e = np.zeros(3)
@@ -204,8 +269,8 @@ def test_metric_invariance_under_cocycle_action():
             jac[:, a] = (zp.array() - zm.array()) / (2 * h)
         if not ok:
             continue
-        g_here = metric(SU3, ip, pt, step=1e-3).g
-        g_there = metric(SU3, ip, zg, step=1e-3).g
+        g_here = metric(SU3, ip, pt).g
+        g_there = metric(SU3, ip, zg).g
         pulled = jac.T @ g_there @ np.conj(jac)
         assert np.max(np.abs(pulled - g_here)) < 1e-6
         done += 1
@@ -232,8 +297,9 @@ def test_so4_potential_pair_crosscheck():
     pts = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
     l1 = np.log(1 + np.abs(pts[:, 0]) ** 2)
     l2 = np.log(1 + np.abs(pts[:, 1]) ** 2)
-    phi1 = basis_potential_batch(so4, 0, pts)
-    phi2 = basis_potential_batch(so4, 1, pts)
+    forms = basis_two_forms(so4)
+    phi1 = forms[0].potential(pts)
+    phi2 = forms[1].potential(pts)
     assert np.max(np.abs(phi1 - l1)) < 1e-10
     assert np.max(np.abs(phi2 - l2)) < 1e-10
     # that pair = (Phi_1 - Phi_2, Phi_1 + Phi_2) of the basis potentials
@@ -243,7 +309,7 @@ def test_so4_potential_pair_crosscheck():
 
     def hessian(weights, z0):
         ip = initial_point(so4, weights)
-        return wirtinger_hessian(
+        return fd_wirtinger_hessian(
             lambda b: potential_batch(so4, ip, b), z0)
 
     z0 = np.array([0.3 + 0.1j, -0.2 + 0.4j])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from coadjoint._linalg import cholesky_upper, complex_laplacian, udu_factor
+from coadjoint._linalg import cholesky_upper, udu_factor, wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown
+from helpers import fd_wirtinger_hessian
 
 
 def _gram_batch(rng, batch, s):
@@ -31,18 +32,30 @@ def test_cholesky_upper_breakdown(m):
         udu_factor(m)
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_vector_laplacian_matches_scalar_columns(richardson):
-    rng = np.random.default_rng(5)
-    t = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+@pytest.mark.parametrize("holomorphic", [True, False])
+def test_wirtinger_hessian_matches_fd_log_det(holomorphic):
+    # z(t) = z0 + sum t_a a_a + conj(t_a) b_a with dense random matrices:
+    # every trailing minor's log det against the finite-difference oracle
+    rng = np.random.default_rng(6)
+    s, m = 4, 3
 
-    def f(p):
-        r2 = np.abs(p) ** 2
-        return np.stack([r2, np.log1p(r2), (p ** 3).real], axis=1)
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    lap = complex_laplacian(f, t, richardson=richardson)
-    assert lap.shape == t.shape + (3,)
-    for j in range(3):
-        col = complex_laplacian(lambda p: f(p)[:, j], t, richardson=richardson)
-        assert col.shape == t.shape
-        assert np.array_equal(lap[..., j], col)
+    z0, a, b = cplx(s, s), cplx(m, s, s), cplx(m, s, s)
+    if holomorphic:
+        b = np.zeros_like(b)
+
+    def z_at(t):
+        return z0 + np.tensordot(t, a, 1) + np.tensordot(t.conj(), b, 1)
+
+    t0 = 0.3 * cplx(m)
+    h = wirtinger_hessian(z_at(t0)[None], a[None],
+                          None if holomorphic else b[None])[0]
+    for j in range(s):
+        def log_det(ts, j=j):
+            g = z_at(ts)[:, j:]
+            return np.linalg.slogdet(g @ np.conj(np.swapaxes(g, -1, -2)))[1]
+        oracle = fd_wirtinger_hessian(log_det, t0)
+        assert np.max(np.abs(h[..., j] - oracle)) < 1e-6 * max(
+            1.0, np.max(np.abs(oracle)))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from coadjoint import (DegeneracyViolation, MaximalDegenerate, PoleOnChart,
-                       build_group, chart_point, chart_transition, dress,
-                       fibration, initial_point, su3_closed_form,
+from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
+                       PoleOnChart, build_group, chart_point, chart_transition,
+                       dress, fibration, initial_point, su3_closed_form,
                        su3_transition_closed, weyl_group)
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import random_chart, spectral_mismatch
@@ -55,6 +55,14 @@ def test_degeneracy_violation():
     pt = chart_point(SU3, (0.0, 0.4 - 0.2j, 1.1j))
     op = dress(SU3, ip, pt)
     assert np.max(np.abs(np.array(op.coords) - su3_closed_form(ip, pt))) < 1e-12
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+def test_dress_rejects_zero_orbit(family, n):
+    spec = build_group(family, n)
+    ip = initial_point(spec, (0.0,) * spec.rank)
+    with pytest.raises(AllWeightsZero):
+        dress(spec, ip, chart_point(spec, (0.0,) * spec.adapter.chart_dim))
 
 
 def test_isospectrality():
