@@ -20,7 +20,8 @@ from .groups import (GroupSpec, InitialPoint, OrbitClass, OrbitKind,
                      classify_initial_point, initial_point,
                      poincare_polynomial, root_datum, weyl_group)
 from .kahler import (KahlerTensor, cocycle_shift, integrality_check,
-                     kks_pairing, metric, potential, potential_batch)
+                     kks_pairing, metric, metric_batch, potential,
+                     potential_batch)
 from .orbit import (FibrationDescription, OrbitPoint, chart_transition,
                     dress, fibration, su3_closed_form, su3_transition_closed)
 from .quaternion import Quaternion, QuaternionMatrix
@@ -40,7 +41,8 @@ __all__ = [
     "chart_transition", "classify_initial_point", "cocycle_shift", "dress",
     "dressing_matrix", "fibration", "gauss_bruhat", "initial_point",
     "integrality_check", "iwasawa", "kks_pairing", "leray_hirsch",
-    "leray_hirsch_check", "metric", "pairing_integral", "pairing_matrix",
-    "poincare_polynomial", "potential", "potential_batch", "root_datum", "su3_closed_form",
+    "leray_hirsch_check", "metric", "metric_batch", "pairing_integral",
+    "pairing_matrix", "poincare_polynomial", "potential", "potential_batch",
+    "root_datum", "su3_closed_form",
     "su3_transition_closed", "torus_character", "weyl_group",
 ]

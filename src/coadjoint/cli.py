@@ -210,16 +210,13 @@ def cmd_metric(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
         pts = _grid_points(_parse_grid(args.grid))
+        gs = kahler.metric_batch(spec, point, pts)
         rows = {}
-        gs = []
-        for row in pts:
-            kt = kahler.metric(spec, point, decompose.chart_point(spec, row))
-            gs.append(kt.g)
-        m = gs[0].shape[0]
+        m = gs.shape[1]
         for a in range(m):
             for b in range(m):
-                rows[f"g_{a + 1}{b + 1}_re"] = [g[a, b].real for g in gs]
-                rows[f"g_{a + 1}{b + 1}_im"] = [g[a, b].imag for g in gs]
+                rows[f"g_{a + 1}{b + 1}_re"] = gs[:, a, b].real
+                rows[f"g_{a + 1}{b + 1}_im"] = gs[:, a, b].imag
         report["results"].append({"grid_points": len(gs)})
         report["csv"] = _grid_csv(pts, rows)
         return 0

@@ -59,22 +59,28 @@ class KahlerTensor:
         return np.linalg.eigvalsh(self.g)
 
 
-def metric(spec: GroupSpec, point: InitialPoint,
-           chart: ChartPoint) -> KahlerTensor:
-    """g_{a bbar} = d^2 Phi / dz_a dzbar_b in closed form.
+def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
+    """g_{a bbar} = d^2 Phi / dz_a dzbar_b at a batch (N, chart_dim), (N, m, m).
 
     Phi = sum_j c_j log det G[j:, j:] with G = z z* and c = weights @
     ``minor_weights``; its Hessian comes from the exact chart Jacobian.
-    Degenerate orbits restrict to the active coordinates (those not forced
+    Degenerate orbits restrict to the m active coordinates (those not forced
     to vanish), keeping the tensor positive definite on its actual domain.
     Raises NumericalBreakdown where ``potential`` does.
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
-    z, a, b = fam.chart_jacobian(chart.array())
+    z, a, b = fam.chart_jacobian(coords)
     c = np.asarray(point.weights) @ fam.minor_weights
-    g = wirtinger_hessian(z, a[:, active], b[:, active])[0] @ c
-    labels = tuple(fam.positive_roots[i].label for i in active)
+    return wirtinger_hessian(z, a[:, active], b[:, active]) @ c
+
+
+def metric(spec: GroupSpec, point: InitialPoint,
+           chart: ChartPoint) -> KahlerTensor:
+    """The one-point ``metric_batch``, with the active coordinate labels."""
+    active = np.flatnonzero(~required_zero_mask(spec, point))
+    g = metric_batch(spec, point, chart.array()[None])[0]
+    labels = tuple(spec.adapter.positive_roots[i].label for i in active)
     return KahlerTensor(g=g, active_indices=tuple(int(i) for i in active),
                         active_labels=labels, base_point=chart)
 

@@ -4,7 +4,9 @@ from collections import Counter
 
 import numpy as np
 
+from coadjoint._linalg import complex_laplacian, gauss_legendre
 from coadjoint.checks import haar_su, random_chart, spectral_mismatch  # noqa: F401
+from coadjoint.cohomology import basis_cycles
 from coadjoint.groups import _action_key
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import required_zero_mask
@@ -257,3 +259,39 @@ def fd_metric(spec, point, chart, step=1e-4):
         return potential_batch(spec, point, full)
 
     return fd_wirtinger_hessian(f, z0[list(active)], h=step)
+
+
+# ---------------------------------------------------------------------------
+# Product rule in (theta, phi): the oracle for the radial pairing quadrature
+
+
+def _product_rule_row(spec, i, order):
+    """Row int_{gamma_i} omega_j, j = 1..rank, from one pass over the cycle."""
+    fam = spec.adapter
+    xs, ws = gauss_legendre(order)
+    theta = (xs + 1.0) * (np.pi / 2.0)
+    wth = ws * (np.pi / 2.0)
+    phi = (xs + 1.0) * np.pi
+    wph = ws * np.pi
+    # r = tan(theta/2); past theta = pi/2 switch to the flipped chart, where
+    # the radial coordinate is 1/r and the potential function is unchanged
+    rho = np.where(theta <= np.pi / 2.0,
+                   np.tan(theta / 2.0), np.tan((np.pi - theta) / 2.0))
+    t = rho[:, None] * np.exp(1j * phi[None, :])
+    z = fam.cycle_chart(i, t.ravel())
+    # the cycle chart is exp(t x_i), so dz/dt = z x_i
+    lap = complex_laplacian(z, z @ fam.cycle_generators()[i])
+    lap = (lap @ fam.minor_weights.T).reshape(t.shape + (-1,))
+    jac = rho * (1.0 + rho ** 2) / 2.0
+    return np.array([wth @ (lap[..., j] * jac[:, None]) @ wph / np.pi
+                     for j in range(lap.shape[-1])])
+
+
+def product_rule_pairing(spec, order):
+    """Pairing matrix from the order x order Gauss-Legendre rule in (theta, phi).
+
+    Integrates the phi axis numerically, where the library takes it as
+    exactly 2 pi; the two agree when the integrand is torus invariant.
+    """
+    return np.array([_product_rule_row(spec, cyc.index, order)
+                     for cyc in basis_cycles(spec)])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,9 +9,10 @@ from coadjoint import (QuadratureNotConverged, basis_cycles, basis_two_forms,
                        leray_hirsch, leray_hirsch_check, pairing_integral,
                        pairing_matrix, weyl_group)
 from coadjoint import MaximalDegenerate, poincare_polynomial
-from coadjoint._linalg import gauss_legendre
+from coadjoint import cohomology
+from coadjoint._linalg import complex_laplacian, gauss_legendre
 from coadjoint.groups import _poly_divide
-from helpers import fd_complex_laplacian
+from helpers import fd_complex_laplacian, product_rule_pairing
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -124,6 +126,17 @@ def test_leray_hirsch_explicit_fibration():
     assert lh.total == (1, 2, 2, 2, 1)
 
 
+def test_leray_hirsch_check_detects_wrong_stabilizer():
+    # a stabilizer one reflection too large gives a total of the wrong
+    # degree for the 12-dimensional generic SU(4) orbit
+    fib = fibration(SU4, initial_point(SU4, (1, 1, 1)))
+    assert leray_hirsch_check(fib).ok
+    bad = dataclasses.replace(fib, stabilizer_generators=(0,))
+    lh = leray_hirsch_check(bad)
+    assert not lh.ok
+    assert 2 * (len(lh.total) - 1) == 10
+
+
 def test_basis_cycles_su3():
     cycles = basis_cycles(SU3)
     assert [c.root_label for c in cycles] == ["e1-e2", "e2-e3"]
@@ -195,8 +208,24 @@ def test_pairing_quadrature_stability():
 def test_pairing_convergence_guard():
     forms = basis_two_forms(SU3)
     cycles = basis_cycles(SU3)
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(QuadratureNotConverged, match="rules 8 and 4 differ"):
         pairing_integral(forms[0], cycles[0], order=4)
+
+
+@pytest.mark.parametrize("order,reference", [(8, 16), (15, 30), (16, 8),
+                                             (128, 64)])
+def test_pairing_guard_never_compares_a_rule_with_itself(monkeypatch, order,
+                                                         reference):
+    used = []
+    quadrature = cohomology._pairing_quadrature
+
+    def spy(spec, i, n):
+        used.append(n)
+        return quadrature(spec, i, n)
+
+    monkeypatch.setattr(cohomology, "_pairing_quadrature", spy)
+    pairing_matrix(SU2, order=order, check_convergence=True)
+    assert used == [order, reference]
 
 
 def _oracle_pairing_entry(spec, j, i, order):
@@ -237,6 +266,8 @@ def test_pairing_matrix_matches_per_entry_oracle(family, n):
 def test_pairing_matrix_convergence_guard():
     with pytest.raises(QuadratureNotConverged):
         pairing_matrix(SU3, order=4, check_convergence=True)
+    m = pairing_matrix(SU3, order=8, check_convergence=True)
+    assert np.max(np.abs(m - np.eye(2))) < 1e-12
     m = pairing_matrix(SU3, order=128, check_convergence=True)
     assert np.max(np.abs(m - np.eye(2))) < 1e-6
 
@@ -244,3 +275,35 @@ def test_pairing_matrix_convergence_guard():
 def test_form_cycle_group_mismatch():
     with pytest.raises(ValueError):
         pairing_integral(basis_two_forms(SU3)[0], basis_cycles(SU2)[0])
+
+
+PAIRING_GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2),
+                  ("sp", 3), ("so", 3), ("so", 4)]
+
+
+@pytest.mark.parametrize("family,n", PAIRING_GROUPS)
+def test_radial_rule_matches_product_rule(family, n):
+    # the product rule integrates the phi axis that the radial rule takes
+    # as exactly 2 pi; on the same theta nodes the two agree to rounding
+    spec = build_group(family, n)
+    for order in (8, 16, 64):
+        m = pairing_matrix(spec, order=order)
+        assert np.max(np.abs(m - product_rule_pairing(spec, order))) < 1e-13
+
+
+@pytest.mark.parametrize("family,n", PAIRING_GROUPS)
+def test_cycle_integrand_is_torus_invariant(family, n):
+    # conjugating exp(t x_i) by a unitary diagonal rotates t and leaves the
+    # trailing minors of z z* unchanged; cycle radii r > 1 are evaluated as
+    # the quadrature folds them, on the flipped chart at 1/r
+    fam = build_group(family, n).adapter
+    r = np.logspace(-3, 3, 13)
+    rho = np.minimum(r, 1.0 / r)
+    phi = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    t = (rho[:, None] * np.exp(1j * phi[None, :])).ravel()
+    for i, x in enumerate(fam.cycle_generators()):
+        z = fam.cycle_chart(i, t)
+        lap = (complex_laplacian(z, z @ x) @ fam.minor_weights.T) \
+            .reshape(len(rho), len(phi), -1)
+        spread = np.max(np.abs(lap - lap[:, :1]), axis=(1, 2))
+        assert np.all(spread <= 1e-13 * np.max(np.abs(lap[:, 0]), axis=1))

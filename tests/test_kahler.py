@@ -6,7 +6,7 @@ import pytest
 from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms,
                        build_group, chart_point, cocycle_shift, dress,
                        initial_point, integrality_check, kks_pairing, metric,
-                       potential, potential_batch, weyl_group)
+                       metric_batch, potential, potential_batch, weyl_group)
 from coadjoint.kahler import KKS_METRIC_RATIO
 from coadjoint.orbit import required_zero_mask
 from helpers import fd_metric, fd_wirtinger_hessian, haar_su, random_chart
@@ -83,6 +83,24 @@ def test_metric_breakdown_far_out():
 
 GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2), ("sp", 3),
           ("so", 3), ("so", 4)]
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_metric_batch_equals_stacked_metric(family, n):
+    # one batched kernel call gives bitwise the per-point tensors, on every
+    # wall pattern and out to |z| ~ 10
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(5)
+    for pattern in itertools.product((0, 1), repeat=fam.rank):
+        if not any(pattern):
+            continue
+        ip = initial_point(spec, np.multiply(pattern, range(1, fam.rank + 1)))
+        coords = np.array([random_chart(spec, rng, scale=s, point=ip).array()
+                           for s in (0.1, 1.0, 3.0, 10.0)])
+        rows = np.array([metric(spec, ip, chart_point(spec, c)).g
+                         for c in coords])
+        assert np.array_equal(metric_batch(spec, ip, coords), rows)
 
 
 @pytest.mark.parametrize("family,n", GROUPS)
