@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import cholesky_upper
+from ._linalg import _rq
 from .errors import UnsupportedGroup
 from .quaternion import QuaternionMatrix
 
@@ -55,6 +55,7 @@ class Family:
     rankdim: int          # length of weight-coordinate vectors
     slots: int            # size of the split matrix realization
     quaternionic = False
+    holomorphic = True    # chart entries do not involve conj(coordinates)
 
     # filled by subclasses ------------------------------------------------
     simple_roots: list    # list[RootInfo]
@@ -107,20 +108,28 @@ class Family:
         """Split charts and their Wirtinger derivatives at a coordinate batch.
 
         Returns ``z`` (N, s, s) and ``a``, ``b`` (N, dim, s, s) with
-        a[:, k] = dz/dz_k and b[:, k] = dz/dzbar_k. Every chart entry is a
-        holomorphic or antiholomorphic polynomial of degree <= 2, so the
-        unit-step central difference is the exact derivative and the mixed
-        derivatives d dbar z vanish.
+        a[:, k] = dz/dz_k and b[:, k] = dz/dzbar_k; ``b`` is None when the
+        chart is holomorphic. Every chart entry is a holomorphic or
+        antiholomorphic polynomial of degree <= 2, so a central difference
+        is the exact derivative for any step and the mixed derivatives
+        d dbar z vanish. The step is the power of two at or above the
+        point's largest coordinate (at least 1), which keeps the rounding
+        of the difference relative to the derivative.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
         nb, dim = coords.shape
         e = np.eye(dim)
-        steps = np.concatenate([e, -e, 1j * e, -1j * e])
-        z = self.chart_split(np.concatenate(
-            [coords, (coords[:, None] + steps).reshape(-1, dim)]))
-        d = z[nb:].reshape((nb, 4, dim) + z.shape[1:])
-        dx = 0.5 * (d[:, 0] - d[:, 1])
-        dy = 0.5 * (d[:, 2] - d[:, 3])
+        steps = [e, -e] if self.holomorphic else [e, -e, 1j * e, -1j * e]
+        h = np.exp2(np.ceil(np.log2(np.maximum(
+            1.0, np.max(np.abs(coords), axis=1)))))[:, None, None]
+        pts = coords[:, None] + h * np.concatenate(steps)
+        z = self.chart_split(np.concatenate([coords, pts.reshape(-1, dim)]))
+        d = z[nb:].reshape((nb, len(steps), dim) + z.shape[1:]) \
+            / (2.0 * h[..., None, None])
+        dx = d[:, 0] - d[:, 1]
+        if self.holomorphic:
+            return z[:nb], dx, None
+        dy = d[:, 2] - d[:, 3]
         return z[:nb], 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
     def coords_from_zeta_split(self, zeta):
@@ -157,10 +166,7 @@ class Family:
 
     def log_a(self, z_split):
         """log of the Iwasawa A-diagonal for a batch of split matrices."""
-        zs = np.asarray(z_split, dtype=complex)
-        m = zs @ np.conj(np.swapaxes(zs, -1, -2))
-        _, d = cholesky_upper(m)
-        return np.log(d)
+        return np.log(_rq(z_split, r_only=True))
 
     @property
     def potential_weights(self) -> np.ndarray:
@@ -372,6 +378,7 @@ class SpFamily(Family):
 
     family = "sp"
     quaternionic = True
+    holomorphic = False
 
     def __init__(self, n: int):
         if n < 2:
@@ -484,18 +491,6 @@ class SpFamily(Family):
 
     def chart_working(self, coords):
         return self.chart_quaternion(coords)
-
-    def coords_from_zeta_split(self, zeta):
-        # assumes zeta carries the embedded-quaternionic lower pattern
-        n = self.n
-        out = []
-        for (r, c) in self._qpos:
-            out.append(zeta[r, c])
-            out.append(np.conj(zeta[2 * n - 1 - r, c]))
-        for j in range(n):
-            k = n - 1 - j
-            out.append(zeta[2 * n - 1 - k, k])
-        return np.array(out)
 
     def coords_from_zeta_quaternion(self, zeta: QuaternionMatrix):
         out = []

@@ -3,15 +3,17 @@
 Everything here works on plain complex ndarrays (batched where useful) or on
 QuaternionMatrix. The factorizations are the two workhorses of the library:
 
-* ``udu_factor``: z z* = n diag(d^2) n* with n unit upper triangular and
-  d > 0, computed through a Cholesky factorization of the index-reversed
-  matrix. This is the Iwasawa A/N data of a chart representative.
+* ``_rq``: z = u k with u upper triangular and k unitary, from one
+  Householder QR of the index-reversed transpose of z. No Gram matrix z z*
+  is formed, so the condition number is not squared. ``iwasawa_nak`` reads
+  the Iwasawa N, A and K factors from it, ``Family.log_a`` the A-diagonal
+  from its R factor alone.
 * ``ul_decompose``: g = n d zeta with n unit upper triangular, d diagonal,
   zeta unit lower triangular (Gauss-Bruhat on the open cell).
 
 ``wirtinger_hessian`` differentiates log det of every trailing minor of
-z z* twice in closed form, from the Cholesky factor of ``cholesky_upper``;
-the Kahler metric and the pairing integrand are combinations of these.
+z z* twice in closed form, from the same factor u (z z* = u u*); the Kahler
+metric and the pairing integrand are combinations of these.
 """
 
 from __future__ import annotations
@@ -23,55 +25,42 @@ import numpy as np
 from .errors import NumericalBreakdown, OutsideCell
 from .quaternion import Quaternion, QuaternionMatrix
 
-MINOR_TOL = 1e-14
 CELL_TOL = 1e-12
 
 
-def cholesky_upper(m: np.ndarray):
-    """Upper factor ``u`` of ``m = u u*`` (stacked ok) and its diagonal ``d``.
+def _rq(z, r_only: bool = False):
+    """``z = u @ k`` for a stack of square ``z``: u upper triangular, k unitary.
 
-    ``u`` is the index reversal of the Cholesky factor of the index-reversed
-    ``m``; ``d`` is its real positive diagonal. Raises NumericalBreakdown when
-    ``m`` is not numerically positive definite or a trailing principal minor
-    falls below tolerance. Callers that need only ``d`` (the Iwasawa A-part)
-    take it from here and skip forming ``n``.
+    One Householder QR of (J z)^T, J the index reversal: (J z)^T = q r gives
+    z = (J r^T J)(J q^T), so u = J r^T J and k = J q^T. The diagonal of u
+    may carry phases. With ``r_only`` only R is computed and the moduli
+    |u_ii| are returned. Raises NumericalBreakdown when a diagonal entry of
+    u is exactly zero (z singular to working precision) or not finite.
     """
-    m = np.asarray(m, dtype=complex)
-    rev = m[..., ::-1, ::-1]
-    try:
-        c = np.linalg.cholesky(rev)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("z z* is not numerically positive definite") from exc
-    u = c[..., ::-1, ::-1]
-    d = np.diagonal(u, axis1=-2, axis2=-1).real.copy()
-    if np.min(d) ** 2 < MINOR_TOL:
-        raise NumericalBreakdown("principal minor below tolerance")
-    return u, d
-
-
-def udu_factor(m: np.ndarray):
-    """Factor hermitian positive definite ``m`` (stacked ok) as n D n*.
-
-    Returns ``(n, d)`` with ``n`` unit upper triangular and ``d > 0`` such
-    that ``m = n @ diag(d**2) @ n*``. Raises NumericalBreakdown when a
-    trailing principal minor falls below tolerance.
-    """
-    u, d = cholesky_upper(m)
-    n = u / d[..., None, :]
-    return n, d
+    zt = np.swapaxes(np.asarray(z, dtype=complex)[..., ::-1, :], -1, -2)
+    # mode "raw" returns R transposed, with the same diagonal
+    out = np.linalg.qr(zt, mode="raw" if r_only else "reduced")
+    diag = np.diagonal(out[0 if r_only else 1], axis1=-2, axis2=-1)[..., ::-1]
+    if not np.all(np.isfinite(diag) & (diag != 0)):
+        raise NumericalBreakdown("z is singular to working precision or not "
+                                 "finite")
+    if r_only:
+        return np.abs(diag)
+    return (np.swapaxes(out[1], -1, -2)[..., ::-1, ::-1],
+            np.swapaxes(out[0], -1, -2)[..., ::-1, :])
 
 
 def iwasawa_nak(z: np.ndarray):
     """NAK factors of invertible ``z`` (stacked ok) w.r.t. the upper Borel.
 
     Returns ``(n, d, k)`` with ``z = n @ diag(d) @ k``, ``n`` unit upper
-    triangular, ``d > 0`` and ``k`` unitary. Only z z* enters the N and A
-    factors, so right-multiplying ``z`` by a unitary changes only ``k``.
+    triangular, ``d > 0`` and ``k`` unitary: the phases of the diagonal of
+    ``_rq``'s u move into k. Raises NumericalBreakdown where ``_rq`` does.
     """
-    z = np.asarray(z, dtype=complex)
-    n, d = udu_factor(z @ np.conj(np.swapaxes(z, -1, -2)))
-    k = np.linalg.solve(n, z) / d[..., :, None]
-    return n, d, k
+    u, k = _rq(z)
+    delta = np.diagonal(u, axis1=-2, axis2=-1)
+    d = np.abs(delta)
+    return u / delta[..., None, :], d, (delta / d)[..., :, None] * k
 
 
 def ul_decompose(g: np.ndarray, tol: float = CELL_TOL):
@@ -105,48 +94,19 @@ def ul_decompose(g: np.ndarray, tol: float = CELL_TOL):
     return n, d, zeta
 
 
-def quaternion_udu(m: QuaternionMatrix):
-    """Quaternionic ``m = n diag(d) n*`` for hermitian positive definite m.
-
-    Returns ``(n, d)`` with n unit upper triangular (quaternionic) and d a
-    real positive vector. Recursion on trailing minors; entries are combined
-    in the order u_ik * d_k * conj(u_jk), which is scalar-safe because the
-    pivots are real.
-    """
-    nn = m.shape[0]
-    w = m.copy()
-    u = QuaternionMatrix.eye(nn)
-    d = np.zeros(nn)
-    for k in range(nn - 1, -1, -1):
-        piv = w[k, k].z1.real
-        if piv < MINOR_TOL:
-            raise NumericalBreakdown("quaternionic principal minor below tolerance")
-        d[k] = piv
-        for i in range(k):
-            u[i, k] = w[i, k] * (1.0 / piv)
-        for i in range(k):
-            for j in range(k):
-                w[i, j] = w[i, j] - u[i, k] * d[k] * u[j, k].conjugate()
-    return u, d
-
-
 def quaternion_iwasawa(z: QuaternionMatrix):
-    """Quaternionic NAK: ``z = n a k`` with a real positive diagonal, k unitary."""
-    n, d = quaternion_udu(z @ z.h)
-    a = np.sqrt(d)
-    # k = a^-1 n^-1 z by forward substitution on the unit upper triangular n
-    nn = z.shape[0]
-    x = z.copy()
-    for i in range(nn - 1, -1, -1):
-        for j in range(i + 1, nn):
-            nij = n[i, j]
-            for c in range(nn):
-                x[i, c] = x[i, c] - nij * x[j, c]
-    k = x.copy()
-    for i in range(nn):
-        for c in range(nn):
-            k[i, c] = (1.0 / a[i]) * k[i, c]
-    return n, a, k
+    """Quaternionic NAK: ``z = n a k`` with a real positive diagonal, k unitary.
+
+    ``iwasawa_nak`` of the interleaved embedding, read back: in that basis a
+    quaternionic unit upper triangular matrix is complex unit upper
+    triangular and Sp(n) is unitary, so by uniqueness of NAK the complex
+    factors are the embedded quaternionic ones.
+    """
+    n, d, k = iwasawa_nak(z.embed())
+
+    def back(m):
+        return QuaternionMatrix(m[0::2, 0::2], -m[0::2, 1::2])
+    return back(n), d[0::2], back(k)
 
 
 def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
@@ -200,27 +160,27 @@ def wirtinger_hessian(z, a, b=None) -> np.ndarray:
     tr(G^-1 (a_a a_b* + b_b b_a*)) - tr(G^-1 d_aG G^-1 dbar_bG) on each
     trailing block, with d_aG = a_a z* + z b_a*.
 
-    One Cholesky factor G = u u* and one triangular solve serve every j:
-    with the unitary k = u^-1 z, put p_a = u^-1 a_a k* and q_a = u^-1 b_a k*.
-    As u is upper triangular, G[j:, j:]^-1 = u[j:, j:]^-* u[j:, j:]^-1 reads
-    rows j: of them, and the closed form becomes
+    One factorization z = u k of ``_rq`` (so G = u u*) and one triangular
+    solve for the direction blocks serve every j: put p_a = u^-1 a_a k* and
+    q_a = u^-1 b_a k*. As u is upper triangular, G[j:, j:]^-1 =
+    u[j:, j:]^-* u[j:, j:]^-1 reads rows j: of them, and the closed form
+    becomes
 
         sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]) + q_b[i,k] conj(q_a[i,k])
         - sum_{i, k >= j} p_a[i,k] q_b[k,i] + conj(q_a[k,i] p_b[i,k]),
 
     free of cancellation (and positive semidefinite) for holomorphic z.
-    G^-1 is never formed. Raises NumericalBreakdown where ``cholesky_upper``
+    Neither G nor G^-1 is formed. Raises NumericalBreakdown where ``_rq``
     does.
     """
     nb, m, s = a.shape[:3]
-    u, _ = cholesky_upper(z @ np.conj(np.swapaxes(z, -1, -2)))
+    u, k = _rq(z)
     dirs = [a] if b is None else [a, b]
-    rhs = np.concatenate([z] + [d.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
-                                for d in dirs], axis=-1)
-    x = np.linalg.solve(u, rhs)
-    kh = np.conj(np.swapaxes(x[..., :s], -1, -2))
-    pq = x[..., s:].reshape(nb, s, len(dirs) * m, s).transpose(0, 2, 1, 3) \
-        @ kh[:, None]
+    rhs = np.concatenate([d.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
+                          for d in dirs], axis=-1)
+    kh = np.conj(np.swapaxes(k, -1, -2))
+    pq = np.linalg.solve(u, rhs).reshape(nb, s, len(dirs) * m, s) \
+        .transpose(0, 2, 1, 3) @ kh[:, None]
     below, trail = _trailing_masks(s)
 
     def pair(v, w):

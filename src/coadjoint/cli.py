@@ -158,14 +158,11 @@ def cmd_dress(args, spec, report):
             raise ValueError("dress grids emit Gell-Mann coordinates and "
                              "are available for SU(3) only")
         pts = _grid_points(_parse_grid(args.grid))
-        cols = {f"mu_{a + 1}": [] for a in range(8)}
-        cols["phi"] = []
-        for row in pts:
-            op = orbit.dress(spec, point, decompose.chart_point(spec, row))
-            for a in range(8):
-                cols[f"mu_{a + 1}"].append(op.coords[a])
-            cols["phi"].append(
-                kahler.potential(spec, point, decompose.chart_point(spec, row)))
+        mu = np.array([orbit.dress(spec, point,
+                                   decompose.chart_point(spec, row)).coords
+                       for row in pts])
+        cols = {f"mu_{a + 1}": mu[:, a] for a in range(8)}
+        cols["phi"] = kahler.potential_batch(spec, point, pts)
         report["results"].append({"grid_points": int(pts.shape[0])})
         report["csv"] = _grid_csv(pts, cols)
         return 0

@@ -4,7 +4,8 @@ The chart Z of an orbit is parameterized by one complex coordinate per
 positive root (for Sp(n), quaternion entries carry pairs of short-root
 coordinates and the long-root coordinates come last; they must vanish for
 the native quaternionic operations). ``iwasawa`` factors a chart
-representative as z = n a k through the hermitian square z z* = n a^2 n*,
+representative as z = n a k from one Householder QR of z (``_linalg._rq``;
+Sp through its interleaved complex embedding), with no Gram matrix z z*;
 ``gauss_bruhat`` factors a complexified group element as g = n d zeta on
 the open cell.
 """

@@ -20,7 +20,7 @@ class AllWeightsZero(CoadjointError):
 
 
 class NumericalBreakdown(CoadjointError):
-    """A principal minor of z z* fell below tolerance during factorization."""
+    """A chart matrix is singular to working precision or not finite."""
 
 
 class OutsideCell(CoadjointError):

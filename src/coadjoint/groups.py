@@ -81,11 +81,6 @@ class RootDatum:
     cartan_vectors: tuple           # H_alpha = [X_alpha, X_{-alpha}]
     bilinear_form_scale: float
 
-    def pairing(self, a, b) -> float:
-        """Chamber bilinear form on dual-Cartan matrices."""
-        return float(self.bilinear_form_scale
-                     * np.trace(np.asarray(a) @ np.asarray(b)).real)
-
 
 def _root_vector_minus(fam: Family, beta: np.ndarray) -> np.ndarray:
     """Lowering generator of root ``beta`` in the split realization."""

@@ -6,6 +6,8 @@ simple-root two-cycles (for SU(n) these are ln r_k^2 in terms of the Iwasawa
 torus parameters). Each Phi_k is a combination of log det of the trailing
 minors of z z*, so the metric, the Wirtinger Hessian of Phi restricted to
 the active chart coordinates, is exact (``_linalg.wirtinger_hessian``).
+Both come from one Householder QR of z (``_linalg._rq``); z z* itself is
+never formed, so they hold far out on the chart.
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ from .quaternion import QuaternionMatrix
 # the 2n-dimensional embedding (half the embedded trace equals the
 # quaternionic real trace)
 KKS_FORM_SCALE = {"su": 1.0, "so": 0.5, "sp": 0.5}
-
-# ratio of the KKS pairing on root-direction generators to the metric value
-# at the origin, calibrated once on SU(2) and frozen; it absorbs the scale
-# mismatch between the trace form above and the dual-space pairing
-KKS_METRIC_RATIO = 2.0
 
 
 def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
@@ -66,13 +63,15 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     ``minor_weights``; its Hessian comes from the exact chart Jacobian.
     Degenerate orbits restrict to the m active coordinates (those not forced
     to vanish), keeping the tensor positive definite on its actual domain.
-    Raises NumericalBreakdown where ``potential`` does.
+    Raises NumericalBreakdown where ``potential`` does: only for a chart
+    matrix that is singular to working precision.
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
     z, a, b = fam.chart_jacobian(coords)
     c = np.asarray(point.weights) @ fam.minor_weights
-    return wirtinger_hessian(z, a[:, active], b[:, active]) @ c
+    return wirtinger_hessian(z, a[:, active],
+                             None if b is None else b[:, active]) @ c
 
 
 def metric(spec: GroupSpec, point: InitialPoint,

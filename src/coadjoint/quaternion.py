@@ -167,8 +167,3 @@ def split_permutation(n: int) -> np.ndarray:
     a = np.arange(0, 2 * n, 2)
     b = np.arange(2 * n - 1, 0, -2)
     return np.concatenate([a, b])
-
-
-def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
-    """Eigenvalues of the complex embedding (each quaternionic one twice)."""
-    return np.linalg.eigvals(m.embed())

@@ -7,6 +7,7 @@ import numpy as np
 from coadjoint._linalg import complex_laplacian, gauss_legendre
 from coadjoint.checks import haar_su, random_chart, spectral_mismatch  # noqa: F401
 from coadjoint.cohomology import basis_cycles
+from coadjoint.errors import NumericalBreakdown
 from coadjoint.groups import _action_key
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import required_zero_mask
@@ -295,3 +296,92 @@ def product_rule_pairing(spec, order):
     """
     return np.array([_product_rule_row(spec, cyc.index, order)
                      for cyc in basis_cycles(spec)])
+
+
+# ---------------------------------------------------------------------------
+# Gram/Cholesky factorizations of z z*: the oracle for the Householder RQ
+# kernel. They square the condition number of z, so they agree with it only
+# near |z| ~ 1.
+
+MINOR_TOL = 1e-14
+
+
+def cholesky_upper(m: np.ndarray):
+    """Upper factor ``u`` of ``m = u u*`` (stacked ok) and its diagonal ``d``.
+
+    ``u`` is the index reversal of the Cholesky factor of the index-reversed
+    ``m``; ``d`` is its real positive diagonal. Raises NumericalBreakdown when
+    ``m`` is not numerically positive definite or a trailing principal minor
+    falls below tolerance. Callers that need only ``d`` (the Iwasawa A-part)
+    take it from here and skip forming ``n``.
+    """
+    m = np.asarray(m, dtype=complex)
+    rev = m[..., ::-1, ::-1]
+    try:
+        c = np.linalg.cholesky(rev)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown("z z* is not numerically positive definite") from exc
+    u = c[..., ::-1, ::-1]
+    d = np.diagonal(u, axis1=-2, axis2=-1).real.copy()
+    if np.min(d) ** 2 < MINOR_TOL:
+        raise NumericalBreakdown("principal minor below tolerance")
+    return u, d
+
+
+def udu_factor(m: np.ndarray):
+    """Factor hermitian positive definite ``m`` (stacked ok) as n D n*.
+
+    Returns ``(n, d)`` with ``n`` unit upper triangular and ``d > 0`` such
+    that ``m = n @ diag(d**2) @ n*``. Raises NumericalBreakdown when a
+    trailing principal minor falls below tolerance.
+    """
+    u, d = cholesky_upper(m)
+    n = u / d[..., None, :]
+    return n, d
+
+
+def quaternion_udu(m: QuaternionMatrix):
+    """Quaternionic ``m = n diag(d) n*`` for hermitian positive definite m.
+
+    Returns ``(n, d)`` with n unit upper triangular (quaternionic) and d a
+    real positive vector. Recursion on trailing minors; entries are combined
+    in the order u_ik * d_k * conj(u_jk), which is scalar-safe because the
+    pivots are real.
+    """
+    nn = m.shape[0]
+    w = m.copy()
+    u = QuaternionMatrix.eye(nn)
+    d = np.zeros(nn)
+    for k in range(nn - 1, -1, -1):
+        piv = w[k, k].z1.real
+        if piv < MINOR_TOL:
+            raise NumericalBreakdown("quaternionic principal minor below tolerance")
+        d[k] = piv
+        for i in range(k):
+            u[i, k] = w[i, k] * (1.0 / piv)
+        for i in range(k):
+            for j in range(k):
+                w[i, j] = w[i, j] - u[i, k] * d[k] * u[j, k].conjugate()
+    return u, d
+
+
+# ---------------------------------------------------------------------------
+# Test-only conventions
+
+
+# ratio of the KKS pairing on root-direction generators to the metric value
+# at the origin, calibrated once on SU(2) and frozen; it absorbs the scale
+# mismatch between kahler.KKS_FORM_SCALE's trace form and the dual-space
+# pairing
+KKS_METRIC_RATIO = 2.0
+
+
+def root_pairing(rd, a, b) -> float:
+    """Chamber bilinear form of a RootDatum on dual-Cartan matrices."""
+    return float(rd.bilinear_form_scale
+                 * np.trace(np.asarray(a) @ np.asarray(b)).real)
+
+
+def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
+    """Eigenvalues of the complex embedding (each quaternionic one twice)."""
+    return np.linalg.eigvals(m.embed())

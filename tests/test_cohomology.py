@@ -307,3 +307,21 @@ def test_cycle_integrand_is_torus_invariant(family, n):
             .reshape(len(rho), len(phi), -1)
         spread = np.max(np.abs(lap - lap[:, :1]), axis=(1, 2))
         assert np.all(spread <= 1e-13 * np.max(np.abs(lap[:, 0]), axis=1))
+
+
+@pytest.mark.parametrize("family,n", PAIRING_GROUPS)
+def test_cycle_integrand_is_torus_invariant_past_the_fold(family, n):
+    # the same invariance on the cycle chart itself, unfolded, out to
+    # |t| = 1e4 where z z* is numerically singular. The spread is measured
+    # against the row scale: the largest integrand jac * lap that the radial
+    # rule sums into the pairing row, jac = r (1 + r^2) / 2 on the ray
+    fam = build_group(family, n).adapter
+    r = np.logspace(-3, 4, 15)
+    jac = r * (1.0 + r ** 2) / 2.0
+    phi = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    t = (r[:, None] * np.exp(1j * phi[None, :])).ravel()
+    for i, x in enumerate(fam.cycle_generators()):
+        z = fam.cycle_chart(i, t)
+        lap = (complex_laplacian(z, z @ x) @ fam.minor_weights.T) \
+            .reshape(len(r), len(phi), -1) * jac[:, None, None]
+        assert np.max(np.abs(lap - lap[:, :1])) <= 1e-12 * np.max(np.abs(lap))

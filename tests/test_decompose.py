@@ -258,12 +258,12 @@ def test_torus_character_zero_entry():
 
 
 def test_numerical_breakdown_guard():
-    # z z* of a chart point is positive definite, so this should not occur in
-    # practice; the kernel still guards degenerate input
+    # chart representatives are invertible, so this should not occur in
+    # practice; the kernel still guards exactly singular input
     from coadjoint.errors import NumericalBreakdown
-    from coadjoint._linalg import udu_factor, quaternion_udu
+    from coadjoint._linalg import iwasawa_nak, quaternion_iwasawa
     bad = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(NumericalBreakdown):
-        udu_factor(bad)
+        iwasawa_nak(bad)
     with pytest.raises(NumericalBreakdown):
-        quaternion_udu(QuaternionMatrix(bad))
+        quaternion_iwasawa(QuaternionMatrix(bad))

@@ -9,6 +9,7 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        poincare_polynomial, root_datum, weyl_group)
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
+from helpers import root_pairing
 
 
 def test_build_group_ranks():
@@ -170,11 +171,11 @@ def test_reflection_formula_matches_conjugation():
         wg = weyl_group(spec)
         for k, info in enumerate(fam.simple_roots):
             alpha = rd.simple_roots[k]
-            aa = rd.pairing(alpha, alpha)
+            aa = root_pairing(rd, alpha, alpha)
             for _ in range(5):
                 c = rng.standard_normal(fam.rankdim)
                 mu = fam.weight_matrix(c)
-                ma = rd.pairing(mu, alpha)
+                ma = root_pairing(rd, mu, alpha)
                 reflected = mu - 2.0 * (ma / aa) * alpha
                 w = wg.generators[k].matrix
                 if isinstance(w, QuaternionMatrix):
@@ -244,7 +245,7 @@ def test_initial_point_chamber_membership():
         rd = root_datum(spec)
         ip = initial_point(spec, tuple([1.0] * spec.rank))
         for alpha in rd.positive_roots:
-            assert rd.pairing(ip.matrix, alpha) > 0
+            assert root_pairing(rd, ip.matrix, alpha) > 0
     with pytest.raises(ValueError):
         initial_point(build_group("su", 3), (-1.0, 1.0))
 

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms,
-                       build_group, chart_point, cocycle_shift, dress,
-                       initial_point, integrality_check, kks_pairing, metric,
-                       metric_batch, potential, potential_batch, weyl_group)
-from coadjoint.kahler import KKS_METRIC_RATIO
+from coadjoint import (OutsideCell, basis_two_forms, build_group, chart_point,
+                       cocycle_shift, dress, initial_point, integrality_check,
+                       kks_pairing, metric, metric_batch, potential,
+                       potential_batch, weyl_group)
 from coadjoint.orbit import required_zero_mask
-from helpers import fd_metric, fd_wirtinger_hessian, haar_su, random_chart
+from helpers import (KKS_METRIC_RATIO, fd_metric, fd_wirtinger_hessian,
+                     haar_su, random_chart)
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -71,14 +71,20 @@ def test_metric_hermitian_and_positive():
         assert kt.eigenvalues().min() > -1e-9
 
 
-def test_metric_breakdown_far_out():
-    # where z z* is numerically singular the metric fails like the potential
-    ip = initial_point(SU2, (1.0,))
-    far = chart_point(SU2, (1e9,))
-    with pytest.raises(NumericalBreakdown):
-        potential(SU2, ip, far)
-    with pytest.raises(NumericalBreakdown):
-        metric(SU2, ip, far)
+@pytest.mark.parametrize("family,n", [("su", 2), ("so", 3)])
+def test_potential_and_metric_closed_form_far_out(family, n):
+    # far past where z z* is numerically singular, the RQ kernel keeps the
+    # rank-one potential w ln(1 + |z|^2) and its metric to working precision
+    spec = build_group(family, n)
+    w = 1.7
+    ip = initial_point(spec, (w,))
+    for r in (1e3, 1e9):
+        z = r * np.exp(0.3j)
+        chart = chart_point(spec, (z,))
+        phi = w * np.log1p(abs(z) ** 2)
+        g = w / (1 + abs(z) ** 2) ** 2
+        assert abs(potential(spec, ip, chart) - phi) < 1e-12 * phi
+        assert abs(metric(spec, ip, chart).g[0, 0] - g) < 1e-12 * g
 
 
 GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2), ("sp", 3),
@@ -129,6 +135,22 @@ def test_metric_positive_far_from_origin():
     ip = initial_point(SU3, (1.0, 2.0))
     kt = metric(SU3, ip, chart_point(SU3, (100 + 1j, 99 - 1j, 101 + 1j)))
     assert kt.eigenvalues().min() > -1e-9
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_holomorphic_flag_matches_chart(family, n):
+    # chart_jacobian drops dz/dzbar exactly for the families that declare
+    # their charts holomorphic; Sp charts carry conj of the coordinates
+    fam = build_group(family, n).adapter
+    rng = np.random.default_rng(10)
+    dim = fam.chart_dim
+    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    e = np.eye(dim)
+    f = fam.chart_split(c + np.concatenate([e, -e, 1j * e, -1j * e]))
+    dzbar = 0.25 * (f[:dim] - f[dim:2 * dim]
+                    + 1j * (f[2 * dim:3 * dim] - f[3 * dim:]))
+    assert (np.max(np.abs(dzbar)) < 1e-13) == fam.holomorphic
+    assert (fam.chart_jacobian(c)[2] is None) == fam.holomorphic
 
 
 @pytest.mark.parametrize("family,n", GROUPS)

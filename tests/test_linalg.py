@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from coadjoint._linalg import cholesky_upper, udu_factor, wirtinger_hessian
+from coadjoint._families import get_family
+from coadjoint._linalg import iwasawa_nak, wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown
-from helpers import fd_wirtinger_hessian
+from helpers import cholesky_upper, fd_wirtinger_hessian, udu_factor
 
 
 def _gram_batch(rng, batch, s):
@@ -17,6 +18,21 @@ def test_cholesky_diagonal_matches_udu_factor():
     n, d_ref = udu_factor(m)
     assert np.array_equal(d, d_ref)
     assert np.array_equal(u / d[..., None, :], n)
+
+
+def test_iwasawa_nak_matches_udu_oracle():
+    # near |z| ~ 1 the Householder kernel and the Gram/Cholesky oracle agree
+    rng = np.random.default_rng(4)
+    coords = rng.standard_normal((60, 10)) + 1j * rng.standard_normal((60, 10))
+    coords *= 3.0 * rng.uniform(size=(60, 1)) / np.max(np.abs(coords), axis=1,
+                                                       keepdims=True)
+    z = get_family("su", 5).chart_split(coords)
+    n, d, k = iwasawa_nak(z)
+    n_ref, d_ref = udu_factor(z @ np.conj(np.swapaxes(z, -1, -2)))
+    assert np.max(np.abs(d - d_ref)) < 1e-12
+    assert np.max(np.abs(n - n_ref)) < 1e-12
+    k_ref = np.linalg.solve(n_ref, z) / d_ref[..., :, None]
+    assert np.max(np.abs(k - k_ref)) < 1e-12
 
 
 @pytest.mark.parametrize("m", [

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from coadjoint.quaternion import Quaternion, QuaternionMatrix, \
-    quaternion_eigenvalues
+from coadjoint.quaternion import Quaternion, QuaternionMatrix
+from helpers import quaternion_eigenvalues
 
 
 def random_quaternion(rng):
