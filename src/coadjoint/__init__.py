@@ -10,7 +10,7 @@ from .cohomology import (BasisTwoForm, BettiVector, TwoCycle, basis_cycles,
                          leray_hirsch_check, pairing_integral, pairing_matrix)
 from .decompose import (BruhatFactors, ChartPoint, IwasawaFactors,
                         chart_matrix, chart_point, dressing_matrix,
-                        gauss_bruhat, iwasawa, torus_character)
+                        gauss_bruhat, iwasawa, iwasawa_batch, torus_character)
 from .errors import (AllWeightsZero, CoadjointError, DegeneracyViolation,
                      MaximalDegenerate, NumericalBreakdown, OutsideCell,
                      PoleOnChart, QuadratureNotConverged, UnsupportedGroup,
@@ -23,7 +23,8 @@ from .kahler import (KahlerTensor, cocycle_shift, integrality_check,
                      kks_pairing, metric, metric_batch, potential,
                      potential_batch)
 from .orbit import (FibrationDescription, OrbitPoint, chart_transition,
-                    dress, fibration, su3_closed_form, su3_transition_closed)
+                    dress, dress_batch, fibration, su3_closed_form,
+                    su3_transition_closed)
 from .quaternion import Quaternion, QuaternionMatrix
 
 __version__ = "0.1.0"
@@ -39,9 +40,10 @@ __all__ = [
     "WeylGroup", "ZeroTorusEntry", "basis_cycles", "basis_two_forms",
     "betti", "build_group", "chart_matrix", "chart_point",
     "chart_transition", "classify_initial_point", "cocycle_shift", "dress",
-    "dressing_matrix", "fibration", "gauss_bruhat", "initial_point",
-    "integrality_check", "iwasawa", "kks_pairing", "leray_hirsch",
-    "leray_hirsch_check", "metric", "metric_batch", "pairing_integral",
+    "dress_batch", "dressing_matrix", "fibration", "gauss_bruhat",
+    "initial_point", "integrality_check", "iwasawa", "iwasawa_batch",
+    "kks_pairing", "leray_hirsch", "leray_hirsch_check", "metric",
+    "metric_batch", "pairing_integral",
     "pairing_matrix", "poincare_polynomial", "potential", "potential_batch",
     "root_datum", "su3_closed_form",
     "su3_transition_closed", "torus_character", "weyl_group",

@@ -101,8 +101,13 @@ class Family:
         raise NotImplementedError
 
     def chart_working(self, coords):
-        """Single chart matrix in the family's working basis."""
-        raise NotImplementedError
+        """Chart matrix in the family's working basis.
+
+        One coordinate vector (dim,) gives one matrix, a batch (N, dim) a
+        stack of N.
+        """
+        z = self.working_from_split(self.chart_split(coords))
+        return z if np.ndim(coords) == 2 else z[0]
 
     def chart_jacobian(self, coords):
         """Split charts and their Wirtinger derivatives at a coordinate batch.
@@ -215,7 +220,10 @@ class Family:
         raise NotImplementedError
 
     def a_parameters(self, log_a) -> np.ndarray:
-        """Family torus parameters of an A-element from its split log-diagonal."""
+        """Family torus parameters of an A-element from its split log-diagonal.
+
+        The log-diagonal may be a stack (..., slots); the parameters are last.
+        """
         raise NotImplementedError
 
     # --- Weyl -------------------------------------------------------------
@@ -281,6 +289,7 @@ class SUFamily(Family):
         self.simple_roots = simple
         self.positive_roots = simple + others
         self._positions = positions
+        self._rows, self._cols = np.array(positions).T
         self.slot_weights = np.eye(n)
         # dual basis: fundamental weight vectors
         dual = np.zeros((n - 1, n))
@@ -305,14 +314,10 @@ class SUFamily(Family):
     def chart_split(self, coords):
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
         nb = coords.shape[0]
-        z = np.broadcast_to(np.eye(self.n, dtype=complex),
-                            (nb, self.n, self.n)).copy()
-        for idx, (r, c) in enumerate(self._positions):
-            z[:, r, c] = coords[:, idx]
+        z = np.empty((nb, self.n, self.n), dtype=complex)
+        z[...] = np.eye(self.n)
+        z[:, self._rows, self._cols] = coords
         return z
-
-    def chart_working(self, coords):
-        return self.chart_split([coords])[0]
 
     def coords_from_zeta_split(self, zeta):
         return np.array([zeta[r, c] for (r, c) in self._positions])
@@ -333,7 +338,7 @@ class SUFamily(Family):
 
     def a_parameters(self, log_a):
         # r_k from a = diag(1/r1, r1/r2, ..., r_{n-1})
-        return np.exp(-np.cumsum(log_a)[: self.rank])
+        return np.exp(-np.cumsum(log_a, axis=-1)[..., : self.rank])
 
     # Weyl ---------------------------------------------------------------------
 
@@ -410,6 +415,7 @@ class SpFamily(Family):
         self.simple_roots = simple
         self.positive_roots = shorts + longs
         self._qpos = qpos
+        self._qrows, self._qcols = np.array(qpos).T
         w = np.zeros((2 * n, n))
         for k in range(n):
             w[k, k] = 1.0
@@ -458,17 +464,21 @@ class SpFamily(Family):
         return coords[..., :nshort], coords[..., nshort:]
 
     def chart_quaternion(self, coords) -> QuaternionMatrix:
-        """Native quaternionic chart matrix; requires long coordinates zero."""
+        """Native quaternionic chart matrix; requires long coordinates zero.
+
+        A batch (N, dim) of coordinates gives a stack of N matrices.
+        """
         shorts, longs = self.split_coords(coords)
         if np.any(np.abs(longs) > 0):
             raise ValueError(
                 "quaternionic charts carry only the short-root coordinates; "
                 "long-root coordinates must vanish")
-        q = QuaternionMatrix.eye(self.n)
-        for idx, (r, c) in enumerate(self._qpos):
-            q.z1[r, c] = shorts[2 * idx]
-            q.z2[r, c] = shorts[2 * idx + 1]
-        return q
+        z1 = np.empty(shorts.shape[:-1] + (self.n, self.n), dtype=complex)
+        z1[...] = np.eye(self.n)
+        z2 = np.zeros_like(z1)
+        z1[..., self._qrows, self._qcols] = shorts[..., 0::2]
+        z2[..., self._qrows, self._qcols] = shorts[..., 1::2]
+        return QuaternionMatrix(z1, z2)
 
     def chart_split(self, coords):
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
@@ -539,7 +549,7 @@ class SpFamily(Family):
 
     def a_parameters(self, log_a):
         # native quaternionic Iwasawa parameters (r_1..r_n), product 1
-        return np.exp(np.asarray(log_a)[: self.n])
+        return np.exp(np.asarray(log_a)[..., : self.n])
 
     # Weyl --------------------------------------------------------------------
 
@@ -664,9 +674,6 @@ class SOFamily(Family):
         z[:, 3, 0] = -z1 * z2
         return z
 
-    def chart_working(self, coords):
-        return self.working_from_split(self.chart_split([coords])[0])
-
     def coords_from_zeta_split(self, zeta):
         if self.n == 3:
             return np.array([zeta[1, 0] / np.sqrt(2.0)])
@@ -694,8 +701,8 @@ class SOFamily(Family):
         return np.array([d[self.slots - 1 - k] for k in range(self.rank)])
 
     def a_parameters(self, log_a):
-        v = np.asarray(log_a)
-        return np.array([v[self.slots - 1 - k] for k in range(self.rank)])
+        # u_k sits at slot (slots - k), k = 1..rank
+        return np.asarray(log_a)[..., self.slots - 1 - np.arange(self.rank)]
 
     # Weyl -----------------------------------------------------------------------
 

@@ -100,13 +100,11 @@ def quaternion_iwasawa(z: QuaternionMatrix):
     ``iwasawa_nak`` of the interleaved embedding, read back: in that basis a
     quaternionic unit upper triangular matrix is complex unit upper
     triangular and Sp(n) is unitary, so by uniqueness of NAK the complex
-    factors are the embedded quaternionic ones.
+    factors are the embedded quaternionic ones. ``z`` may be a stack.
     """
     n, d, k = iwasawa_nak(z.embed())
-
-    def back(m):
-        return QuaternionMatrix(m[0::2, 0::2], -m[0::2, 1::2])
-    return back(n), d[0::2], back(k)
+    back = QuaternionMatrix.from_embedded
+    return back(n), d[..., 0::2], back(k)
 
 
 def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):

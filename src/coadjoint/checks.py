@@ -1,21 +1,30 @@
-"""Residual checks and seeded random inputs shared by the CLI and the tests."""
+"""Residual checks and seeded random inputs shared by the CLI and the tests.
+
+The residuals take one point or a whole batch: ``iwasawa_residuals`` gives
+one value per row of an ``iwasawa_batch``, ``spectral_mismatch`` the worst
+row of a stack of spectra.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decompose import chart_matrix, chart_point
+from .decompose import chart_point
 from .orbit import required_zero_mask
 from .quaternion import QuaternionMatrix
 
 
 def spectral_mismatch(a, b) -> float:
-    """Max multiset distance of two spectra (sorted by imaginary part)."""
+    """Max multiset distance of two spectra (sorted by imaginary part).
+
+    ``a`` may be a stack (N, s) of spectra, each compared with ``b``; the
+    worst row counts (0 for an empty stack).
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    a = a[np.lexsort((a.real, a.imag))]
+    a = np.take_along_axis(a, np.lexsort((a.real, a.imag), axis=-1), axis=-1)
     b = b[np.lexsort((b.real, b.imag))]
-    return float(np.max(np.abs(a - b)))
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def haar_su(n, rng):
@@ -38,13 +47,19 @@ def random_chart(spec, rng, scale=1.0, point=None):
     return chart_point(spec, z)
 
 
-def iwasawa_residuals(spec, chart, fac) -> tuple:
-    """(multiply-back, unitarity) max-entry residuals of z = n a k."""
-    z = chart_matrix(spec, chart)
-    back = fac.multiply_back()
+def iwasawa_residuals(spec, coords, fac) -> tuple:
+    """(multiply-back, unitarity) max-entry residuals of z = n a k.
+
+    ``coords`` is one chart point (chart_dim,) with ``fac`` from
+    ``iwasawa``, or a batch (N, chart_dim) with ``fac`` from
+    ``iwasawa_batch``; a batch gets one residual per row.
+    """
+    z = spec.adapter.chart_working(coords)
     if isinstance(z, QuaternionMatrix):
-        return ((back - z).norm_max(),
-                (fac.k @ fac.k.h - QuaternionMatrix.eye(spec.n)).norm_max())
-    kk = fac.k @ np.conj(fac.k.T)
-    return (float(np.max(np.abs(back - z))),
-            float(np.max(np.abs(kk - np.eye(kk.shape[0])))))
+        def entry_max(m):
+            return np.max(np.hypot(np.abs(m.z1), np.abs(m.z2)), axis=(-2, -1))
+        return (entry_max(fac.multiply_back() - z),
+                entry_max(fac.k @ fac.k.h - QuaternionMatrix.eye(spec.n)))
+    kk = fac.k @ np.conj(np.swapaxes(fac.k, -1, -2))
+    return (np.max(np.abs(fac.multiply_back() - z), axis=(-2, -1)),
+            np.max(np.abs(kk - np.eye(kk.shape[-1])), axis=(-2, -1)))

@@ -13,8 +13,6 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -137,7 +135,7 @@ def cmd_decompose(args, spec, report):
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
     fac = decompose.iwasawa(spec, chart)
-    res_mb, res_un = iwasawa_residuals(spec, chart, fac)
+    res_mb, res_un = iwasawa_residuals(spec, chart.array(), fac)
     report["results"].append({
         "z": [_c(v) for v in chart.coords],
         "a_parameters": [float(x) for x in fac.a_parameters],
@@ -154,14 +152,18 @@ def cmd_decompose(args, spec, report):
 def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
-        if (spec.family, spec.n) != ("su", 3):
-            raise ValueError("dress grids emit Gell-Mann coordinates and "
-                             "are available for SU(3) only")
         pts = _grid_points(_parse_grid(args.grid))
-        mu = np.array([orbit.dress(spec, point,
-                                   decompose.chart_point(spec, row)).coords
-                       for row in pts])
-        cols = {f"mu_{a + 1}": mu[:, a] for a in range(8)}
+        mu = orbit.dress_batch(spec, point, pts)
+        if (spec.family, spec.n) == ("su", 3):
+            gm = orbit.gell_mann_coordinates(mu)
+            cols = {f"mu_{a + 1}": gm[:, a] for a in range(8)}
+        else:
+            # upper triangle of the hermitian i mu (Sp: interleaved embedding)
+            h = 1j * mu
+            cols = {}
+            for r, c in zip(*np.triu_indices(h.shape[-1])):
+                cols[f"h_{r + 1}{c + 1}_re"] = h[:, r, c].real
+                cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
         cols["phi"] = kahler.potential_batch(spec, point, pts)
         report["results"].append({"grid_points": int(pts.shape[0])})
         report["csv"] = _grid_csv(pts, cols)
@@ -170,9 +172,7 @@ def cmd_dress(args, spec, report):
     chart = _get_chart(args, spec, point, rng)
     op = orbit.dress(spec, point, chart)
     spectrum = spectral_mismatch(op.spectrum(),
-                                 spec.adapter.spectrum(point.matrix_native
-                                                       if spec.family == "sp"
-                                                       else point.matrix))
+                                 spec.adapter.spectrum(point.matrix_native))
     res = {"z": [_c(v) for v in chart.coords],
            "mu_matrix": _matrix(op.mu_matrix)}
     if op.coords:
@@ -275,39 +275,48 @@ def cmd_verify(args, spec, report):
     rng = np.random.default_rng(args.seed)
     checks = []
     npts = args.points
+    ref = spec.adapter.spectrum(point.matrix_native)
 
-    worst_mb = worst_un = worst_spec = 0.0
-    for _ in range(npts):
-        chart = random_chart(spec, rng, point=point)
-        res_mb, res_un = iwasawa_residuals(spec, chart,
-                                           decompose.iwasawa(spec, chart))
-        worst_mb = max(worst_mb, res_mb)
-        worst_un = max(worst_un, res_un)
-        op = orbit.dress(spec, point, chart)
-        ref = point.matrix_native if spec.family == "sp" else point.matrix
-        worst_spec = max(worst_spec, spectral_mismatch(
-            op.spectrum(), spec.adapter.spectrum(ref)))
-    checks.append(_check("iwasawa_multiply_back", worst_mb, 1e-10))
-    checks.append(_check("compactness_kk*", worst_un, 1e-10))
-    checks.append(_check("isospectrality", worst_spec, 1e-10))
+    def draw():
+        return random_chart(spec, rng, point=point)
+
+    def stack(charts):
+        return np.array([c.coords for c in charts], dtype=complex).reshape(
+            len(charts), spec.adapter.chart_dim)
+
+    def worst(residuals):
+        return float(np.max(residuals, initial=0.0))
+
+    coords = stack([draw() for _ in range(npts)])
+    res_mb, res_un = iwasawa_residuals(spec, coords,
+                                       decompose.iwasawa_batch(spec, coords))
+    mu = orbit.dress_batch(spec, point, coords)
+    checks.append(_check("iwasawa_multiply_back", worst(res_mb), 1e-10))
+    checks.append(_check("compactness_kk*", worst(res_un), 1e-10))
+    checks.append(_check("isospectrality",
+                         spectral_mismatch(np.linalg.eigvals(mu), ref), 1e-10))
 
     if (spec.family, spec.n) == ("su", 3):
-        worst_cf = 0.0
-        worst_cov = 0.0
-        for _ in range(npts):
-            chart = random_chart(spec, rng, point=point)
-            op = orbit.dress(spec, point, chart)
-            closed = orbit.su3_closed_form(point, chart)
-            worst_cf = max(worst_cf,
-                           float(np.max(np.abs(np.array(op.coords) - closed))))
+        # draw in the per-point order (chart, g), then check as batches
+        charts, rows, moved, shifts = [], [], [], []
+        for i in range(npts):
+            chart = draw()
+            charts.append(chart)
             g = haar_su(3, rng)
             try:
                 zg, shift = kahler.cocycle_shift(spec, point, chart, g)
             except OutsideCell:
                 continue
-            lhs = kahler.potential(spec, point, zg) \
-                - kahler.potential(spec, point, chart)
-            worst_cov = max(worst_cov, abs(lhs - shift))
+            rows.append(i)
+            moved.append(zg)
+            shifts.append(shift)
+        coords = stack(charts)
+        gm = orbit.gell_mann_coordinates(orbit.dress_batch(spec, point, coords))
+        closed = np.array([orbit.su3_closed_form(point, c) for c in charts])
+        worst_cf = worst(np.abs(gm - closed.reshape(gm.shape)))
+        lhs = kahler.potential_batch(spec, point, stack(moved)) \
+            - kahler.potential_batch(spec, point, coords[rows])
+        worst_cov = worst(np.abs(lhs - np.array(shifts)))
         checks.append(_check("su3_closed_form", worst_cf, 1e-10))
         checks.append(_check("potential_covariance", worst_cov, 1e-8))
 
@@ -331,21 +340,16 @@ def cmd_verify(args, spec, report):
 
 
 def _grid_csv(pts, columns: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    m = pts.shape[1]
-    header = []
-    for k in range(m):
+    """CSV of the grid points and one column per entry, written by column."""
+    header, fields = [], []
+    for k in range(pts.shape[1]):
         header += [f"z{k + 1}_re", f"z{k + 1}_im"]
-    header += list(columns.keys())
-    writer.writerow(header)
-    for idx in range(pts.shape[0]):
-        row = []
-        for k in range(m):
-            row += [repr(float(pts[idx, k].real)), repr(float(pts[idx, k].imag))]
-        row += [repr(float(columns[name][idx])) for name in columns]
-        writer.writerow(row)
-    return buf.getvalue()
+        fields += [pts[:, k].real, pts[:, k].imag]
+    header += list(columns)
+    fields += [np.asarray(v, dtype=float) for v in columns.values()]
+    text = [map(repr, f.tolist()) for f in fields]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*text)]
+    return "\n".join(lines) + "\n"
 
 
 COMMANDS = {

@@ -3,11 +3,12 @@
 The chart Z of an orbit is parameterized by one complex coordinate per
 positive root (for Sp(n), quaternion entries carry pairs of short-root
 coordinates and the long-root coordinates come last; they must vanish for
-the native quaternionic operations). ``iwasawa`` factors a chart
-representative as z = n a k from one Householder QR of z (``_linalg._rq``;
-Sp through its interleaved complex embedding), with no Gram matrix z z*;
-``gauss_bruhat`` factors a complexified group element as g = n d zeta on
-the open cell.
+the native quaternionic operations). ``iwasawa_batch`` factors the chart
+representatives of a batch (N, chart_dim) of coordinates as z = n a k with
+one stacked Householder QR (``_linalg._rq``; Sp through the interleaved
+complex embedding of its quaternionic charts, SO in the split basis), with
+no Gram matrix z z*; ``iwasawa`` is its one-row case. ``gauss_bruhat``
+factors a complexified group element as g = n d zeta on the open cell.
 """
 
 from __future__ import annotations
@@ -54,7 +55,12 @@ def chart_matrix(spec: GroupSpec, point: ChartPoint):
 
 @dataclass(frozen=True)
 class IwasawaFactors:
-    """z = n a k with n unipotent, a positive (diagonal/blocks), k compact."""
+    """z = n a k with n unipotent, a positive (diagonal/blocks), k compact.
+
+    From ``iwasawa_batch`` every field is stacked along a first batch axis
+    (``a_parameters`` and ``log_a_split`` as arrays); from ``iwasawa`` it
+    holds one point.
+    """
 
     n: object
     a: object
@@ -66,35 +72,63 @@ class IwasawaFactors:
         return self.n @ self.a @ self.k
 
 
+def chart_batch(spec: GroupSpec, coords) -> np.ndarray:
+    """``coords`` as a complex (N, chart_dim) batch; ValueError otherwise."""
+    coords = np.asarray(coords, dtype=complex)
+    dim = spec.adapter.chart_dim
+    if coords.ndim != 2 or coords.shape[1] != dim:
+        raise ValueError(f"{spec.name} chart batches have shape (N, {dim}), "
+                         f"got {coords.shape}")
+    return coords
+
+
+def _nak(spec: GroupSpec, coords):
+    """(n, d, k) of a ``chart_batch`` in the working realization, d the
+    A-diagonal: complex stacks for SU and SO (factored in the split basis,
+    n and k mapped back), stacked quaternionic n and k for Sp."""
+    fam = spec.adapter
+    if fam.family == "sp":
+        return quaternion_iwasawa(fam.chart_quaternion(coords))
+    n, d, k = iwasawa_nak(fam.chart_split(coords))
+    return fam.working_from_split(n), d, fam.working_from_split(k)
+
+
+def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
+    """Iwasawa factors of the chart representatives at a batch of coordinates.
+
+    ``coords`` is (N, chart_dim); the whole batch is one ``iwasawa_nak``
+    call. SU(n): complex triangular factors. Sp(n): native quaternionic
+    factors from the interleaved embedding (raises ValueError if a
+    long-root coordinate is nonzero, those directions have no quaternionic
+    chart). SO(3)/SO(4): factors in the vector basis, with A in its
+    cosh/sinh rotation-block form.
+    """
+    fam = spec.adapter
+    n, d, k = _nak(spec, chart_batch(spec, coords))
+    if fam.family == "sp":
+        a = QuaternionMatrix(d[..., None] * np.eye(fam.n))
+        return IwasawaFactors(n=n, a=a, k=k, a_parameters=d,
+                              log_a_split=np.log(d))
+    log_d = np.log(d)
+    a = fam.working_from_split(d[..., None] * np.eye(fam.slots))
+    return IwasawaFactors(n=n, a=a, k=k, a_parameters=fam.a_parameters(log_d),
+                          log_a_split=log_d)
+
+
 def iwasawa(spec: GroupSpec, point: ChartPoint) -> IwasawaFactors:
     """Iwasawa factors of the chart representative at ``point``.
 
-    SU(n): complex triangular factors. Sp(n): native quaternionic factors
-    (raises ValueError if a long-root coordinate is nonzero, those
-    directions have no quaternionic chart). SO(3)/SO(4): factors in the
-    vector basis, with A in its cosh/sinh rotation-block form.
+    The one-row ``iwasawa_batch``.
     """
-    fam = spec.adapter
-    if fam.family == "su":
-        z = fam.chart_split([point.array()])[0]
-        n, d, k = iwasawa_nak(z)
-        return IwasawaFactors(n=n, a=np.diag(d).astype(complex), k=k,
-                              a_parameters=tuple(fam.a_parameters(np.log(d))),
-                              log_a_split=tuple(np.log(d)))
-    if fam.family == "sp":
-        zq = fam.chart_quaternion(point.array())
-        n, avec, k = quaternion_iwasawa(zq)
-        a = QuaternionMatrix(np.diag(avec).astype(complex))
-        return IwasawaFactors(n=n, a=a, k=k,
-                              a_parameters=tuple(avec),
-                              log_a_split=tuple(np.log(avec)))
-    # so
-    zs = fam.chart_split([point.array()])[0]
-    n, d, k = iwasawa_nak(zs)
-    to_w = fam.working_from_split
-    return IwasawaFactors(n=to_w(n), a=to_w(np.diag(d)), k=to_w(k),
-                          a_parameters=tuple(fam.a_parameters(np.log(d))),
-                          log_a_split=tuple(np.log(d)))
+    fac = iwasawa_batch(spec, point.array()[None])
+
+    def first(m):
+        if isinstance(m, QuaternionMatrix):
+            return QuaternionMatrix(m.z1[0], m.z2[0])
+        return m[0]
+    return IwasawaFactors(n=first(fac.n), a=first(fac.a), k=first(fac.k),
+                          a_parameters=tuple(fac.a_parameters[0]),
+                          log_a_split=tuple(fac.log_a_split[0]))
 
 
 def dressing_matrix(spec: GroupSpec, point: ChartPoint):

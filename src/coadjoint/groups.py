@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -294,18 +294,26 @@ class InitialPoint:
         walls = np.nonzero((w == 0) | (w < WALL_TOL * w.max()))[0]
         object.__setattr__(self, "walls", tuple(int(k) for k in walls))
 
-    @property
+    @cached_property
     def matrix(self):
-        """mu0 in the working realization (anti-hermitian, correct form)."""
-        return self.spec.adapter.initial_matrix(self.weights)
+        """mu0 in the working realization (anti-hermitian, correct form).
 
-    @property
+        Built once per point and read-only.
+        """
+        m = self.spec.adapter.initial_matrix(self.weights)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
     def matrix_native(self):
-        """For Sp: the quaternionic i*diag(c) realization of mu0."""
+        """For Sp: the quaternionic i*diag(c) realization of mu0 (read-only)."""
         fam = self.spec.adapter
-        if fam.quaternionic:
-            return fam.weight_matrix_native(np.asarray(self.coords))
-        return self.matrix
+        if not fam.quaternionic:
+            return self.matrix
+        m = fam.weight_matrix_native(np.asarray(self.coords))
+        m.z1.setflags(write=False)
+        m.z2.setflags(write=False)
+        return m
 
 
 def initial_point(spec: GroupSpec, weights) -> InitialPoint:

@@ -1,8 +1,10 @@
 """Generalized stereographic projection: dressing, transitions, fibrations.
 
-``dress`` conjugates an initial point by the compact Iwasawa factor of the
-chart representative, mu = k* mu0 k, landing on the (co)adjoint orbit. For
-SU(3), the eight Gell-Mann coordinates and their closed forms are provided;
+``dress_batch`` conjugates an initial point by the compact Iwasawa factors
+of a batch of chart representatives, mu = k* mu0 k, landing on the
+(co)adjoint orbit; the batch is one ``iwasawa_batch`` call and ``dress`` is
+its one-row case. For SU(3), the eight Gell-Mann coordinates (over a whole
+stack at once) and their closed forms are provided;
 chart transitions are computed numerically through the Gauss-Bruhat
 factorization of z w and, for SU(3), also by the closed-form coordinate
 maps.
@@ -11,11 +13,12 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .decompose import ChartPoint, chart_matrix, chart_point, dressing_matrix, \
-    gauss_bruhat
+from .decompose import ChartPoint, _nak, chart_batch, chart_matrix, \
+    chart_point, gauss_bruhat
 from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
     PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
@@ -51,38 +54,70 @@ class OrbitPoint:
 
 
 def required_zero_mask(spec: GroupSpec, point: InitialPoint) -> np.ndarray:
-    """Chart coordinates that must vanish: the roots supported on the walls."""
-    return parabolic_roots(spec, point.walls)
+    """Chart coordinates that must vanish: the roots supported on the walls.
+
+    Cached per walls and read-only.
+    """
+    return _wall_mask(spec, point.walls)
+
+
+@lru_cache(maxsize=64)
+def _wall_mask(spec: GroupSpec, walls: tuple) -> np.ndarray:
+    mask = parabolic_roots(spec, walls)
+    mask.setflags(write=False)
+    return mask
+
+
+# Y_a = -(i/2) lambda_a, stacked
+_DUAL_BASIS = -0.5j * np.array(GELL_MANN)
 
 
 def gell_mann_coordinates(mu: np.ndarray) -> np.ndarray:
-    """mu_a = <mu, Y_a> with Y_a = -(i/2) lambda_a and <A,B> = -2 Tr AB."""
-    return np.array([(DUAL_PAIRING_SCALE
-                      * np.trace(mu @ (-0.5j * lam))).real
-                     for lam in GELL_MANN])
+    """mu_a = <mu, Y_a> with Y_a = -(i/2) lambda_a and <A,B> = -2 Tr AB.
+
+    ``mu`` is one 3 x 3 matrix or a stack (..., 3, 3); the eight
+    coordinates come last.
+    """
+    prods = np.asarray(mu)[..., None, :, :] @ _DUAL_BASIS
+    return (DUAL_PAIRING_SCALE * np.trace(prods, axis1=-2, axis2=-1)).real
+
+
+def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
+    """mu = k(z)* mu0 k(z) at a batch (N, chart_dim) of chart coordinates.
+
+    Returns the (N, s, s) complex stack in the working basis; for Sp the
+    interleaved 2n x 2n embedding of the quaternionic mu. Raises
+    AllWeightsZero for the zero orbit and DegeneracyViolation when a row
+    leaves the orbit chart (a required-zero coordinate is nonzero).
+    """
+    reject_zero_orbit(point)
+    coords = chart_batch(spec, coords)
+    mask = required_zero_mask(spec, point)
+    if mask.any():
+        bad = np.flatnonzero(mask & np.any(np.abs(coords) > 0, axis=0))
+        if bad.size:
+            labels = [spec.adapter.positive_roots[i].label for i in bad]
+            raise DegeneracyViolation(f"coordinates along {labels} must "
+                                      "vanish on this degenerate orbit")
+    k = _nak(spec, coords)[2]
+    mu0 = point.matrix_native
+    if isinstance(k, QuaternionMatrix):
+        # quaternionic products keep mu exactly in the image of the embedding
+        return (k.h @ mu0 @ k).embed()
+    return np.conj(np.swapaxes(k, -1, -2)) @ mu0 @ k
 
 
 def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint:
-    """mu = k(z)* mu0 k(z).
+    """mu = k(z)* mu0 k(z): the one-row ``dress_batch``.
 
-    Raises AllWeightsZero for the zero orbit and DegeneracyViolation off the
-    orbit chart.
+    For Sp the matrix is quaternionic; for SU(3) the Gell-Mann coordinates
+    come with it. Raises as ``dress_batch`` does.
     """
-    reject_zero_orbit(point)
-    mask = required_zero_mask(spec, point)
-    coords = chart.array()
-    bad = [spec.adapter.positive_roots[i].label
-           for i in np.nonzero(mask & (np.abs(coords) > 0))[0]]
-    if bad:
-        raise DegeneracyViolation(
-            f"coordinates along {bad} must vanish on this degenerate orbit")
-    k = dressing_matrix(spec, chart)
-    if isinstance(k, QuaternionMatrix):
-        mu = k.h @ point.matrix_native @ k
-    else:
-        mu = k.conj().T @ point.matrix @ k
+    mu = dress_batch(spec, point, chart.array()[None])[0]
     mu_coords = ()
-    if spec.family == "su" and spec.n == 3:
+    if spec.family == "sp":
+        mu = QuaternionMatrix.from_embedded(mu)
+    elif spec.family == "su" and spec.n == 3:
         mu_coords = tuple(gell_mann_coordinates(mu))
     return OrbitPoint(spec=spec, mu_matrix=mu, coords=mu_coords,
                       chart=chart.chart)

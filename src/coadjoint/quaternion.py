@@ -5,7 +5,8 @@ defining relation j*z = conj(z)*j. Matrices over the quaternions are stored
 as a pair of complex ndarrays and support the operations needed for the
 Iwasawa machinery of Sp(n): products, conjugate transpose, and an embedding
 into complex matrices of twice the size (used as a verification oracle and
-for spectra).
+for spectra). The components may be stacks (..., n, n) of matrices; products,
+conjugate transposes and embeddings then act matrix by matrix.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class QuaternionMatrix:
 
     def conj_transpose(self) -> "QuaternionMatrix":
         # entrywise conjugate then transpose: (Z1, Z2)* = (Z1^H, -Z2^T)
-        return QuaternionMatrix(self.z1.conj().T, -self.z2.T)
+        return QuaternionMatrix(np.conj(np.swapaxes(self.z1, -1, -2)),
+                                -np.swapaxes(self.z2, -1, -2))
 
     @property
     def h(self) -> "QuaternionMatrix":
@@ -143,20 +145,28 @@ class QuaternionMatrix:
         [[z1, -z2], [conj(z2), conj(z1)]]. ``order`` selects the basis
         layout: "interleaved" pairs (a_k, b_k) per quaternionic slot,
         "split" orders slots as (a_1..a_n, b_n..b_1), the ordering in which
-        the symplectic Borel subgroup is upper triangular.
+        the symplectic Borel subgroup is upper triangular. A stack of
+        matrices embeds matrix by matrix.
         """
-        n, m = self.shape
-        out = np.zeros((2 * n, 2 * m), dtype=complex)
-        out[0::2, 0::2] = self.z1
-        out[0::2, 1::2] = -self.z2
-        out[1::2, 0::2] = self.z2.conj()
-        out[1::2, 1::2] = self.z1.conj()
+        *lead, n, m = self.shape
+        out = np.zeros(tuple(lead) + (2 * n, 2 * m), dtype=complex)
+        out[..., 0::2, 0::2] = self.z1
+        out[..., 0::2, 1::2] = -self.z2
+        out[..., 1::2, 0::2] = self.z2.conj()
+        out[..., 1::2, 1::2] = self.z1.conj()
         if order == "interleaved":
             return out
         if order == "split":
-            p = split_permutation(n)
-            return out[np.ix_(p, p)] if n == m else out[np.ix_(p, split_permutation(m))]
+            return out[..., split_permutation(n)[:, None], split_permutation(m)]
         raise ValueError(f"unknown order {order!r}")
+
+    @classmethod
+    def from_embedded(cls, m) -> "QuaternionMatrix":
+        """The quaternionic matrix (or stack) of an interleaved embedding.
+
+        Reads the even rows: exact on the image of ``embed``.
+        """
+        return cls(m[..., 0::2, 0::2], -m[..., 0::2, 1::2])
 
     def __repr__(self):
         return f"QuaternionMatrix(z1={self.z1!r}, z2={self.z2!r})"

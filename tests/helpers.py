@@ -1,13 +1,17 @@
 """Shared test utilities."""
 
+import csv
+import io
 from collections import Counter
 
 import numpy as np
 
+from coadjoint import decompose, kahler, orbit
 from coadjoint._linalg import complex_laplacian, gauss_legendre
-from coadjoint.checks import haar_su, random_chart, spectral_mismatch  # noqa: F401
+from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa: F401
+                              spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
-from coadjoint.errors import NumericalBreakdown
+from coadjoint.errors import NumericalBreakdown, OutsideCell
 from coadjoint.groups import _action_key
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import required_zero_mask
@@ -385,3 +389,72 @@ def root_pairing(rd, a, b) -> float:
 def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
     """Eigenvalues of the complex embedding (each quaternionic one twice)."""
     return np.linalg.eigvals(m.embed())
+
+
+# ---------------------------------------------------------------------------
+# Per-point CLI loops: the oracles for the batched verify checks and the
+# column-wise grid CSV writer
+
+
+def per_point_verify_residuals(spec, point, rng, npts) -> dict:
+    """Worst residuals of the ``verify`` point checks, one point at a time.
+
+    The loops of ``cmd_verify`` before it checked whole batches, with the
+    same draws from ``rng``; only the call of ``iwasawa_residuals`` passes
+    the chart's coordinate array.
+    """
+    out = {}
+    worst_mb = worst_un = worst_spec = 0.0
+    for _ in range(npts):
+        chart = random_chart(spec, rng, point=point)
+        res_mb, res_un = iwasawa_residuals(spec, chart.array(),
+                                           decompose.iwasawa(spec, chart))
+        worst_mb = max(worst_mb, res_mb)
+        worst_un = max(worst_un, res_un)
+        op = orbit.dress(spec, point, chart)
+        ref = point.matrix_native if spec.family == "sp" else point.matrix
+        worst_spec = max(worst_spec, spectral_mismatch(
+            op.spectrum(), spec.adapter.spectrum(ref)))
+    out["iwasawa_multiply_back"] = worst_mb
+    out["compactness_kk*"] = worst_un
+    out["isospectrality"] = worst_spec
+
+    if (spec.family, spec.n) == ("su", 3):
+        worst_cf = 0.0
+        worst_cov = 0.0
+        for _ in range(npts):
+            chart = random_chart(spec, rng, point=point)
+            op = orbit.dress(spec, point, chart)
+            closed = orbit.su3_closed_form(point, chart)
+            worst_cf = max(worst_cf,
+                           float(np.max(np.abs(np.array(op.coords) - closed))))
+            g = haar_su(3, rng)
+            try:
+                zg, shift = kahler.cocycle_shift(spec, point, chart, g)
+            except OutsideCell:
+                continue
+            lhs = kahler.potential(spec, point, zg) \
+                - kahler.potential(spec, point, chart)
+            worst_cov = max(worst_cov, abs(lhs - shift))
+        out["su3_closed_form"] = worst_cf
+        out["potential_covariance"] = worst_cov
+    return out
+
+
+def row_grid_csv(pts, columns: dict) -> str:
+    """The grid CSV written row by row through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    m = pts.shape[1]
+    header = []
+    for k in range(m):
+        header += [f"z{k + 1}_re", f"z{k + 1}_im"]
+    header += list(columns.keys())
+    writer.writerow(header)
+    for idx in range(pts.shape[0]):
+        row = []
+        for k in range(m):
+            row += [repr(float(pts[idx, k].real)), repr(float(pts[idx, k].imag))]
+        row += [repr(float(columns[name][idx])) for name in columns]
+        writer.writerow(row)
+    return buf.getvalue()
