@@ -9,13 +9,15 @@ that fixes, in one place, the conventions the numerical layer relies on:
   euclidean dot product of the coordinate vectors, which matches the
   per-family trace form on the stored matrices.
 * a "split" matrix realization in which the Borel subgroup is upper
-  triangular, charts Z are lower unitriangular, and the Iwasawa A-part is a
-  positive diagonal. For SU this is the defining representation; for SO it
-  is an isotropic basis reached by a fixed unitary T; for Sp it is the
-  complex 2n-dimensional embedding of quaternionic matrices.
-* chart coordinates in a fixed order (one complex coordinate per positive
-  root; for Sp the two complex components of each subdiagonal quaternion
-  carry the short roots and the long roots come last).
+  triangular, charts Z are lower unitriangular and holomorphic in their
+  coordinates, and the Iwasawa A-part is a positive diagonal. For SU this
+  is the defining representation and for Sp(n) the split basis
+  (a_1..a_n, b_n..b_1) of C^2n, where Sp(n) = Sp(2n, C) n U(2n); both are
+  also the working basis. For SO it is an isotropic basis reached by a
+  fixed unitary T.
+* chart coordinates in a fixed order, one complex coordinate per positive
+  root (SU and Sp level by level down the subdiagonals of the chart, that
+  is by root height).
 * the potential functionals: linear maps on log of the Iwasawa A-diagonal
   whose values restrict to ln(1+|t|^2) exactly on the matching simple-root
   two-cycle and to 0 on the others. They are calibrated at build time from
@@ -31,7 +33,6 @@ import numpy as np
 
 from ._linalg import _rq
 from .errors import UnsupportedGroup
-from .quaternion import QuaternionMatrix
 
 _LN2 = float(np.log(2.0))
 
@@ -54,8 +55,6 @@ class Family:
     rank: int
     rankdim: int          # length of weight-coordinate vectors
     slots: int            # size of the split matrix realization
-    quaternionic = False
-    holomorphic = True    # chart entries do not involve conj(coordinates)
 
     # filled by subclasses ------------------------------------------------
     simple_roots: list    # list[RootInfo]
@@ -85,9 +84,7 @@ class Family:
         return np.asarray(weights, dtype=float) @ self.dual_weights
 
     def spectrum(self, m) -> np.ndarray:
-        """Eigenvalues of a working-basis matrix (embedded for Sp)."""
-        if isinstance(m, QuaternionMatrix):
-            return np.linalg.eigvals(m.embed())
+        """Eigenvalues of a working-basis matrix."""
         return np.linalg.eigvals(np.asarray(m, dtype=complex))
 
     # --- charts -----------------------------------------------------------
@@ -110,32 +107,28 @@ class Family:
         return z if np.ndim(coords) == 2 else z[0]
 
     def chart_jacobian(self, coords):
-        """Split charts and their Wirtinger derivatives at a coordinate batch.
+        """Split charts and their holomorphic derivatives at a coordinate batch.
 
-        Returns ``z`` (N, s, s) and ``a``, ``b`` (N, dim, s, s) with
-        a[:, k] = dz/dz_k and b[:, k] = dz/dzbar_k; ``b`` is None when the
-        chart is holomorphic. Every chart entry is a holomorphic or
-        antiholomorphic polynomial of degree <= 2, so a central difference
-        is the exact derivative for any step and the mixed derivatives
-        d dbar z vanish. The step is the power of two at or above the
-        point's largest coordinate (at least 1), which keeps the rounding
-        of the difference relative to the derivative.
+        Returns ``z`` (N, s, s) and ``a`` (N, dim, s, s) with
+        a[:, k] = dz/dz_k. Every chart entry is a holomorphic polynomial of
+        degree at most 2 in each single coordinate (SO(3) has z^2; the SO(4)
+        and Sp entries are affine in each coordinate, as a product down a
+        triangular matrix uses each entry at most once), so a central
+        difference along a coordinate is the exact derivative for any step,
+        whatever the total degree (n - 1 for Sp(n)). The step is the power of
+        two at or above the point's largest coordinate (at least 1), which
+        keeps the rounding of the difference relative to the derivative.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
         nb, dim = coords.shape
         e = np.eye(dim)
-        steps = [e, -e] if self.holomorphic else [e, -e, 1j * e, -1j * e]
         h = np.exp2(np.ceil(np.log2(np.maximum(
             1.0, np.max(np.abs(coords), axis=1)))))[:, None, None]
-        pts = coords[:, None] + h * np.concatenate(steps)
+        pts = coords[:, None] + h * np.concatenate([e, -e])
         z = self.chart_split(np.concatenate([coords, pts.reshape(-1, dim)]))
-        d = z[nb:].reshape((nb, len(steps), dim) + z.shape[1:]) \
+        d = z[nb:].reshape((nb, 2, dim) + z.shape[1:]) \
             / (2.0 * h[..., None, None])
-        dx = d[:, 0] - d[:, 1]
-        if self.holomorphic:
-            return z[:nb], dx, None
-        dy = d[:, 2] - d[:, 3]
-        return z[:nb], 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+        return z[:nb], d[:, 0] - d[:, 1]
 
     def coords_from_zeta_split(self, zeta):
         """Chart coordinates of a split-basis lower-unitriangular element."""
@@ -234,8 +227,6 @@ class Family:
 
     def weyl_action_on_coords(self, wmat) -> np.ndarray:
         """Matrix of c -> coords(w* M(c) w) acting on weight coordinates."""
-        if isinstance(wmat, QuaternionMatrix):
-            wmat = wmat.embed("split")
         cols = []
         for k in range(self.rankdim):
             e = np.zeros(self.rankdim)
@@ -260,7 +251,6 @@ class SUFamily(Family):
     """SU(n): split basis = defining basis, charts are lower unitriangular."""
 
     family = "su"
-    quaternionic = False
 
     def __init__(self, n: int):
         if n < 2:
@@ -372,18 +362,33 @@ class SUFamily(Family):
 
 
 class SpFamily(Family):
-    """Sp(n): quaternionic charts natively, C_n root data in the split embedding.
+    """Sp(n) = Sp(2n, C) n U(2n) on a holomorphic chart of Sp(2n, C).
 
     Split slot order is (a_1..a_n, b_n..b_1) with slot weights
-    (e_1..e_n, -e_n..-e_1); quaternionic lower unitriangular matrices carry
-    the short-root chart coordinates, the long roots 2e_k live on the
-    j-components of the diagonal and are reachable only through the embedded
-    cycle charts.
+    (e_1..e_n, -e_n..-e_1) and symplectic form ``_omega`` = [[0, J], [-J, 0]],
+    J the n x n index reversal; this is also the working basis. The chart is
+    the lower unipotent group
+
+        z = [[A, 0], [J (U A - S), J A^-T J]],
+
+    A unit lower triangular with A[r, c] the coordinate of e_c - e_r, U
+    complex symmetric with U[r, c] = U[c, r] the coordinate of e_c + e_r and
+    U[k, k] that of 2e_k, and S = x [[U10, U11/2], [U11/2, 0]] on the first
+    two indices, x = A[1, 0]. z is symplectic as P = (U A - S) A^-1 =
+    U - S A^-1 is symmetric. S puts the Sp(2) corner half way between the
+    two factor orders, [[I, 0], [J U, I]] diag(A, J A^-T J) (P = U) and its
+    reverse (P = A^-T U A^-1): with either order alone, the Sp(2) points
+    where e1+e2 and 2e1 vanish lie on the pole of a chart transition of
+    length two ((1, 0) or (0, 1)), with S on none. Every entry of z has
+    degree at most 2 in each coordinate, and in all of them up to Sp(3).
+
+    Each root has one entry of M = [[A], [J U]] on or above its
+    anti-diagonal; as for SU, the coordinates run level by level down the
+    subdiagonals of z through those entries, so they are ordered by root
+    height, simple roots first.
     """
 
     family = "sp"
-    quaternionic = True
-    holomorphic = False
 
     def __init__(self, n: int):
         if n < 2:
@@ -391,7 +396,7 @@ class SpFamily(Family):
         self.n = n
         self.rank = n
         self.rankdim = n
-        self.slots = 2 * n
+        self.slots = s = 2 * n
         self.pairing_scale = -0.5
 
         def e(i):
@@ -402,25 +407,22 @@ class SpFamily(Family):
         simple = [RootInfo(tuple(e(k) - e(k + 1)), f"e{k + 1}-e{k + 2}")
                   for k in range(n - 1)]
         simple.append(RootInfo(tuple(2 * e(n - 1)), f"2e{n}"))
-        shorts = []
-        qpos = []
-        for lvl in range(1, n):
-            for i in range(n - lvl):
-                r, c = i + lvl, i
-                qpos.append((r, c))
-                shorts.append(RootInfo(tuple(e(c) - e(r)), f"e{c + 1}-e{r + 1}"))
-                shorts.append(RootInfo(tuple(e(c) + e(r)), f"e{c + 1}+e{r + 1}"))
-        longs = [RootInfo(tuple(2 * e(k)), f"2e{k + 1}")
-                 for k in range(n - 1, -1, -1)]
-        self.simple_roots = simple
-        self.positive_roots = shorts + longs
-        self._qpos = qpos
-        self._qrows, self._qcols = np.array(qpos).T
-        w = np.zeros((2 * n, n))
+        w = np.zeros((s, n))
         for k in range(n):
             w[k, k] = 1.0
-            w[2 * n - 1 - k, k] = -1.0
+            w[s - 1 - k, k] = -1.0
         self.slot_weights = w
+        # entries (r, c) of M, level r - c: the root is w[c] - w[r]
+        positions = [(c + lvl, c) for lvl in range(1, s)
+                     for c in range(min(n, s - lvl)) if 2 * c + lvl < s]
+        self.simple_roots = simple
+        self.positive_roots = [RootInfo(tuple(w[c] - w[r]), _sp_label(c, r, n))
+                               for r, c in positions]
+        self._rows, self._cols = np.array(positions).T
+        # U[c, r] = U[r, c]: the entries of J U below its anti-diagonal
+        mirror = [(k, s - 1 - c, s - 1 - r) for k, (r, c) in enumerate(positions)
+                  if r >= n and r + c < s - 1]
+        self._midx, self._mrows, self._mcols = np.array(mirror).T
         dual = np.zeros((n, n))
         for k in range(n - 1):
             dual[k, : k + 1] = 1.0
@@ -452,63 +454,41 @@ class SpFamily(Family):
         d = np.diagonal(np.asarray(m))
         return np.imag(d[: self.n])
 
-    def weight_matrix_native(self, c) -> QuaternionMatrix:
-        return QuaternionMatrix(1j * np.diag(np.asarray(c, dtype=float)))
-
     # charts -----------------------------------------------------------------
-
-    def split_coords(self, coords):
-        """(shorts z/w pairs, longs) split of a flat coordinate vector."""
-        coords = np.asarray(coords, dtype=complex)
-        nshort = self.n * (self.n - 1)
-        return coords[..., :nshort], coords[..., nshort:]
-
-    def chart_quaternion(self, coords) -> QuaternionMatrix:
-        """Native quaternionic chart matrix; requires long coordinates zero.
-
-        A batch (N, dim) of coordinates gives a stack of N matrices.
-        """
-        shorts, longs = self.split_coords(coords)
-        if np.any(np.abs(longs) > 0):
-            raise ValueError(
-                "quaternionic charts carry only the short-root coordinates; "
-                "long-root coordinates must vanish")
-        z1 = np.empty(shorts.shape[:-1] + (self.n, self.n), dtype=complex)
-        z1[...] = np.eye(self.n)
-        z2 = np.zeros_like(z1)
-        z1[..., self._qrows, self._qcols] = shorts[..., 0::2]
-        z2[..., self._qrows, self._qcols] = shorts[..., 1::2]
-        return QuaternionMatrix(z1, z2)
 
     def chart_split(self, coords):
         coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        nb, s = coords.shape[0], self.slots
-        n = self.n
-        z = np.broadcast_to(np.eye(s, dtype=complex), (nb, s, s)).copy()
-        shorts, longs = self.split_coords(coords)
-        # embedded quaternion entries: q = z + w j at position (r, c)
-        for idx, (r, c) in enumerate(self._qpos):
-            zz = shorts[:, 2 * idx]
-            ww = shorts[:, 2 * idx + 1]
-            z[:, r, c] = zz                                # a_r <- a_c
-            z[:, 2 * n - 1 - r, 2 * n - 1 - c] = zz.conj()  # b_r <- b_c
-            z[:, 2 * n - 1 - r, c] = ww.conj()             # b_r <- a_c
-            z[:, r, 2 * n - 1 - c] = -ww                   # a_r <- b_c
-        for j, val in enumerate(longs.T):
-            k = n - 1 - j                                  # root 2e_{k+1}
-            z[:, 2 * n - 1 - k, k] = z[:, 2 * n - 1 - k, k] + val
+        nb, n = coords.shape[0], self.n
+        eye = np.eye(n, dtype=complex)
+        z = np.zeros((nb, 2 * n, 2 * n), dtype=complex)
+        z[:, :n, :n] = eye
+        z[:, self._rows, self._cols] = coords          # [[A], [J U]]
+        z[:, self._mrows, self._mcols] = coords[:, self._midx]
+        low, ju = z[:, :n, :n] - eye, z[:, n:, :n]
+        # J S of the Sp(2) corner: S = x [[U10, U11/2], [U11/2, 0]]
+        x = low[:, 1, 0]
+        js = x * ju[:, n - 2, 0], 0.5 * x * ju[:, n - 2, 1]
+        ju += _small_matmul(ju, low)
+        ju[:, -1, 0] -= js[0]
+        ju[:, -1, 1] -= js[1]
+        ju[:, -2, 0] -= js[1]
+        # A^-1 = sum_k (-L)^k, L = A - I nilpotent of order n, by Horner
+        inv = eye - low
+        for _ in range(n - 2):
+            inv = eye - _small_matmul(low, inv)
+        z[:, n:, n:] = np.swapaxes(inv, -1, -2)[:, ::-1, ::-1]
         return z
 
-    def chart_working(self, coords):
-        return self.chart_quaternion(coords)
-
-    def coords_from_zeta_quaternion(self, zeta: QuaternionMatrix):
-        out = []
-        for (r, c) in self._qpos:
-            q = zeta[r, c]
-            out.extend([q.z1, q.z2])
-        out.extend([0.0] * self.n)
-        return np.array(out, dtype=complex)
+    def coords_from_zeta_split(self, zeta):
+        # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C J D^T J;
+        # U = P + S A^-1 on the Sp(2) corner
+        n = self.n
+        jp = zeta[n:, :n] @ zeta[n:, n:].T[::-1, ::-1]
+        x, p11 = zeta[1, 0], jp[n - 2, 1]
+        u10 = jp[n - 1, 1] + 0.5 * x * p11
+        jp[n - 1, 0] += x * u10 - 0.5 * x * x * p11
+        jp[n - 1, 1] = jp[n - 2, 0] = u10
+        return np.concatenate([zeta[:n, :n], jp])[self._rows, self._cols]
 
     def cycle_generators(self):
         gens = []
@@ -548,22 +528,26 @@ class SpFamily(Family):
         return np.asarray(d_diag, dtype=complex)[: self.n]
 
     def a_parameters(self, log_a):
-        # native quaternionic Iwasawa parameters (r_1..r_n), product 1
+        # (r_1..r_n), the first half of the split A-diagonal
         return np.exp(np.asarray(log_a)[..., : self.n])
 
     # Weyl --------------------------------------------------------------------
 
     def weyl_generators(self):
+        # real signed permutations, each symplectic: e_k <-> e_{k+1} on the a
+        # and b slots, and the quaternion j on (a_n, b_n)
+        n, s = self.n, self.slots
         gens = []
-        for k in range(self.n - 1):
-            w = QuaternionMatrix.eye(self.n)
-            w.z1[k, k] = w.z1[k + 1, k + 1] = 0.0
-            w.z1[k, k + 1] = 1.0
-            w.z1[k + 1, k] = 1.0
-            gens.append(w)
-        w = QuaternionMatrix.eye(self.n)
-        w.z1[self.n - 1, self.n - 1] = 0.0
-        w.z2[self.n - 1, self.n - 1] = 1.0   # quaternion j flips the last angle
+        for k in range(n - 1):
+            w = np.eye(s, dtype=complex)
+            perm = np.arange(s)
+            perm[[k, k + 1, s - 2 - k, s - 1 - k]] = \
+                [k + 1, k, s - 1 - k, s - 2 - k]
+            gens.append(w[perm])
+        w = np.eye(s, dtype=complex)
+        w[n - 1, n - 1] = w[n, n] = 0.0
+        w[n - 1, n] = -1.0
+        w[n, n - 1] = 1.0
         gens.append(w)
         return gens
 
@@ -590,7 +574,6 @@ class SOFamily(Family):
     """
 
     family = "so"
-    quaternionic = False
 
     def __init__(self, n: int):
         if n not in (3, 4):
@@ -720,6 +703,24 @@ class SOFamily(Family):
         if self.n == 3:
             return "SO(2)"
         return "U(2)" if walls else "SO(2)xSO(2)"
+
+
+def _sp_label(c: int, r: int, n: int) -> str:
+    """Label of the Sp(n) root of the chart entry (r, c) of [[A], [J U]]."""
+    if r < n:
+        return f"e{c + 1}-e{r + 1}"
+    r = 2 * n - 1 - r
+    return f"2e{c + 1}" if r == c else f"e{c + 1}+e{r + 1}"
+
+
+def _small_matmul(x, y):
+    """x @ y for stacks of small matrices, one broadcast product per inner
+    index: np.matmul makes one call per matrix, which costs several times as
+    much at these sizes."""
+    out = x[..., :, :1] * y[..., :1, :]
+    for k in range(1, x.shape[-1]):
+        out += x[..., :, k:k + 1] * y[..., k:k + 1, :]
+    return out
 
 
 def _wall_blocks(walls, size: int) -> list:

@@ -1,7 +1,8 @@
 """Numerical kernels: triangular factorizations and log-det derivatives.
 
-Everything here works on plain complex ndarrays (batched where useful) or on
-QuaternionMatrix. The factorizations are the two workhorses of the library:
+Everything here works on plain complex ndarrays, batched where useful. The
+factorizations are the two workhorses of the library, shared by every
+family:
 
 * ``_rq``: z = u k with u upper triangular and k unitary, from one
   Householder QR of the index-reversed transpose of z. No Gram matrix z z*
@@ -14,6 +15,10 @@ QuaternionMatrix. The factorizations are the two workhorses of the library:
 ``wirtinger_hessian`` differentiates log det of every trailing minor of
 z z* twice in closed form, from the same factor u (z z* = u u*); the Kahler
 metric and the pairing integrand are combinations of these.
+
+``quaternion_iwasawa`` and ``quaternion_ul`` factor QuaternionMatrix input;
+no library path calls them, they are the quaternionic oracles the tests
+compare the split Sp(2n, C) path with.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ def quaternion_iwasawa(z: QuaternionMatrix):
     ``iwasawa_nak`` of the interleaved embedding, read back: in that basis a
     quaternionic unit upper triangular matrix is complex unit upper
     triangular and Sp(n) is unitary, so by uniqueness of NAK the complex
-    factors are the embedded quaternionic ones. ``z`` may be a stack.
+    factors are the embedded quaternionic ones. ``z`` may be a stack. A test
+    oracle.
     """
     n, d, k = iwasawa_nak(z.embed())
     back = QuaternionMatrix.from_embedded
@@ -108,7 +114,7 @@ def quaternion_iwasawa(z: QuaternionMatrix):
 
 
 def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
-    """Quaternionic Gauss factorization ``g = n diag(d) zeta``."""
+    """Quaternionic Gauss factorization ``g = n diag(d) zeta``; a test oracle."""
     nn = g.shape[0]
     scale = max(g.norm_max(), 1e-300)
     # work on the index-reversed matrix, Doolittle without pivoting
@@ -140,59 +146,41 @@ def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
 
 
 @lru_cache(maxsize=16)
-def _trailing_masks(s: int):
-    """(s*s, s) indicators of the blocks {i >= j > k} and {i, k >= j} per j."""
+def _below_mask(s: int):
+    """(s*s, s) indicator of the block {i >= j > k} of (i, k) per j."""
     i, k = np.indices((s, s)).reshape(2, s * s, 1)
     j = np.arange(s)
-    below = (i >= j) & (k < j)
-    return below.astype(float), ((i >= j) & (k >= j)).astype(float)
+    return ((i >= j) & (k < j)).astype(float)
 
 
-def wirtinger_hessian(z, a, b=None) -> np.ndarray:
+def wirtinger_hessian(z, a) -> np.ndarray:
     """d_a dbar_b log det G[j:, j:] of G = z z*, for every trailing size j.
 
-    ``z`` is a stack (N, s, s) of invertible matrices and ``a``, ``b``
-    (N, m, s, s) hold dz/dz_a and dz/dzbar_a (``b`` None when z is
-    holomorphic); z must have no mixed second derivatives d_a dbar_b z.
-    Returns the hermitian (N, m, m, s), j last: the closed form
-    tr(G^-1 (a_a a_b* + b_b b_a*)) - tr(G^-1 d_aG G^-1 dbar_bG) on each
-    trailing block, with d_aG = a_a z* + z b_a*.
+    ``z`` is a stack (N, s, s) of invertible matrices, holomorphic in the m
+    coordinates, and ``a`` (N, m, s, s) holds dz/dz_a. Returns the hermitian
+    (N, m, m, s), j last: the closed form tr(G^-1 a_a a_b*) -
+    tr(G^-1 a_a z* G^-1 z a_b*) on each trailing block.
 
     One factorization z = u k of ``_rq`` (so G = u u*) and one triangular
-    solve for the direction blocks serve every j: put p_a = u^-1 a_a k* and
-    q_a = u^-1 b_a k*. As u is upper triangular, G[j:, j:]^-1 =
-    u[j:, j:]^-* u[j:, j:]^-1 reads rows j: of them, and the closed form
-    becomes
+    solve for the direction blocks serve every j: put p_a = u^-1 a_a k*. As
+    u is upper triangular, G[j:, j:]^-1 = u[j:, j:]^-* u[j:, j:]^-1 reads
+    rows j: of it, and the closed form becomes
 
-        sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]) + q_b[i,k] conj(q_a[i,k])
-        - sum_{i, k >= j} p_a[i,k] q_b[k,i] + conj(q_a[k,i] p_b[i,k]),
+        sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]),
 
-    free of cancellation (and positive semidefinite) for holomorphic z.
-    Neither G nor G^-1 is formed. Raises NumericalBreakdown where ``_rq``
-    does.
+    free of cancellation and positive semidefinite. Neither G nor G^-1 is
+    formed. Raises NumericalBreakdown where ``_rq`` does.
     """
     nb, m, s = a.shape[:3]
     u, k = _rq(z)
-    dirs = [a] if b is None else [a, b]
-    rhs = np.concatenate([d.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
-                          for d in dirs], axis=-1)
+    rhs = a.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
     kh = np.conj(np.swapaxes(k, -1, -2))
-    pq = np.linalg.solve(u, rhs).reshape(nb, s, len(dirs) * m, s) \
+    p = np.linalg.solve(u, rhs).reshape(nb, s, m, s) \
         .transpose(0, 2, 1, 3) @ kh[:, None]
-    below, trail = _trailing_masks(s)
-
-    def pair(v, w):
-        # v_a[i, k] conj(w_b[i, k]), flattened over (i, k)
-        return (v[:, :, None] * np.conj(w[:, None])).reshape(nb, m, m, s * s)
-
-    p = pq[:, :m]
-    h = pair(p, p) @ below
-    if b is not None:
-        q = pq[:, m:]
-        cross = pair(p, np.conj(np.swapaxes(q, -1, -2))) @ trail
-        h = (h + np.swapaxes(pair(q, q), 1, 2) @ below
-             - cross - np.conj(np.swapaxes(cross, 1, 2)))
-    return h
+    below = _below_mask(s)
+    # p_a[i, k] conj(p_b[i, k]), flattened over (i, k)
+    pair = (p[:, :, None] * np.conj(p[:, None])).reshape(nb, m, m, s * s)
+    return pair @ below
 
 
 def complex_laplacian(z, dz) -> np.ndarray:

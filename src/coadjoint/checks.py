@@ -11,7 +11,6 @@ import numpy as np
 
 from .decompose import chart_point
 from .orbit import required_zero_mask
-from .quaternion import QuaternionMatrix
 
 
 def spectral_mismatch(a, b) -> float:
@@ -40,8 +39,6 @@ def random_chart(spec, rng, scale=1.0, point=None):
     fam = spec.adapter
     z = scale * (rng.standard_normal(fam.chart_dim)
                  + 1j * rng.standard_normal(fam.chart_dim))
-    if fam.family == "sp":
-        z[fam.n * (fam.n - 1):] = 0.0     # quaternionic chart: no long coords
     if point is not None:
         z[required_zero_mask(spec, point)] = 0.0
     return chart_point(spec, z)
@@ -55,11 +52,6 @@ def iwasawa_residuals(spec, coords, fac) -> tuple:
     ``iwasawa_batch``; a batch gets one residual per row.
     """
     z = spec.adapter.chart_working(coords)
-    if isinstance(z, QuaternionMatrix):
-        def entry_max(m):
-            return np.max(np.hypot(np.abs(m.z1), np.abs(m.z2)), axis=(-2, -1))
-        return (entry_max(fac.multiply_back() - z),
-                entry_max(fac.k @ fac.k.h - QuaternionMatrix.eye(spec.n)))
     kk = fac.k @ np.conj(np.swapaxes(fac.k, -1, -2))
     return (np.max(np.abs(fac.multiply_back() - z), axis=(-2, -1)),
             np.max(np.abs(kk - np.eye(kk.shape[-1])), axis=(-2, -1)))

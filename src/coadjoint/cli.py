@@ -26,7 +26,6 @@ from .errors import (AllWeightsZero, DegeneracyViolation,
                      ZeroTorusEntry)
 from .groups import build_group, classify_initial_point, initial_point, \
     poincare_polynomial, weyl_group
-from .quaternion import QuaternionMatrix
 
 CONFIG_ERRORS = (UnsupportedGroup, AllWeightsZero, ValueError)
 DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, ZeroTorusEntry,
@@ -81,8 +80,6 @@ def _c(z) -> list:
 
 
 def _matrix(m):
-    if isinstance(m, QuaternionMatrix):
-        return {"z1": _matrix(m.z1), "z2": _matrix(m.z2)}
     return [[_c(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
@@ -158,7 +155,7 @@ def cmd_dress(args, spec, report):
             gm = orbit.gell_mann_coordinates(mu)
             cols = {f"mu_{a + 1}": gm[:, a] for a in range(8)}
         else:
-            # upper triangle of the hermitian i mu (Sp: interleaved embedding)
+            # upper triangle of the hermitian i mu in the working basis
             h = 1j * mu
             cols = {}
             for r, c in zip(*np.triu_indices(h.shape[-1])):
@@ -172,7 +169,7 @@ def cmd_dress(args, spec, report):
     chart = _get_chart(args, spec, point, rng)
     op = orbit.dress(spec, point, chart)
     spectrum = spectral_mismatch(op.spectrum(),
-                                 spec.adapter.spectrum(point.matrix_native))
+                                 spec.adapter.spectrum(point.matrix))
     res = {"z": [_c(v) for v in chart.coords],
            "mu_matrix": _matrix(op.mu_matrix)}
     if op.coords:
@@ -275,7 +272,7 @@ def cmd_verify(args, spec, report):
     rng = np.random.default_rng(args.seed)
     checks = []
     npts = args.points
-    ref = spec.adapter.spectrum(point.matrix_native)
+    ref = spec.adapter.spectrum(point.matrix)
 
     def draw():
         return random_chart(spec, rng, point=point)

@@ -1,14 +1,13 @@
 """Iwasawa and Gauss-Bruhat decompositions of chart representatives.
 
-The chart Z of an orbit is parameterized by one complex coordinate per
-positive root (for Sp(n), quaternion entries carry pairs of short-root
-coordinates and the long-root coordinates come last; they must vanish for
-the native quaternionic operations). ``iwasawa_batch`` factors the chart
-representatives of a batch (N, chart_dim) of coordinates as z = n a k with
-one stacked Householder QR (``_linalg._rq``; Sp through the interleaved
-complex embedding of its quaternionic charts, SO in the split basis), with
-no Gram matrix z z*; ``iwasawa`` is its one-row case. ``gauss_bruhat``
-factors a complexified group element as g = n d zeta on the open cell.
+The chart Z of an orbit is parameterized by one holomorphic coordinate per
+positive root. ``iwasawa_batch`` factors the chart representatives of a
+batch (N, chart_dim) of coordinates as z = n a k with one stacked
+Householder QR (``_linalg._rq``), with no Gram matrix z z*; ``iwasawa`` is
+its one-row case. ``gauss_bruhat`` factors a complexified group element as
+g = n d zeta on the open cell. Both work in the split basis, where the
+Borel subgroup is upper triangular, and map back to the working basis with
+``working_from_split``: the identity for SU and Sp, a fixed unitary for SO.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import iwasawa_nak, quaternion_iwasawa, quaternion_ul, ul_decompose
+from ._linalg import iwasawa_nak, ul_decompose
 from .errors import ZeroTorusEntry
 from .groups import GroupSpec
-from .quaternion import QuaternionMatrix
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,8 @@ def chart_batch(spec: GroupSpec, coords) -> np.ndarray:
 
 def _nak(spec: GroupSpec, coords):
     """(n, d, k) of a ``chart_batch`` in the working realization, d the
-    A-diagonal: complex stacks for SU and SO (factored in the split basis,
-    n and k mapped back), stacked quaternionic n and k for Sp."""
+    A-diagonal: factored in the split basis, n and k mapped back."""
     fam = spec.adapter
-    if fam.family == "sp":
-        return quaternion_iwasawa(fam.chart_quaternion(coords))
     n, d, k = iwasawa_nak(fam.chart_split(coords))
     return fam.working_from_split(n), d, fam.working_from_split(k)
 
@@ -97,18 +92,12 @@ def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
     """Iwasawa factors of the chart representatives at a batch of coordinates.
 
     ``coords`` is (N, chart_dim); the whole batch is one ``iwasawa_nak``
-    call. SU(n): complex triangular factors. Sp(n): native quaternionic
-    factors from the interleaved embedding (raises ValueError if a
-    long-root coordinate is nonzero, those directions have no quaternionic
-    chart). SO(3)/SO(4): factors in the vector basis, with A in its
+    call. SU(n) and Sp(n): complex triangular factors, for Sp in the split
+    basis of C^2n. SO(3)/SO(4): factors in the vector basis, with A in its
     cosh/sinh rotation-block form.
     """
     fam = spec.adapter
     n, d, k = _nak(spec, chart_batch(spec, coords))
-    if fam.family == "sp":
-        a = QuaternionMatrix(d[..., None] * np.eye(fam.n))
-        return IwasawaFactors(n=n, a=a, k=k, a_parameters=d,
-                              log_a_split=np.log(d))
     log_d = np.log(d)
     a = fam.working_from_split(d[..., None] * np.eye(fam.slots))
     return IwasawaFactors(n=n, a=a, k=k, a_parameters=fam.a_parameters(log_d),
@@ -121,12 +110,7 @@ def iwasawa(spec: GroupSpec, point: ChartPoint) -> IwasawaFactors:
     The one-row ``iwasawa_batch``.
     """
     fac = iwasawa_batch(spec, point.array()[None])
-
-    def first(m):
-        if isinstance(m, QuaternionMatrix):
-            return QuaternionMatrix(m.z1[0], m.z2[0])
-        return m[0]
-    return IwasawaFactors(n=first(fac.n), a=first(fac.a), k=first(fac.k),
+    return IwasawaFactors(n=fac.n[0], a=fac.a[0], k=fac.k[0],
                           a_parameters=tuple(fac.a_parameters[0]),
                           log_a_split=tuple(fac.log_a_split[0]))
 
@@ -153,54 +137,35 @@ def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:
     """Gauss-Bruhat factorization on the open cell.
 
     Accepts an element of the complexified group in the working realization
-    (for Sp either a QuaternionMatrix, factored natively, or a 2n x 2n
-    split-embedded complex matrix). Raises OutsideCell when a required
-    principal minor vanishes, signalling that a chart switch is needed.
+    (for Sp a 2n x 2n matrix in the split basis). Raises OutsideCell when a
+    required principal minor vanishes, signalling that a chart switch is
+    needed.
     """
     fam = spec.adapter
-    if isinstance(g, QuaternionMatrix):
-        n, dlist, zeta = quaternion_ul(g)
-        d = QuaternionMatrix.zeros(fam.n)
-        for i, q in enumerate(dlist):
-            d[i, i] = q
-        dsplit = tuple(np.array([q.z1 for q in dlist]))
-        return BruhatFactors(n=n, d=d, zeta=zeta, d_split=dsplit)
-    g = np.asarray(g, dtype=complex)
-    if fam.family == "so":
-        gs = fam.split_from_working(g)
-        n, d, zeta = ul_decompose(gs)
-        to_w = fam.working_from_split
-        return BruhatFactors(n=to_w(n), d=to_w(np.diag(d)), zeta=to_w(zeta),
-                             d_split=tuple(d))
-    n, d, zeta = ul_decompose(g)
-    return BruhatFactors(n=n, d=np.diag(d), zeta=zeta, d_split=tuple(d))
+    n, d, zeta = ul_decompose(fam.split_from_working(g))
+    to_w = fam.working_from_split
+    return BruhatFactors(n=to_w(n), d=to_w(np.diag(d)), zeta=to_w(zeta),
+                         d_split=tuple(d))
 
 
 def torus_coordinates(spec: GroupSpec, d) -> np.ndarray:
     """Coordinates (d_1, .., d_l) of a complexified-torus element.
 
-    Accepts the working-basis matrix, a QuaternionMatrix with complex
-    diagonal, or the split diagonal as a vector. Uses the family isomorphism
-    T^C ~ (C*)^l: for SU the pattern diag(1/d_1, d_1/d_2, ..., d_{n-1}); for
-    SO d_k = exp(a_k) read off the rotation blocks; for Sp the first n split
-    diagonal entries.
+    Accepts the working-basis matrix or the split diagonal as a vector.
+    Uses the family isomorphism T^C ~ (C*)^l: for SU the pattern
+    diag(1/d_1, d_1/d_2, ..., d_{n-1}); for SO d_k = exp(a_k) read off the
+    rotation blocks; for Sp the first n split diagonal entries. Raises
+    ValueError for a matrix that is not diagonal in the split basis.
     """
     fam = spec.adapter
-    if isinstance(d, QuaternionMatrix):
-        if np.max(np.abs(d.z2)) > 1e-12:
-            raise ValueError("not a complex-torus element (j-part present)")
-        diag = np.diagonal(d.z1).copy()
-        return fam.torus_coords(np.concatenate([diag, diag[::-1].conj()]))
     d = np.asarray(d, dtype=complex)
     if d.ndim == 1:
         return fam.torus_coords(d)
-    if fam.family == "so":
-        ds = fam.split_from_working(d)
-        off = ds - np.diag(np.diagonal(ds))
-        if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(ds))):
-            raise ValueError("matrix is not in the (complexified) torus")
-        return fam.torus_coords(np.diagonal(ds))
-    return fam.torus_coords(np.diagonal(d))
+    ds = fam.split_from_working(d)
+    off = ds - np.diag(np.diagonal(ds))
+    if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(ds))):
+        raise ValueError("matrix is not in the (complexified) torus")
+    return fam.torus_coords(np.diagonal(ds))
 
 
 def torus_character(spec: GroupSpec, d, weights) -> complex:

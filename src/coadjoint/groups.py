@@ -26,7 +26,6 @@ import numpy as np
 
 from ._families import Family, get_family
 from .errors import AllWeightsZero, UnsupportedGroup
-from .quaternion import QuaternionMatrix
 
 WALL_TOL = 1e-12
 
@@ -64,9 +63,9 @@ class RootDatum:
 
     Root matrices live in the dual Cartan of the working realization
     (anti-hermitian diagonals for SU, real antisymmetric blocks for SO,
-    split-embedded diagonals for Sp). Root vectors are given in the matrix
-    realization in which charts are triangular (the defining basis for SU,
-    the vector basis for SO, the complex 2n-dim split embedding for Sp).
+    split-basis diagonals for Sp). Root vectors are given in the working
+    realization too (the defining basis for SU, the vector basis for SO,
+    the split basis of C^2n for Sp).
     """
 
     spec: GroupSpec
@@ -113,10 +112,8 @@ def root_datum(spec: GroupSpec) -> RootDatum:
     for info in fam.positive_roots:
         pos_m.append(fam.root_matrix(info.as_array()))
         xm = _root_vector_minus(fam, info.as_array())
-        xp = xm.conj().T
-        if fam.family == "so":
-            xm = fam.working_from_split(xm)
-            xp = fam.working_from_split(xp)
+        xp = fam.working_from_split(xm.conj().T)
+        xm = fam.working_from_split(xm)
         plus.append(xp)
         minus.append(xm)
         cartan.append(xp @ xm - xm @ xp)
@@ -144,7 +141,7 @@ class WeylElement:
     """A Weyl group element: reduced word, matrix representative, action."""
 
     word: tuple
-    matrix: object                 # ndarray, or QuaternionMatrix for Sp
+    matrix: np.ndarray             # representative in the working basis
     action: np.ndarray             # matrix acting on weight coordinates
     length: int
 
@@ -191,9 +188,7 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
         gens.append(WeylElement(word=(k,), matrix=gm,
                                 action=fam.weyl_action_on_coords(gm),
                                 length=1))
-    ident_mat = (QuaternionMatrix.eye(fam.n) if fam.quaternionic
-                 else np.eye(fam.n, dtype=complex))
-    ident = WeylElement(word=(), matrix=ident_mat,
+    ident = WeylElement(word=(), matrix=np.eye(fam.slots, dtype=complex),
                         action=np.eye(fam.rankdim), length=0)
     seen = {ident.action_key(): ident}
     frontier = [ident]
@@ -304,16 +299,10 @@ class InitialPoint:
         m.setflags(write=False)
         return m
 
-    @cached_property
+    @property
     def matrix_native(self):
-        """For Sp: the quaternionic i*diag(c) realization of mu0 (read-only)."""
-        fam = self.spec.adapter
-        if not fam.quaternionic:
-            return self.matrix
-        m = fam.weight_matrix_native(np.asarray(self.coords))
-        m.z1.setflags(write=False)
-        m.z2.setflags(write=False)
-        return m
+        """Alias of ``matrix``: every family, Sp included, works in one basis."""
+        return self.matrix
 
 
 def initial_point(spec: GroupSpec, weights) -> InitialPoint:

@@ -23,8 +23,8 @@ from .orbit import OrbitPoint, required_zero_mask, _zeta_coords
 from .quaternion import QuaternionMatrix
 
 # scale of the trace form <X, Y> on the compact algebra; for Sp it refers to
-# the 2n-dimensional embedding (half the embedded trace equals the
-# quaternionic real trace)
+# the 2n-dimensional split basis (half its trace is the quaternionic real
+# trace)
 KKS_FORM_SCALE = {"su": 1.0, "so": 0.5, "sp": 0.5}
 
 
@@ -68,10 +68,9 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
-    z, a, b = fam.chart_jacobian(coords)
+    z, a = fam.chart_jacobian(coords)
     c = np.asarray(point.weights) @ fam.minor_weights
-    return wirtinger_hessian(z, a[:, active],
-                             None if b is None else b[:, active]) @ c
+    return wirtinger_hessian(z, a[:, active]) @ c
 
 
 def metric(spec: GroupSpec, point: InitialPoint,
@@ -88,14 +87,7 @@ def kks_pairing(point: OrbitPoint, x, y) -> float:
     """Kirillov-Kostant-Souriau pairing <mu, [X, Y]> at the orbit point."""
     spec = point.spec
     scale = KKS_FORM_SCALE[spec.family]
-    mu = point.mu_matrix
-    if isinstance(mu, QuaternionMatrix):
-        mu = mu.embed("split")
-    if isinstance(x, QuaternionMatrix):
-        x = x.embed("split")
-    if isinstance(y, QuaternionMatrix):
-        y = y.embed("split")
-    mu = np.asarray(mu, dtype=complex)
+    mu = np.asarray(point.mu_matrix, dtype=complex)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     return float(scale * np.trace(mu @ (x @ y - y @ x)).real)
@@ -108,19 +100,18 @@ def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
     Factors z(coords) g = n d zeta; returns the chart point of zeta and
     shift = ln |chi^xi(d(zg))|^2 for the cocycle torus element (the inverse
     of the emitted d-factor; this orientation is what makes
-    Phi(z_g) = Phi(z) + shift hold identically). Propagates OutsideCell when
-    the product leaves the cell of this chart.
+    Phi(z_g) = Phi(z) + shift hold identically). ``g`` is in the working
+    realization; an Sp(n) element may also be given as a QuaternionMatrix.
+    Propagates OutsideCell when the product leaves the cell of this chart.
     """
     fam = spec.adapter
+    if isinstance(g, QuaternionMatrix):
+        g = g.embed("split")
     z = chart_matrix(spec, chart)
     fac = gauss_bruhat(spec, z @ g)
     coords = _zeta_coords(spec, fac.zeta)
     zg = chart_point(spec, coords, chart.chart)
-    if isinstance(fac.d, QuaternionMatrix):
-        mags = np.array([abs(fac.d[i, i]) for i in range(fam.n)])
-        log_abs = np.log(np.concatenate([mags, mags[::-1]]))
-    else:
-        log_abs = np.log(np.abs(np.asarray(fac.d_split)))
+    log_abs = np.log(np.abs(np.asarray(fac.d_split)))
     weights = np.asarray(point.weights)
     shift = float(-(weights @ fam.potential_weights) @ log_abs)
     return zg, shift

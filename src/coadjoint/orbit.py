@@ -3,8 +3,9 @@
 ``dress_batch`` conjugates an initial point by the compact Iwasawa factors
 of a batch of chart representatives, mu = k* mu0 k, landing on the
 (co)adjoint orbit; the batch is one ``iwasawa_batch`` call and ``dress`` is
-its one-row case. For SU(3), the eight Gell-Mann coordinates (over a whole
-stack at once) and their closed forms are provided;
+its one-row case. Every family dresses through the same complex kernel, Sp
+in the split basis of C^2n. For SU(3), the eight Gell-Mann coordinates
+(over a whole stack at once) and their closed forms are provided;
 chart transitions are computed numerically through the Gauss-Bruhat
 factorization of z w and, for SU(3), also by the closed-form coordinate
 maps.
@@ -23,7 +24,6 @@ from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
     PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
     parabolic_roots, poincare_polynomial, reject_zero_orbit, weyl_group
-from .quaternion import QuaternionMatrix
 
 GELL_MANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -85,8 +85,7 @@ def gell_mann_coordinates(mu: np.ndarray) -> np.ndarray:
 def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """mu = k(z)* mu0 k(z) at a batch (N, chart_dim) of chart coordinates.
 
-    Returns the (N, s, s) complex stack in the working basis; for Sp the
-    interleaved 2n x 2n embedding of the quaternionic mu. Raises
+    Returns the (N, s, s) complex stack in the working basis. Raises
     AllWeightsZero for the zero orbit and DegeneracyViolation when a row
     leaves the orbit chart (a required-zero coordinate is nonzero).
     """
@@ -100,24 +99,18 @@ def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
             raise DegeneracyViolation(f"coordinates along {labels} must "
                                       "vanish on this degenerate orbit")
     k = _nak(spec, coords)[2]
-    mu0 = point.matrix_native
-    if isinstance(k, QuaternionMatrix):
-        # quaternionic products keep mu exactly in the image of the embedding
-        return (k.h @ mu0 @ k).embed()
-    return np.conj(np.swapaxes(k, -1, -2)) @ mu0 @ k
+    return np.conj(np.swapaxes(k, -1, -2)) @ point.matrix @ k
 
 
 def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint:
     """mu = k(z)* mu0 k(z): the one-row ``dress_batch``.
 
-    For Sp the matrix is quaternionic; for SU(3) the Gell-Mann coordinates
-    come with it. Raises as ``dress_batch`` does.
+    For SU(3) the Gell-Mann coordinates come with it. Raises as
+    ``dress_batch`` does.
     """
     mu = dress_batch(spec, point, chart.array()[None])[0]
     mu_coords = ()
-    if spec.family == "sp":
-        mu = QuaternionMatrix.from_embedded(mu)
-    elif spec.family == "su" and spec.n == 3:
+    if (spec.family, spec.n) == ("su", 3):
         mu_coords = tuple(gell_mann_coordinates(mu))
     return OrbitPoint(spec=spec, mu_matrix=mu, coords=mu_coords,
                       chart=chart.chart)
@@ -173,11 +166,7 @@ def su3_transition_closed(word, coords) -> tuple:
 def _zeta_coords(spec: GroupSpec, zeta) -> np.ndarray:
     """Chart coordinates of a lower-unipotent Gauss-Bruhat factor."""
     fam = spec.adapter
-    if isinstance(zeta, QuaternionMatrix):
-        return fam.coords_from_zeta_quaternion(zeta)
-    if fam.family == "so":
-        return fam.coords_from_zeta_split(fam.split_from_working(zeta))
-    return fam.coords_from_zeta_split(zeta)
+    return fam.coords_from_zeta_split(fam.split_from_working(zeta))
 
 
 def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:

@@ -2,11 +2,16 @@
 
 A quaternion is stored as a pair of complex numbers, q = z1 + z2*j, with the
 defining relation j*z = conj(z)*j. Matrices over the quaternions are stored
-as a pair of complex ndarrays and support the operations needed for the
-Iwasawa machinery of Sp(n): products, conjugate transpose, and an embedding
-into complex matrices of twice the size (used as a verification oracle and
-for spectra). The components may be stacks (..., n, n) of matrices; products,
-conjugate transposes and embeddings then act matrix by matrix.
+as a pair of complex ndarrays and support products, conjugate transpose, and
+an embedding into complex matrices of twice the size. The components may be
+stacks (..., n, n) of matrices; products, conjugate transposes and
+embeddings then act matrix by matrix.
+
+The library computes Sp(n) on complex 2n x 2n matrices in the split basis
+(a_1..a_n, b_n..b_1); ``embed("split")`` is the map into it. Here the
+quaternionic form is an input type (``kahler.cocycle_shift`` accepts an
+Sp(n) element as a QuaternionMatrix) and the test oracle behind
+``_linalg.quaternion_iwasawa`` and ``_linalg.quaternion_ul``.
 """
 
 from __future__ import annotations
@@ -121,10 +126,6 @@ class QuaternionMatrix:
 
     def __sub__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
         return QuaternionMatrix(self.z1 - other.z1, self.z2 - other.z2)
-
-    def scale(self, c: float) -> "QuaternionMatrix":
-        """Multiply by a real scalar."""
-        return QuaternionMatrix(c * self.z1, c * self.z2)
 
     def conj_transpose(self) -> "QuaternionMatrix":
         # entrywise conjugate then transpose: (Z1, Z2)* = (Z1^H, -Z2^T)

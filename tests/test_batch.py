@@ -12,7 +12,6 @@ from coadjoint import (DegeneracyViolation, NumericalBreakdown, build_group,
 from coadjoint.cli import _grid_csv, main
 from coadjoint.decompose import iwasawa_batch
 from coadjoint.orbit import GELL_MANN, dress_batch, gell_mann_coordinates
-from coadjoint.quaternion import QuaternionMatrix
 from helpers import per_point_verify_residuals, random_chart, row_grid_csv
 
 GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2), ("sp", 3),
@@ -29,18 +28,6 @@ def _setup(family, n, rows=12):
     return spec, point, charts, np.array([c.coords for c in charts])
 
 
-def _parts(m):
-    if isinstance(m, QuaternionMatrix):
-        return [m.z1, m.z2]
-    return [np.asarray(m)]
-
-
-def _row(m, i):
-    if isinstance(m, QuaternionMatrix):
-        return QuaternionMatrix(m.z1[i], m.z2[i])
-    return m[i]
-
-
 @pytest.mark.parametrize("family,n", GROUPS)
 def test_iwasawa_batch_rows_equal_one_row_calls(family, n):
     spec, _, charts, coords = _setup(family, n)
@@ -48,9 +35,8 @@ def test_iwasawa_batch_rows_equal_one_row_calls(family, n):
     for i, chart in enumerate(charts):
         one = iwasawa(spec, chart)
         for name in ("n", "a", "k"):
-            for x, y in zip(_parts(_row(getattr(fac, name), i)),
-                            _parts(getattr(one, name))):
-                assert np.array_equal(x, y), name
+            assert np.array_equal(getattr(fac, name)[i], getattr(one, name)), \
+                name
         assert np.array_equal(fac.a_parameters[i], np.array(one.a_parameters))
         assert np.array_equal(fac.log_a_split[i], np.array(one.log_a_split))
 
@@ -61,12 +47,7 @@ def test_dress_batch_rows_equal_one_row_calls(family, n):
     mu = dress_batch(spec, point, coords)
     assert mu.shape == (len(charts),) + (spec.adapter.slots,) * 2
     for i, chart in enumerate(charts):
-        one = dress(spec, point, chart).mu_matrix
-        if family == "sp":
-            # the batch holds the interleaved embedding of the quaternionic mu
-            assert np.array_equal(mu[i], one.embed())
-        else:
-            assert np.array_equal(mu[i], one)
+        assert np.array_equal(mu[i], dress(spec, point, chart).mu_matrix)
         assert np.array_equal(mu[i], dress_batch(spec, point, coords[i:i + 1])[0])
 
 
@@ -89,10 +70,8 @@ def test_empty_batches_keep_their_shape(family, n):
     s = spec.adapter.slots
     assert dress_batch(spec, point, empty).shape == (0, s, s)
     fac = iwasawa_batch(spec, empty)
-    size = spec.n if family == "sp" else s
     for name in ("n", "a", "k"):
-        for part in _parts(getattr(fac, name)):
-            assert part.shape == (0, size, size)
+        assert getattr(fac, name).shape == (0, s, s)
     assert fac.a_parameters.shape == (0, spec.rank)
     assert fac.log_a_split.shape[0] == 0
 
@@ -121,13 +100,22 @@ def test_batches_need_one_row_per_chart_point():
         iwasawa_batch(spec, np.zeros((2, 4)))
 
 
-def test_sp_batch_rejects_long_coordinates():
+def test_sp_batch_accepts_long_coordinates():
+    # the long roots 2e_k are chart coordinates like any other: each row with
+    # a nonzero long coordinate dresses to the orbit and equals its one-row call
     spec = build_group("sp", 2)
     point = initial_point(spec, (1.0, 2.0))
     coords = np.zeros((3, spec.adapter.chart_dim), dtype=complex)
     coords[1, -1] = 0.5
-    with pytest.raises(ValueError):
-        dress_batch(spec, point, coords)
+    coords[2, -2:] = (0.3 - 0.2j, -1.5j)
+    mu = dress_batch(spec, point, coords)
+    ref = np.sort(spec.adapter.spectrum(point.matrix).imag)
+    for i in range(3):
+        assert np.max(np.abs(np.sort(np.linalg.eigvals(mu[i]).imag) - ref)) \
+            < 1e-12
+        assert np.array_equal(mu[i], dress_batch(spec, point,
+                                                 coords[i:i + 1])[0])
+    assert not np.allclose(mu[1], mu[0])
 
 
 VERIFY_CONFIGS = [("su", 3, "1,2"), ("su", 3, "1,0"), ("sp", 2, "1,1"),
@@ -170,6 +158,7 @@ def _dress_grid(capsys, *argv):
 
 @pytest.mark.parametrize("family,n,weights,grid", [
     ("sp", 2, "1,2", "-1:1:3,-1:1:2;0.5,0.2;0,0;0,0"),
+    ("sp", 2, "1,2", "0.3,0.1;0.2,-0.4;0.5,0.5;-0.7:0.7:2,0.2"),
     ("so", 4, "1,2", "-1:1:3,0.3;0.5,-1:1:2"),
     ("su", 4, "1,0,1", "-1:1:2,0.2;0,0;0.3,0.1;0.1,0;0.2,-0.1;0,0"),
 ])
@@ -196,12 +185,11 @@ def test_dress_grid_emits_hermitian_upper_triangle(capsys, family, n, weights,
                                   row[f"h_{r + 1}{c + 1}_im"])
                 h[c, r] = np.conj(h[r, c])
         mu = dress(spec, point, chart_point(spec, coords)).mu_matrix
-        if family == "sp":
-            mu = mu.embed()
         assert np.max(np.abs(h - 1j * mu)) < 1e-15
 
 
-def test_sp_dress_grid_with_long_coordinates_exits_2(capsys):
-    code, _ = _dress_grid(capsys, "--group", "sp", "--n", "2", "--weights",
-                          "1,2", "--grid=-1:1:2,0;0.5,0.2;0,0.5:1:2;0,0")
-    assert code == 2
+def test_sp_dress_grid_with_long_coordinates_exits_0(capsys):
+    code, out = _dress_grid(capsys, "--group", "sp", "--n", "2", "--weights",
+                            "1,2", "--grid=-1:1:2,0;0.5,0.2;0,0.5:1:2;0,0")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 4

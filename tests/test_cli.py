@@ -85,7 +85,10 @@ def test_decompose(capsys):
     rep = json.loads(out)
     assert rep["residuals"]["multiply_back"]["pass"]
     assert rep["residuals"]["unitarity"]["pass"]
-    assert abs(rep["results"][0]["a_parameters"][1] ** 2 - 2.0) < 1e-10
+    # z at 2e2 = 1 (coordinates by height: e1-e2, 2e2, e1+e2, 2e1) has rows
+    # (1,0,0,0), (0,1,0,0), (0,1,1,0), (0,0,0,1): a = diag(1, 1/r, r, 1), r^2 = 2
+    a1, a2 = rep["results"][0]["a_parameters"]
+    assert abs(a1 - 1.0) < 1e-10 and abs(a2 - 0.5 ** 0.5) < 1e-10
 
 
 def test_verify_su3(capsys):

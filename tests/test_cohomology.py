@@ -149,10 +149,9 @@ def test_basis_cycles_su2_and_sp2():
     assert len(basis_cycles(SU2)) == 1
     cycles = basis_cycles(SP2)
     assert [c.root_label for c in cycles] == ["e1-e2", "2e2"]
-    # the short cycle runs along the first complex component of q; the long
-    # root lives on the j-part of the diagonal and gets the last coordinate
+    # coordinates run by root height, so the two simple roots come first
     assert cycles[0].coord_index == 0
-    assert cycles[1].coord_index == 2
+    assert cycles[1].coord_index == 1
 
 
 def test_pairing_su3_entries():

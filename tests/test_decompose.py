@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from coadjoint import (OutsideCell, ZeroTorusEntry, build_group, chart_matrix,
-                       chart_point, dressing_matrix, gauss_bruhat, iwasawa,
-                       torus_character, weyl_group)
-from coadjoint.quaternion import Quaternion, QuaternionMatrix
+                       chart_point, dress, dressing_matrix, gauss_bruhat,
+                       initial_point, iwasawa, torus_character, weyl_group)
+from coadjoint._linalg import quaternion_iwasawa, quaternion_ul
+from coadjoint.quaternion import QuaternionMatrix
 from helpers import haar_su, identity_like, mat_max, random_chart
 
 SU3 = build_group("su", 3)
@@ -117,30 +118,43 @@ def test_iwasawa_so3_closed_forms():
         assert abs(fac.n[0, 2] - np.conj(z) / (1 + abs(z) ** 2)) < 1e-10
 
 
+def _is_symplectic(spec, m, tol=1e-12):
+    om = spec.adapter._omega
+    return np.max(np.abs(m.T @ om @ m - om)) < tol
+
+
 def test_iwasawa_sp2_spec_example():
-    # q = j: r^2 = 2, v = -j/2, k quaternion-unitary
+    # z at e1+e2 = 1 has rows (1,0,0,0), (0,1,0,0), (1,0,1,0), (0,1,0,1):
+    # a = diag(1/r, 1/r, r, r) with r^2 = 2, n = I + (E_13 + E_24)/2
     sp2 = build_group("sp", 2)
-    fac = iwasawa(sp2, chart_point(sp2, (0.0, 1.0, 0.0, 0.0)))
-    assert abs(fac.a_parameters[1] ** 2 - 2.0) < 1e-12
-    v = fac.n[0, 1]
-    assert abs(v - Quaternion(0.0, -0.5)) < 1e-12
-    kk = fac.k @ fac.k.h
-    assert (kk - QuaternionMatrix.eye(2)).norm_max() < 1e-12
+    fac = iwasawa(sp2, chart_point(sp2, (0.0, 0.0, 1.0, 0.0)))
+    assert np.max(np.abs(np.array(fac.a_parameters) - 0.5 ** 0.5)) < 1e-12
+    n = np.eye(4)
+    n[0, 2] = n[1, 3] = 0.5
+    assert np.max(np.abs(fac.n - n)) < 1e-12
+    assert np.max(np.abs(fac.k @ fac.k.conj().T - np.eye(4))) < 1e-12
+    assert _is_symplectic(sp2, fac.k)
 
 
 def test_iwasawa_sp2_closed_forms():
-    # r^2 = 1 + |q|^2 and v = conj(q)/r^2
+    # coordinates (x, l2, y, l1) of (e1-e2, 2e2, e1+e2, 2e1): the last two
+    # rows of z are r2 = (y + x l2/2, l2, 1, 0) and r3 = (l1, y - x l2/2, -x, 1),
+    # so 1/a_1^2 = |r3|^2, 1/(a_1 a_2)^2 = |r2|^2 |r3|^2 - |<r2, r3>|^2 and
+    # n[2, 3] = <r2, r3> / |r3|^2
     sp2 = build_group("sp", 2)
     rng = np.random.default_rng(4)
     for _ in range(25):
-        z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        fac = iwasawa(sp2, chart_point(sp2, (z1, z2, 0.0, 0.0)))
-        q = Quaternion(z1, z2)
-        rsq = 1 + abs(q) ** 2
-        assert abs(fac.a_parameters[1] ** 2 - rsq) < 1e-10 * rsq
-        v = fac.n[0, 1]
-        qbar = q.conjugate()
-        assert abs(v - qbar * (1.0 / rsq)) < 1e-10
+        x, l2, y, l1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        fac = iwasawa(sp2, chart_point(sp2, (x, l2, y, l1)))
+        r2 = np.array([y + x * l2 / 2, l2, 1.0, 0.0])
+        r3 = np.array([l1, y - x * l2 / 2, -x, 1.0])
+        rsq = np.vdot(r3, r3).real
+        gram = rsq * np.vdot(r2, r2).real - abs(np.vdot(r3, r2)) ** 2
+        a1, a2 = fac.a_parameters
+        assert abs(a1 ** -2 - rsq) < 1e-10 * rsq
+        assert abs((a1 * a2) ** -2 - gram) < 1e-10 * gram
+        assert abs(fac.n[2, 3] - np.vdot(r3, r2) / rsq) < 1e-10
+        assert _is_symplectic(sp2, fac.k)
 
 
 def test_iwasawa_multiply_back_all_families():
@@ -153,26 +167,49 @@ def test_iwasawa_multiply_back_all_families():
             fac = iwasawa(spec, pt)
             z = chart_matrix(spec, pt)
             assert mat_max(fac.multiply_back() - z) < 1e-10
-            if isinstance(fac.k, QuaternionMatrix):
-                un = fac.k @ fac.k.h
-            else:
-                un = fac.k @ np.conj(fac.k.T)
+            un = fac.k @ np.conj(fac.k.T)
             assert mat_max(un - identity_like(spec, un)) < 1e-10
             if family in ("su", "sp"):   # positive branch of A
                 assert min(fac.a_parameters) > 0
+            if family == "sp":
+                assert _is_symplectic(spec, fac.k)
+
+
+def _quaternion_chart(n, shorts):
+    """Quaternionic unit lower triangular chart: q = z1 + z2 j in level order."""
+    z1 = np.eye(n, dtype=complex)
+    z2 = np.zeros((n, n), dtype=complex)
+    pos = [(i + lvl, i) for lvl in range(1, n) for i in range(n - lvl)]
+    for (r, c), a, b in zip(pos, shorts[0::2], shorts[1::2]):
+        z1[r, c], z2[r, c] = a, b
+    return QuaternionMatrix(z1, z2)
 
 
 def test_iwasawa_oracle_quaternionic_vs_embedded():
-    # the native quaternionic factors embed to a valid complex factorization
-    sp3 = build_group("sp", 3)
+    # the quaternionic NAK of a long-free quaternion chart gives k in Sp(n);
+    # its split embedding lies on the open cell, the chart coordinates of its
+    # Gauss-Bruhat factor zeta dress to k* mu0 k (zeta = d^-1 n^-1 k differs
+    # from k by an upper triangular factor, and mu0 commutes with the torus)
     rng = np.random.default_rng(6)
-    pt = random_chart(sp3, rng)
-    fac = iwasawa(sp3, pt)
-    z = chart_matrix(sp3, pt)
-    lhs = (fac.n @ fac.a @ fac.k).embed("split")
-    assert np.max(np.abs(lhs - z.embed("split"))) < 1e-12
-    ke = fac.k.embed("split")
-    assert np.max(np.abs(ke @ ke.conj().T - np.eye(6))) < 1e-12
+    for n in (2, 3, 4):
+        _check_quaternionic_oracle(build_group("sp", n), rng)
+
+
+def _check_quaternionic_oracle(spec, rng):
+    fam, n = spec.adapter, spec.n
+    ip = initial_point(spec, range(1, n + 1))
+    mu0 = QuaternionMatrix(1j * np.diag(np.asarray(ip.coords)))
+    for _ in range(10):
+        shorts = rng.standard_normal(n * (n - 1)) \
+            + 1j * rng.standard_normal(n * (n - 1))
+        k = quaternion_iwasawa(_quaternion_chart(n, shorts))[2]
+        ke = k.embed("split")
+        assert _is_symplectic(spec, ke)
+        zeta = gauss_bruhat(spec, ke).zeta
+        coords = fam.coords_from_zeta_split(zeta)
+        assert np.max(np.abs(fam.chart_split(coords)[0] - zeta)) < 1e-10
+        mu = dress(spec, ip, chart_point(spec, coords)).mu_matrix
+        assert np.max(np.abs(mu - (k.h @ mu0 @ k).embed("split"))) < 1e-10
 
 
 def test_gauss_bruhat_identity():
@@ -261,9 +298,33 @@ def test_numerical_breakdown_guard():
     # chart representatives are invertible, so this should not occur in
     # practice; the kernel still guards exactly singular input
     from coadjoint.errors import NumericalBreakdown
-    from coadjoint._linalg import iwasawa_nak, quaternion_iwasawa
+    from coadjoint._linalg import iwasawa_nak
     bad = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(NumericalBreakdown):
         iwasawa_nak(bad)
     with pytest.raises(NumericalBreakdown):
         quaternion_iwasawa(QuaternionMatrix(bad))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quaternion_ul_multiply_back(n):
+    # the quaternionic Gauss factorization that stays as an oracle:
+    # g = n diag(d) zeta with n unit upper and zeta unit lower triangular
+    rng = np.random.default_rng(12)
+
+    def cplx():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for _ in range(5):
+        g = QuaternionMatrix(cplx(), cplx())
+        up, d, zeta = quaternion_ul(g)
+        dm = QuaternionMatrix.zeros(n)
+        for i, q in enumerate(d):
+            dm[i, i] = q
+        assert (up @ dm @ zeta - g).norm_max() < 1e-12 * g.norm_max()
+        ones = np.ones((n, n), dtype=bool)
+        for m, off in ((up, np.tril(ones, -1)), (zeta, np.triu(ones, 1))):
+            assert not np.any(m.z1[off]) and not np.any(m.z2[off])
+            assert np.array_equal(np.diagonal(m.z1), np.ones(n))
+            assert not np.any(np.diagonal(m.z2))
+    with pytest.raises(OutsideCell):
+        quaternion_ul(QuaternionMatrix(np.eye(n)[::-1]))

@@ -130,16 +130,29 @@ def test_weyl_closure_up_to_torus():
             for b in wg.elements:
                 action = b.action @ a.action
                 c = wg.find(action)
-                prod = a.matrix @ b.matrix
-                if isinstance(prod, QuaternionMatrix):
-                    t = c.matrix.h @ prod
-                    off1 = t.z1 - np.diag(np.diagonal(t.z1))
-                    off2 = t.z2 - np.diag(np.diagonal(t.z2))
-                    off = max(np.max(np.abs(off1)), np.max(np.abs(off2)))
-                else:
-                    t = c.matrix.conj().T @ prod
-                    off = np.max(np.abs(t - np.diag(np.diagonal(t))))
-                assert off < 1e-9
+                t = c.matrix.conj().T @ a.matrix @ b.matrix
+                assert np.max(np.abs(t - np.diag(np.diagonal(t)))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sp_weyl_generators_embed_the_quaternionic_ones(n):
+    # the SU(2) flips of adjacent quaternionic slots and the quaternion j on
+    # the last one, embedded in the split basis: real signed permutations
+    # that preserve the symplectic form
+    fam = build_group("sp", n).adapter
+    quaternionic = []
+    for k in range(n - 1):
+        w = QuaternionMatrix.eye(n)
+        w.z1[k, k] = w.z1[k + 1, k + 1] = 0.0
+        w.z1[k, k + 1] = w.z1[k + 1, k] = 1.0
+        quaternionic.append(w)
+    w = QuaternionMatrix.eye(n)
+    w.z1[n - 1, n - 1] = 0.0
+    w.z2[n - 1, n - 1] = 1.0
+    quaternionic.append(w)
+    for g, q in zip(fam.weyl_generators(), quaternionic, strict=True):
+        assert np.array_equal(g, q.embed("split"))
+        assert np.array_equal(g.T @ fam._omega @ g, fam._omega)
 
 
 def test_weyl_normalizes_torus():
@@ -152,8 +165,6 @@ def test_weyl_normalizes_torus():
         m = fam.weight_matrix(c)
         for el in wg.elements:
             w = el.matrix
-            if isinstance(w, QuaternionMatrix):
-                w = w.embed("split")
             out = w.conj().T @ m @ w
             c2 = fam.weight_coords(out)
             # conjugation maps the dual Cartan to itself ...
@@ -178,8 +189,6 @@ def test_reflection_formula_matches_conjugation():
                 ma = root_pairing(rd, mu, alpha)
                 reflected = mu - 2.0 * (ma / aa) * alpha
                 w = wg.generators[k].matrix
-                if isinstance(w, QuaternionMatrix):
-                    w = w.embed("split")
                 conj = w.conj().T @ mu @ w
                 assert np.max(np.abs(conj - reflected)) < 1e-12
 

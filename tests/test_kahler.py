@@ -9,7 +9,7 @@ from coadjoint import (OutsideCell, basis_two_forms, build_group, chart_point,
                        potential_batch, weyl_group)
 from coadjoint.orbit import required_zero_mask
 from helpers import (KKS_METRIC_RATIO, fd_metric, fd_wirtinger_hessian,
-                     haar_su, random_chart)
+                     haar_sp, haar_su, random_chart)
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -109,7 +109,7 @@ def test_metric_batch_equals_stacked_metric(family, n):
         assert np.array_equal(metric_batch(spec, ip, coords), rows)
 
 
-@pytest.mark.parametrize("family,n", GROUPS)
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
 def test_metric_matches_fd_oracle(family, n):
     # weights 1..rank on every wall pattern, at random |z| <= 2; for Sp the
     # long-root coordinates are drawn too
@@ -130,6 +130,18 @@ def test_metric_matches_fd_oracle(family, n):
         assert np.max(np.abs(g - oracle)) <= 5e-6 * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
+def test_metric_positive_definite_at_random_points(family, n):
+    # 1000 seeded Gaussian charts per group, Sp long-root coordinates drawn
+    spec = build_group(family, n)
+    ip = initial_point(spec, range(1, spec.rank + 1))
+    rng = np.random.default_rng(15)
+    coords = np.array([random_chart(spec, rng).array() for _ in range(1000)])
+    assert np.all(coords != 0)
+    ev = np.linalg.eigvalsh(metric_batch(spec, ip, coords))
+    assert ev.min() > 0
+
+
 def test_metric_positive_far_from_origin():
     # far out on the chart, where a finite-difference metric loses every digit
     ip = initial_point(SU3, (1.0, 2.0))
@@ -137,27 +149,29 @@ def test_metric_positive_far_from_origin():
     assert kt.eigenvalues().min() > -1e-9
 
 
-@pytest.mark.parametrize("family,n", GROUPS)
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
 def test_holomorphic_flag_matches_chart(family, n):
-    # chart_jacobian drops dz/dzbar exactly for the families that declare
-    # their charts holomorphic; Sp charts carry conj of the coordinates
+    # every chart is holomorphic, Sp included, so chart_jacobian returns only
+    # dz/dz: the difference quotients give dz/dzbar = 0 and dz/dz equal to it
     fam = build_group(family, n).adapter
     rng = np.random.default_rng(10)
     dim = fam.chart_dim
     c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     e = np.eye(dim)
     f = fam.chart_split(c + np.concatenate([e, -e, 1j * e, -1j * e]))
-    dzbar = 0.25 * (f[:dim] - f[dim:2 * dim]
-                    + 1j * (f[2 * dim:3 * dim] - f[3 * dim:]))
-    assert (np.max(np.abs(dzbar)) < 1e-13) == fam.holomorphic
-    assert (fam.chart_jacobian(c)[2] is None) == fam.holomorphic
+    dx, dy = f[:dim] - f[dim:2 * dim], f[2 * dim:3 * dim] - f[3 * dim:]
+    assert np.max(np.abs(0.25 * (dx + 1j * dy))) < 1e-13
+    z, dz = fam.chart_jacobian(c)
+    assert np.max(np.abs(dz[0] - 0.25 * (dx - 1j * dy))) < 1e-13 * np.max(
+        np.abs(z))
 
 
 @pytest.mark.parametrize("family,n", GROUPS)
 def test_chart_split_degree_at_most_two(family, n):
-    # chart_jacobian differences with unit steps, exact only because every
-    # chart entry is a polynomial of degree <= 2; the closed-form metric also
-    # needs the mixed derivatives d dbar z to vanish
+    # on these groups every chart entry has total degree <= 2 (from Sp(4) on
+    # the entries of J A^-T J have degree n - 1; chart_jacobian needs only the
+    # degree in each single coordinate, see the Sp closed-form test); the
+    # closed-form metric also needs the mixed derivatives d dbar z to vanish
     fam = build_group(family, n).adapter
     rng = np.random.default_rng(9)
     dim = fam.chart_dim
@@ -179,6 +193,43 @@ def test_chart_split_degree_at_most_two(family, n):
             mixed = 0.25 * (d2(e[a], e[b]) + d2(1j * e[a], 1j * e[b])
                             + 1j * (d2(e[a], 1j * e[b]) - d2(1j * e[a], e[b])))
             assert np.max(np.abs(mixed)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sp_chart_jacobian_matches_closed_form(n):
+    # J A^-T J has total degree n - 1 in the A coordinates, but every chart
+    # entry has degree <= 2 in each single coordinate (a product down a
+    # triangular matrix uses each entry at most once), so the central
+    # difference along a coordinate is exact for every n. Closed forms, with
+    # z = [[A, 0], [J (U A - S), J A^-T J]] and S = x K(U) on the Sp(2)
+    # corner, K(U) = [[U10, U11/2], [U11/2, 0]]: d(J A^-T J) =
+    # -J A^-T dA^T A^-T J and d(U A - S) = dU A + U dA - dx K(U) - x K(dU)
+    fam = build_group("sp", n).adapter
+    dim = fam.chart_dim
+    rng = np.random.default_rng(14)
+    units = fam.chart_split(np.eye(dim))
+    da = units[:, :n, :n] - np.eye(n)
+    du = units[:, n:, :n][:, ::-1]
+
+    def corner(u):
+        k = np.zeros_like(u)
+        k[..., 0, 0] = u[..., 1, 0]
+        k[..., 0, 1] = k[..., 1, 0] = u[..., 1, 1] / 2
+        return k
+    for scale in (1.0, 1e3):
+        c = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        z, dz = fam.chart_jacobian(c)
+        z, dz = z[0], dz[0]
+        a = z[:n, :n]
+        a_inv = z[n:, n:].T[::-1, ::-1]
+        u = np.tensordot(c, du, 1)     # U is linear in the coordinates
+        dq = du @ a + u @ da - da[:, 1, 0, None, None] * corner(u) \
+            - a[1, 0] * corner(du)
+        want = np.zeros_like(dz)
+        want[:, :n, :n] = da
+        want[:, n:, :n] = dq[:, ::-1]
+        want[:, n:, n:] = -np.swapaxes(a_inv @ da @ a_inv, 1, 2)[:, ::-1, ::-1]
+        assert np.max(np.abs(dz - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_closedness_of_omega():
@@ -255,6 +306,23 @@ def test_cocycle_covariance():
         lhs = potential(SU3, ip, zg) - potential(SU3, ip, pt)
         worst = max(worst, abs(lhs - shift))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sp_cocycle_covariance(n):
+    # Phi(z_g) = Phi(z) + shift with g Haar in Sp(n), given once in
+    # quaternionic form and once as its split complex matrix
+    spec = build_group("sp", n)
+    ip = initial_point(spec, range(1, n + 1))
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        pt = random_chart(spec, rng)
+        g = haar_sp(n, rng)
+        zg, shift = cocycle_shift(spec, ip, pt, g)
+        zs, split_shift = cocycle_shift(spec, ip, pt, g.embed("split"))
+        assert np.array_equal(zg.array(), zs.array()) and shift == split_shift
+        lhs = potential(spec, ip, zg) - potential(spec, ip, pt)
+        assert abs(lhs - shift) < 1e-8
 
 
 def test_cocycle_weyl_element():

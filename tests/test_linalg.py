@@ -48,26 +48,23 @@ def test_cholesky_upper_breakdown(m):
         udu_factor(m)
 
 
-@pytest.mark.parametrize("holomorphic", [True, False])
-def test_wirtinger_hessian_matches_fd_log_det(holomorphic):
-    # z(t) = z0 + sum t_a a_a + conj(t_a) b_a with dense random matrices:
-    # every trailing minor's log det against the finite-difference oracle
+def test_wirtinger_hessian_matches_fd_log_det():
+    # z(t) = z0 + sum t_a a_a with dense random matrices: every trailing
+    # minor's log det against the finite-difference oracle
     rng = np.random.default_rng(6)
     s, m = 4, 3
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    z0, a, b = cplx(s, s), cplx(m, s, s), cplx(m, s, s)
-    if holomorphic:
-        b = np.zeros_like(b)
+    z0, a = cplx(s, s), cplx(m, s, s)
+    cplx(m, s, s)   # skipped draw: the sample the oracle tolerance was set at
 
     def z_at(t):
-        return z0 + np.tensordot(t, a, 1) + np.tensordot(t.conj(), b, 1)
+        return z0 + np.tensordot(t, a, 1)
 
     t0 = 0.3 * cplx(m)
-    h = wirtinger_hessian(z_at(t0)[None], a[None],
-                          None if holomorphic else b[None])[0]
+    h = wirtinger_hessian(z_at(t0)[None], a[None])[0]
     for j in range(s):
         def log_det(ts, j=j):
             g = z_at(ts)[:, j:]

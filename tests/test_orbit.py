@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
                        PoleOnChart, build_group, chart_point, chart_transition,
                        dress, fibration, initial_point, su3_closed_form,
                        su3_transition_closed, weyl_group)
-from coadjoint.quaternion import QuaternionMatrix
 from helpers import random_chart, spectral_mismatch
 
 SU3 = build_group("su", 3)
@@ -70,8 +71,7 @@ def test_isospectrality():
     for family, n in [("su", 3), ("su", 4), ("sp", 2), ("so", 3), ("so", 4)]:
         spec = build_group(family, n)
         ip = initial_point(spec, tuple(rng.uniform(0.2, 3.0, spec.rank)))
-        ref = ip.matrix_native if family == "sp" else ip.matrix
-        ref_spec = spec.adapter.spectrum(ref)
+        ref_spec = spec.adapter.spectrum(ip.matrix)
         for _ in range(20):
             op = dress(spec, ip, random_chart(spec, rng))
             assert spectral_mismatch(op.spectrum(), ref_spec) < 1e-10
@@ -88,14 +88,21 @@ def test_casimir_constant():
 
 
 def test_dress_sp2_native():
+    # Sp dresses in its working basis, the split basis of C^4: mu lies in
+    # sp(2) = sp(4, C) n u(4), long-root coordinates included
     sp2 = build_group("sp", 2)
     ip = initial_point(sp2, (1.0, 2.0))
     rng = np.random.default_rng(3)
-    op = dress(sp2, ip, random_chart(sp2, rng))
-    assert isinstance(op.mu_matrix, QuaternionMatrix)
+    chart = random_chart(sp2, rng)
+    assert np.all(chart.array() != 0)
+    op = dress(sp2, ip, chart)
+    mu, om = op.mu_matrix, sp2.adapter._omega
+    assert mu.shape == (4, 4)
+    assert np.max(np.abs(mu + mu.conj().T)) < 1e-12
+    assert np.max(np.abs(mu.T @ om + om @ mu)) < 1e-12
     assert op.coords == ()   # group coordinates only exposed for SU(3)
     assert spectral_mismatch(op.spectrum(),
-                             sp2.adapter.spectrum(ip.matrix_native)) < 1e-10
+                             sp2.adapter.spectrum(ip.matrix)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +182,50 @@ def test_transition_sp2_quaternionic():
     sp2 = build_group("sp", 2)
     rng = np.random.default_rng(8)
     pt = random_chart(sp2, rng)
-    # the short simple reflection acts like the SU(2) flip on the quaternion
+    # the short simple reflection, the quaternionic SU(2) flip, is in the
+    # split basis the swap e1 <-> e2 on the a and b slots; it squares to one
     new = chart_transition(sp2, (0,), pt)
     back = chart_transition(sp2, (0,), new)
     assert np.max(np.abs(back.array() - pt.array())) < 1e-10
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("sp", 2), ("sp", 3), ("sp", 4),
+                                      ("so", 3), ("so", 4)])
+def test_transition_round_trip_up_to_signs(family, n):
+    # to chart w and back by the reversed word: the representative of the
+    # reversed word is w^-1 up to a torus element of order two, so the start
+    # returns exactly or with some coordinates negated, never otherwise
+    spec = build_group(family, n)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        start = random_chart(spec, rng)
+        word = tuple(int(k) for k in rng.integers(
+            0, spec.rank, size=rng.integers(1, spec.rank + 1)))
+        there = chart_transition(spec, word, start)
+        back = chart_transition(spec, word[::-1], there)
+        z, z0 = back.array(), start.array()
+        assert back.chart == ()
+        assert np.max(np.minimum(np.abs(z - z0), np.abs(z + z0))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sp_transitions_defined_where_the_highest_coordinates_vanish(n):
+    # with the n coordinates of the highest roots at zero (no simple root
+    # among them), every word of length <= n has a transition and a round
+    # trip; on Sp(2) this needs the S term of the chart, without which the
+    # word (1, 0) has its pole on this slice
+    spec = build_group("sp", n)
+    rng = np.random.default_rng(17)
+    for length in range(1, n + 1):
+        for word in itertools.product(range(n), repeat=length):
+            z0 = random_chart(spec, rng).array()
+            z0[-n:] = 0.0
+            start = chart_point(spec, z0)
+            back = chart_transition(spec, word[::-1],
+                                    chart_transition(spec, word, start))
+            z = back.array()
+            assert np.max(np.minimum(np.abs(z - z0), np.abs(z + z0))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
