@@ -20,8 +20,14 @@ that fixes, in one place, the conventions the numerical layer relies on:
   is by root height).
 * the potential functionals: linear maps on log of the Iwasawa A-diagonal
   whose values restrict to ln(1+|t|^2) exactly on the matching simple-root
-  two-cycle and to 0 on the others. They are calibrated at build time from
-  the one-parameter cycle charts.
+  two-cycle and to 0 on the others. ``Family.potential_weights`` calibrates
+  them, once per family, at the point t = 1 of each cycle chart.
+
+``chart_split`` is the one per-family source of root-space data. The
+lowering generator of a root is the chart's derivative along its coordinate
+at the origin, the simple roots are the first ``rank`` coordinates, and the
+two-cycle of simple root k is the chart restricted to coordinate k, which
+is exp(t x_k); the base class reads all three off the chart.
 """
 
 from __future__ import annotations
@@ -57,9 +63,7 @@ class Family:
     slots: int            # size of the split matrix realization
 
     # filled by subclasses ------------------------------------------------
-    simple_roots: list    # list[RootInfo]
     positive_roots: list  # list[RootInfo], aligned with chart coordinates
-    slot_weights: np.ndarray      # (slots, rankdim) label vectors
     dual_weights: np.ndarray      # (rank, rankdim): rows h_k, h_k . a_j = delta
     pairing_scale: float          # B(A, B) = scale * Re Tr(A B)
 
@@ -77,8 +81,7 @@ class Family:
 
     def initial_matrix(self, weights):
         """The initial point mu0 = sum_k xi_k h_k as a working-basis matrix."""
-        c = np.asarray(weights, dtype=float) @ self.dual_weights
-        return self.weight_matrix(c)
+        return self.weight_matrix(self.initial_coords(weights))
 
     def initial_coords(self, weights):
         return np.asarray(weights, dtype=float) @ self.dual_weights
@@ -92,6 +95,11 @@ class Family:
     @property
     def chart_dim(self) -> int:
         return len(self.positive_roots)
+
+    @property
+    def simple_roots(self) -> list:
+        """The simple roots: coordinates run by root height, these first."""
+        return self.positive_roots[: self.rank]
 
     def chart_split(self, coords):
         """Split-basis matrices for a batch of chart coordinates (N, dim)."""
@@ -142,25 +150,34 @@ class Family:
 
     # --- cycles and potentials ---------------------------------------------
 
-    def cycle_chart(self, k: int, t):
-        """Split chart exp(t x_k) of the k-th simple-root two-cycle at t."""
-        x = self.cycle_generators()[k]
-        t = np.asarray(t, dtype=complex)
-        out = np.broadcast_to(np.eye(self.slots, dtype=complex),
-                              t.shape + (self.slots, self.slots)).copy()
-        term = np.eye(self.slots, dtype=complex)
-        tk = np.ones_like(t)
-        for p in range(1, self.slots):
-            term = term @ x / p
-            if not term.any():
-                break
-            tk = tk * t
-            out += tk[..., None, None] * term
-        return out
+    @property
+    def lowering_generators(self) -> np.ndarray:
+        """x_b = dz/dz_b at the origin, one per positive root (dim, s, s).
 
-    def cycle_generators(self):
-        """Calibrated lowering generators, one per simple root."""
-        raise NotImplementedError
+        The chart Jacobian is exact (see ``chart_jacobian``), so these are
+        the root vectors of the chart's own normalization; read-only.
+        """
+        x = self.__dict__.get("_lowering_generators")
+        if x is None:
+            x = self.chart_jacobian(np.zeros(self.chart_dim))[1][0]
+            x.setflags(write=False)
+            self.__dict__["_lowering_generators"] = x
+        return x
+
+    def cycle_generators(self) -> np.ndarray:
+        """Lowering generators x_k of the simple roots, one per cycle."""
+        return self.lowering_generators[: self.rank]
+
+    def cycle_chart(self, k: int, t):
+        """Split chart of the k-th simple-root two-cycle at t, any shape.
+
+        The chart with coordinate k set to t and the others zero; it is
+        exp(t x_k), so dz/dt = z x_k.
+        """
+        t = np.asarray(t, dtype=complex)
+        coords = np.zeros((t.size, self.chart_dim), dtype=complex)
+        coords[:, k] = t.ravel()
+        return self.chart_split(coords).reshape(t.shape + (self.slots,) * 2)
 
     def log_a(self, z_split):
         """log of the Iwasawa A-diagonal for a batch of split matrices."""
@@ -261,26 +278,14 @@ class SUFamily(Family):
         self.slots = n
         self.pairing_scale = 1.0
 
-        def e(i):
-            v = np.zeros(n)
-            v[i] = 1.0
-            return v
-
-        simple = [RootInfo(tuple(e(k) - e(k + 1)), f"e{k + 1}-e{k + 2}")
-                  for k in range(n - 1)]
-        others = []
-        # level order: subdiagonal distance 1 first, then 2, ...
-        positions = []
-        for lvl in range(1, n):
-            for i in range(n - lvl):
-                positions.append((i + lvl, i))       # matrix position (row, col)
-        for (r, c) in positions[n - 1:]:
-            others.append(RootInfo(tuple(e(c) - e(r)), f"e{c + 1}-e{r + 1}"))
-        self.simple_roots = simple
-        self.positive_roots = simple + others
+        # level order: subdiagonal distance 1 first, then 2, ...; the
+        # entry (r, c) is the coordinate of e_c - e_r
+        positions = [(i + lvl, i) for lvl in range(1, n) for i in range(n - lvl)]
+        e = np.eye(n)
+        self.positive_roots = [RootInfo(tuple(e[c] - e[r]), f"e{c + 1}-e{r + 1}")
+                               for r, c in positions]
         self._positions = positions
         self._rows, self._cols = np.array(positions).T
-        self.slot_weights = np.eye(n)
         # dual basis: fundamental weight vectors
         dual = np.zeros((n - 1, n))
         for k in range(1, n):
@@ -311,14 +316,6 @@ class SUFamily(Family):
 
     def coords_from_zeta_split(self, zeta):
         return np.array([zeta[r, c] for (r, c) in self._positions])
-
-    def cycle_generators(self):
-        gens = []
-        for k in range(self.rank):
-            x = np.zeros((self.n, self.n), dtype=complex)
-            x[k + 1, k] = 1.0
-            gens.append(x)
-        return gens
 
     # torus ------------------------------------------------------------------
 
@@ -399,23 +396,11 @@ class SpFamily(Family):
         self.slots = s = 2 * n
         self.pairing_scale = -0.5
 
-        def e(i):
-            v = np.zeros(n)
-            v[i] = 1.0
-            return v
-
-        simple = [RootInfo(tuple(e(k) - e(k + 1)), f"e{k + 1}-e{k + 2}")
-                  for k in range(n - 1)]
-        simple.append(RootInfo(tuple(2 * e(n - 1)), f"2e{n}"))
-        w = np.zeros((s, n))
-        for k in range(n):
-            w[k, k] = 1.0
-            w[s - 1 - k, k] = -1.0
-        self.slot_weights = w
+        # slot weights (e_1..e_n, -e_n..-e_1)
+        w = np.concatenate([np.eye(n), -np.eye(n)[::-1]])
         # entries (r, c) of M, level r - c: the root is w[c] - w[r]
         positions = [(c + lvl, c) for lvl in range(1, s)
                      for c in range(min(n, s - lvl)) if 2 * c + lvl < s]
-        self.simple_roots = simple
         self.positive_roots = [RootInfo(tuple(w[c] - w[r]), _sp_label(c, r, n))
                                for r, c in positions]
         self._rows, self._cols = np.array(positions).T
@@ -490,38 +475,6 @@ class SpFamily(Family):
         jp[n - 1, 1] = jp[n - 2, 0] = u10
         return np.concatenate([zeta[:n, :n], jp])[self._rows, self._cols]
 
-    def cycle_generators(self):
-        gens = []
-        n = self.n
-        for k in range(n - 1):   # short simple roots e_k - e_{k+1}
-            x = np.zeros((2 * n, 2 * n), dtype=complex)
-            x[k + 1, k] = 1.0
-            x[2 * n - 1 - k, 2 * n - 2 - k] = 1.0
-            x = self._sp_project(x, (k + 1, k))
-            gens.append(x)
-        x = np.zeros((2 * n, 2 * n), dtype=complex)
-        x[n, n - 1] = 1.0        # long root 2e_n
-        gens.append(x)
-        return gens
-
-    def _sp_project(self, x, lead):
-        """Fix the mirror coefficient so that x^T Omega + Omega x = 0."""
-        om = self._omega
-        n = self.n
-        (r, c) = lead
-        x = x.copy()
-        x[2 * n - 1 - c, 2 * n - 1 - r] = 0.0
-        base = np.zeros_like(x)
-        base[r, c] = 1.0
-        mirror = np.zeros_like(x)
-        mirror[2 * n - 1 - c, 2 * n - 1 - r] = 1.0
-        c0 = base.T @ om + om @ base
-        c1 = mirror.T @ om + om @ mirror
-        nz = np.argwhere(np.abs(c1) > 0.5)
-        i, j = nz[0]
-        sigma = -c0[i, j] / c1[i, j]
-        return base + sigma * mirror
-
     # torus ---------------------------------------------------------------------
 
     def torus_coords(self, d_diag):
@@ -588,9 +541,7 @@ class SOFamily(Family):
         self.pairing_scale = -0.5
 
         if n == 3:
-            self.simple_roots = [RootInfo((1.0,), "e1")]
-            self.positive_roots = list(self.simple_roots)
-            self.slot_weights = np.array([[1.0], [0.0], [-1.0]])
+            self.positive_roots = [RootInfo((1.0,), "e1")]
             self.dual_weights = np.array([[1.0]])
             t = np.zeros((3, 3), dtype=complex)
             rt = 1.0 / np.sqrt(2.0)
@@ -599,11 +550,8 @@ class SOFamily(Family):
             t[:, 2] = [rt, 1j * rt, 0.0]      # u_1
             self._t = t
         else:
-            self.simple_roots = [RootInfo((1.0, -1.0), "e1-e2"),
-                                 RootInfo((1.0, 1.0), "e1+e2")]
-            self.positive_roots = list(self.simple_roots)
-            self.slot_weights = np.array([[1.0, 0.0], [0.0, 1.0],
-                                          [0.0, -1.0], [-1.0, 0.0]])
+            self.positive_roots = [RootInfo((1.0, -1.0), "e1-e2"),
+                                   RootInfo((1.0, 1.0), "e1+e2")]
             self.dual_weights = np.array([[0.5, -0.5], [0.5, 0.5]])
             t = np.zeros((4, 4), dtype=complex)
             rt = 1.0 / np.sqrt(2.0)
@@ -661,20 +609,6 @@ class SOFamily(Family):
         if self.n == 3:
             return np.array([zeta[1, 0] / np.sqrt(2.0)])
         return np.array([zeta[1, 0], zeta[2, 0]])
-
-    def cycle_generators(self):
-        if self.n == 3:
-            x = np.zeros((3, 3), dtype=complex)
-            x[1, 0] = np.sqrt(2.0)
-            x[2, 1] = -np.sqrt(2.0)
-            return [x]
-        x1 = np.zeros((4, 4), dtype=complex)
-        x1[1, 0] = 1.0
-        x1[3, 2] = -1.0
-        x2 = np.zeros((4, 4), dtype=complex)
-        x2[2, 0] = 1.0
-        x2[3, 1] = -1.0
-        return [x1, x2]
 
     # torus -------------------------------------------------------------------
 

@@ -88,6 +88,12 @@ def _check(name, value, tol):
             "pass": bool(value < tol)}
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"--{flag} needs at least 1, got {value}")
+    return value
+
+
 def _get_point(args, spec):
     return initial_point(spec, _parse_weights(args.weights))
 
@@ -251,7 +257,7 @@ def cmd_betti(args, spec, report):
 
 
 def cmd_pairing(args, spec, report):
-    order = args.order
+    order = _at_least_one("order", args.order)
     m = cohomology.pairing_matrix(spec, order=order)
     dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
     report["results"].append({
@@ -268,10 +274,11 @@ def cmd_pairing(args, spec, report):
 
 
 def cmd_verify(args, spec, report):
+    npts = _at_least_one("points", args.points)
+    order = _at_least_one("order", args.order)
     point = _get_point(args, spec)
     rng = np.random.default_rng(args.seed)
     checks = []
-    npts = args.points
     ref = spec.adapter.spectrum(point.matrix)
 
     def draw():
@@ -324,7 +331,7 @@ def cmd_verify(args, spec, report):
     checks.append({"name": "betti_sum", "residual": abs(bv.total - expected),
                    "tol": 0, "pass": bv.total == expected})
 
-    m = cohomology.pairing_matrix(spec, order=args.order)
+    m = cohomology.pairing_matrix(spec, order=order)
     dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
     checks.append(_check("pairing_identity", dev, 1e-6))
 

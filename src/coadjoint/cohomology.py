@@ -132,17 +132,9 @@ class BasisTwoForm:
 
 
 def basis_cycles(spec: GroupSpec) -> list:
-    """One two-cycle per simple root, along the matching chart coordinate."""
-    fam = spec.adapter
-    coeff = fam.simple_root_coefficients
-    unit = np.eye(fam.rank, dtype=int)
-    cycles = []
-    for k, info in enumerate(fam.simple_roots):
-        # alpha_k is the positive root whose coefficient row is the unit e_k
-        ci = int(np.flatnonzero((coeff == unit[k]).all(axis=1))[0])
-        cycles.append(TwoCycle(spec=spec, index=k, root_label=info.label,
-                               coord_index=ci))
-    return cycles
+    """One two-cycle per simple root, along its chart coordinate k."""
+    return [TwoCycle(spec=spec, index=k, root_label=info.label, coord_index=k)
+            for k, info in enumerate(spec.adapter.simple_roots)]
 
 
 def basis_two_forms(spec: GroupSpec) -> list:

@@ -81,37 +81,17 @@ class RootDatum:
     bilinear_form_scale: float
 
 
-def _root_vector_minus(fam: Family, beta: np.ndarray) -> np.ndarray:
-    """Lowering generator of root ``beta`` in the split realization."""
-    w = fam.slot_weights
-    s = fam.slots
-    positions = [(p, q) for p in range(s) for q in range(s)
-                 if p != q and np.allclose(w[p] - w[q], -beta)]
-    if not positions:
-        raise ValueError(f"no root space for {beta}")
-    lead = min(positions)
-    x = np.zeros((s, s), dtype=complex)
-    x[lead] = 1.0
-    if len(positions) == 1:
-        return x
-    mirror = [pq for pq in positions if pq != lead][0]
-    if fam.family == "sp":
-        return fam._sp_project(x + 0.0, lead)
-    if fam.family == "so":
-        x[mirror] = -1.0
-        return x
-    return x
-
-
 def root_datum(spec: GroupSpec) -> RootDatum:
-    """Root system data for the group: matrices, vectors, Cartan elements."""
+    """Root system data for the group: matrices, vectors, Cartan elements.
+
+    The lowering vector X_{-beta} is the chart's generator dz/dz_beta at the
+    origin, scaled so that its first nonzero entry (row-major) is 1.
+    """
     fam = spec.adapter
-    simple_m, plus, minus, cartan, pos_m = [], [], [], [], []
-    for info in fam.simple_roots:
-        simple_m.append(fam.root_matrix(info.as_array()))
-    for info in fam.positive_roots:
+    plus, minus, cartan, pos_m = [], [], [], []
+    for info, x in zip(fam.positive_roots, fam.lowering_generators):
         pos_m.append(fam.root_matrix(info.as_array()))
-        xm = _root_vector_minus(fam, info.as_array())
+        xm = x / x.flat[np.flatnonzero(x)[0]]
         xp = fam.working_from_split(xm.conj().T)
         xm = fam.working_from_split(xm)
         plus.append(xp)
@@ -119,7 +99,7 @@ def root_datum(spec: GroupSpec) -> RootDatum:
         cartan.append(xp @ xm - xm @ xp)
     return RootDatum(
         spec=spec,
-        simple_roots=tuple(simple_m),
+        simple_roots=tuple(pos_m[: fam.rank]),
         simple_root_labels=tuple(i.label for i in fam.simple_roots),
         positive_roots=tuple(pos_m),
         positive_root_labels=tuple(i.label for i in fam.positive_roots),

@@ -312,6 +312,76 @@ def product_rule_pairing(spec, order):
 
 
 # ---------------------------------------------------------------------------
+# Root spaces by slot weights and cycle charts by the exponential series: the
+# oracles for the root vectors, cycle generators and cycle charts that the
+# library reads off the chart
+
+
+CHART_GROUPS = ([("su", n) for n in range(2, 7)]
+                + [("sp", n) for n in range(2, 6)] + [("so", 3), ("so", 4)])
+
+
+def slot_weights(fam) -> np.ndarray:
+    """Weights (slots, rankdim) of the split-basis slots of a family.
+
+    SU(n): e_1..e_n. The others: (e_1..e_r, [0,] -e_r..-e_1), r the rank.
+    """
+    if fam.family == "su":
+        return np.eye(fam.n)
+    half = np.eye(fam.rank)
+    mid = np.zeros((fam.slots - 2 * fam.rank, fam.rank))
+    return np.concatenate([half, mid, -half[::-1]])
+
+
+def root_vector_minus(fam, beta) -> np.ndarray:
+    """Split-basis lowering generator of root ``beta`` by a slot-weight search.
+
+    The root space lies in the span of the matrix units (p, q) with slot
+    weights w_p - w_q = -beta. The first of them (row-major) gets coefficient
+    1. A second one, its mirror, gets the coefficient that keeps x in the Lie
+    algebra, x^T Q + Q x = 0 for the invariant form Q of the split basis:
+    Omega for Sp, the index reversal for SO.
+    """
+    w, s = slot_weights(fam), fam.slots
+    positions = [(p, q) for p in range(s) for q in range(s)
+                 if p != q and np.allclose(w[p] - w[q], -np.asarray(beta))]
+    x = np.zeros((s, s), dtype=complex)
+    x[positions[0]] = 1.0
+    if len(positions) > 1:
+        form = fam._omega if fam.family == "sp" else np.eye(s)[::-1]
+        m = np.zeros_like(x)
+        m[positions[1]] = 1.0
+        c0, c1 = x.T @ form + form @ x, m.T @ form + form @ m
+        x[positions[1]] = -np.sum(c0 * c1) / np.sum(c1 * c1)
+    return x
+
+
+def cycle_generator(fam, k) -> np.ndarray:
+    """x_k of simple root k: its root vector in the chart's normalization.
+
+    The SO(3) chart coordinate is the root coordinate over sqrt 2.
+    """
+    x = root_vector_minus(fam, fam.positive_roots[k].as_array())
+    return np.sqrt(2.0) * x if (fam.family, fam.n) == ("so", 3) else x
+
+
+def exp_series(x, t) -> np.ndarray:
+    """exp(t x) for a nilpotent x by its terminating power series, t any shape."""
+    s = x.shape[0]
+    t = np.asarray(t, dtype=complex)
+    out = np.broadcast_to(np.eye(s, dtype=complex), t.shape + (s, s)).copy()
+    term = np.eye(s, dtype=complex)
+    tk = np.ones_like(t)
+    for p in range(1, s):
+        term = term @ x / p
+        if not term.any():
+            break
+        tk = tk * t
+        out += tk[..., None, None] * term
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Gram/Cholesky factorizations of z z*: the oracle for the Householder RQ
 # kernel. They square the condition number of z, so they agree with it only
 # near |z| ~ 1.

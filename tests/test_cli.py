@@ -190,3 +190,21 @@ def test_zero_step_grid_exits_2(capsys, command, group, n, weights, grid):
     assert code == 2
     assert err["error"] == "ValueError"
     assert "-1:1:0,0" in err["message"]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify", "--points", "-3"),
+    ("verify", "--points", "0"),
+    ("verify", "--order", "0"),
+    ("pairing", "--order", "0"),
+])
+def test_nonpositive_count_exits_2(capsys, command, flag, value):
+    # with no point checked, verify used to pass every residual as 0.0
+    code = main([command, "--group", "su", "--n", "3", "--weights", "1,2",
+                 flag, value])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2
+    assert captured.out == ""
+    assert err["error"] == "ValueError"
+    assert f"{flag} needs at least 1, got {value}" in err["message"]

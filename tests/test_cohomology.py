@@ -12,7 +12,7 @@ from coadjoint import MaximalDegenerate, poincare_polynomial
 from coadjoint import cohomology
 from coadjoint._linalg import complex_laplacian, gauss_legendre
 from coadjoint.groups import _poly_divide
-from helpers import fd_complex_laplacian, product_rule_pairing
+from helpers import CHART_GROUPS, fd_complex_laplacian, product_rule_pairing
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -152,6 +152,25 @@ def test_basis_cycles_su2_and_sp2():
     # coordinates run by root height, so the two simple roots come first
     assert cycles[0].coord_index == 0
     assert cycles[1].coord_index == 1
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_basis_cycles_follow_simple_root_coordinates(family, n):
+    # coordinates run by root height, so the simple roots are the first
+    # rank of them and cycle k lies along coordinate k
+    spec = build_group(family, n)
+    fam = spec.adapter
+    simple = [(i.vec, i.label) for i in fam.simple_roots]
+    assert simple == [(i.vec, i.label) for i in fam.positive_roots[:fam.rank]]
+    assert np.array_equal(fam.simple_root_coefficients[:fam.rank],
+                          np.eye(fam.rank, dtype=int))
+    cycles = basis_cycles(spec)
+    assert [c.root_label for c in cycles] == [label for _, label in simple]
+    assert [c.coord_index for c in cycles] == list(range(fam.rank))
+    for k, c in enumerate(cycles):
+        coords = np.zeros(fam.chart_dim, dtype=complex)
+        coords[k] = 0.5 + 0.5j
+        assert c.embedding(0.5 + 0.5j).coords == tuple(coords)
 
 
 def test_pairing_su3_entries():

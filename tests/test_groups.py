@@ -9,7 +9,8 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        poincare_polynomial, root_datum, weyl_group)
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
-from helpers import root_pairing
+from helpers import (CHART_GROUPS, cycle_generator, exp_series, root_pairing,
+                     root_vector_minus)
 
 
 def test_build_group_ranks():
@@ -76,6 +77,34 @@ def test_root_vectors_land_in_compact_form():
                 assert np.max(np.abs(y + y.conj().T)) < 1e-12  # anti-hermitian
                 if family == "so":
                     assert np.max(np.abs(y.imag)) < 1e-12       # real form
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_chart_root_data_match_oracles(family, n):
+    # root vectors, cycle generators and cycle charts are read off the chart;
+    # the oracles are the slot-weight search and exp(t x_k) by its series.
+    # On SO(3) the series rounds sqrt 2 * sqrt 2 / 2 to 1 + 2^-52 where the
+    # chart has the exact -t^2, and dz/dt is read off by a central difference
+    spec = build_group(family, n)
+    fam = spec.adapter
+    for info, xm in zip(fam.positive_roots, root_datum(spec).root_vectors_minus):
+        oracle = root_vector_minus(fam, info.as_array())
+        assert np.array_equal(xm, fam.working_from_split(oracle))
+    t = np.concatenate([np.logspace(-3, 3, 7) * np.exp(1j * np.arange(7)),
+                        [0.0, 1.0, -1e3, 1e3j]])
+    tol = 1e-15 if (family, n) == ("so", 3) else 0.0
+    for k, x in enumerate(fam.cycle_generators()):
+        assert np.array_equal(x, cycle_generator(fam, k))
+        z = fam.cycle_chart(k, t)
+        series = exp_series(cycle_generator(fam, k), t)
+        assert np.all(np.max(np.abs(z - series), axis=(1, 2))
+                      <= tol * np.max(np.abs(series), axis=(1, 2)))
+        # dz/dt = z x_k, which the pairing quadrature differentiates by
+        coords = np.zeros((t.size, fam.chart_dim), dtype=complex)
+        coords[:, k] = t
+        dz = fam.chart_jacobian(coords)[1][:, k]
+        scale = np.maximum(1.0, np.max(np.abs(z @ x), axis=(1, 2)))
+        assert np.all(np.max(np.abs(dz - z @ x), axis=(1, 2)) <= tol * scale)
 
 
 def test_cartan_vectors_are_diagonal_in_split():
