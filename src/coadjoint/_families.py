@@ -139,7 +139,10 @@ class Family:
         return z[:nb], d[:, 0] - d[:, 1]
 
     def coords_from_zeta_split(self, zeta):
-        """Chart coordinates of a split-basis lower-unitriangular element."""
+        """Chart coordinates of a split-basis lower-unitriangular element.
+
+        ``zeta`` may be a stack (..., s, s); the coordinates come last.
+        """
         raise NotImplementedError
 
     def split_from_working(self, g):
@@ -284,7 +287,6 @@ class SUFamily(Family):
         e = np.eye(n)
         self.positive_roots = [RootInfo(tuple(e[c] - e[r]), f"e{c + 1}-e{r + 1}")
                                for r, c in positions]
-        self._positions = positions
         self._rows, self._cols = np.array(positions).T
         # dual basis: fundamental weight vectors
         dual = np.zeros((n - 1, n))
@@ -315,7 +317,7 @@ class SUFamily(Family):
         return z
 
     def coords_from_zeta_split(self, zeta):
-        return np.array([zeta[r, c] for (r, c) in self._positions])
+        return np.asarray(zeta)[..., self._rows, self._cols]
 
     # torus ------------------------------------------------------------------
 
@@ -465,15 +467,26 @@ class SpFamily(Family):
         return z
 
     def coords_from_zeta_split(self, zeta):
-        # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C J D^T J;
-        # U = P + S A^-1 on the Sp(2) corner
+        # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C A^-1;
+        # U = P + S A^-1 on the Sp(2) corner. A and A^-1 are both read from
+        # D: a rounded zeta is not exactly symplectic, and the trailing rows
+        # [C, D] carry the potential, so a chart rebuilt around the A block
+        # instead misses them (Phi by up to 1e-7 near the cell boundary)
         n = self.n
-        jp = zeta[n:, :n] @ zeta[n:, n:].T[::-1, ::-1]
-        x, p11 = zeta[1, 0], jp[n - 2, 1]
-        u10 = jp[n - 1, 1] + 0.5 * x * p11
-        jp[n - 1, 0] += x * u10 - 0.5 * x * x * p11
-        jp[n - 1, 1] = jp[n - 2, 0] = u10
-        return np.concatenate([zeta[:n, :n], jp])[self._rows, self._cols]
+        zeta = np.asarray(zeta)
+        a_inv = np.swapaxes(zeta[..., n:, n:], -1, -2)[..., ::-1, ::-1]
+        # A from A^-1 A = I, row by row: A[i, :i] = -A^-1[i, :i] A[:i, :i]
+        a = a_inv.copy()
+        for i in range(1, n):
+            a[..., i, :i] = -(a_inv[..., i:i + 1, :i]
+                              @ a[..., :i, :i])[..., 0, :]
+        jp = zeta[..., n:, :n] @ a_inv
+        x = a[..., 1, 0]
+        h = 0.5 * x * jp[..., n - 2, 1]
+        u10 = jp[..., n - 1, 1] + h
+        jp[..., n - 1, 0] += x * (u10 - h)
+        jp[..., n - 1, 1] = jp[..., n - 2, 0] = u10
+        return np.concatenate([a, jp], axis=-2)[..., self._rows, self._cols]
 
     # torus ---------------------------------------------------------------------
 
@@ -606,9 +619,10 @@ class SOFamily(Family):
         return z
 
     def coords_from_zeta_split(self, zeta):
+        zeta = np.asarray(zeta)
         if self.n == 3:
-            return np.array([zeta[1, 0] / np.sqrt(2.0)])
-        return np.array([zeta[1, 0], zeta[2, 0]])
+            return zeta[..., 1:2, 0] / np.sqrt(2.0)
+        return zeta[..., 1:3, 0]
 
     # torus -------------------------------------------------------------------
 

@@ -10,7 +10,8 @@ family:
   the Iwasawa N, A and K factors from it, ``Family.log_a`` the A-diagonal
   from its R factor alone.
 * ``ul_decompose``: g = n d zeta with n unit upper triangular, d diagonal,
-  zeta unit lower triangular (Gauss-Bruhat on the open cell).
+  zeta unit lower triangular (Gauss-Bruhat on the open cell), for a whole
+  stack at once, with a mask of the rows on the cell.
 
 ``wirtinger_hessian`` differentiates log det of every trailing minor of
 z z* twice in closed form, from the same factor u (z z* = u u*); the Kahler
@@ -68,35 +69,61 @@ def iwasawa_nak(z: np.ndarray):
     return u / delta[..., None, :], d, (delta / d)[..., :, None] * k
 
 
-def ul_decompose(g: np.ndarray, tol: float = CELL_TOL):
-    """Gauss factorization ``g = n @ diag(d) @ zeta`` on the open Bruhat cell.
+def ul_decompose(g, tol: float = CELL_TOL):
+    """Gauss factorization ``g = n @ diag(d) @ zeta`` of a stack on the open cell.
 
-    ``n`` is unit upper triangular, ``zeta`` unit lower triangular. Raises
-    OutsideCell when a required trailing principal minor (pivot, relative to
-    the matrix norm) is below ``tol``.
+    ``g`` is (N, s, s); returns ``(n, d, zeta, in_cell)`` with ``n`` unit
+    upper triangular, ``zeta`` unit lower triangular, ``d`` (N, s) and the
+    (N,) mask ``in_cell``. Doolittle without pivoting on the index-reversed
+    matrices, one step per column for the whole stack, in place: the
+    multipliers overwrite the eliminated column. A row is outside the cell
+    when a pivot (a ratio of trailing principal minors) has
+    |pivot| < tol * max|g|; its factors are then meaningless. A nan entry
+    does not flag its row, an infinite one makes every finite pivot fail.
+    ``cell_miss`` names the failing pivot of one row.
     """
     a = np.asarray(g, dtype=complex)
-    nn = a.shape[0]
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    w = a[::-1, ::-1].copy()
-    lo = np.eye(nn, dtype=complex)
-    up = np.eye(nn, dtype=complex)
-    dd = np.zeros(nn, dtype=complex)
-    for k in range(nn):
-        piv = w[k, k]
-        if abs(piv) < tol * scale:
-            raise OutsideCell(
-                f"Bruhat pivot {k} has magnitude {abs(piv):.3e}; "
-                "the element misses this cell")
-        dd[k] = piv
-        if k + 1 < nn:
-            lo[k + 1:, k] = w[k + 1:, k] / piv
-            up[k, k + 1:] = w[k, k + 1:] / piv
-            w[k + 1:, k + 1:] -= np.outer(lo[k + 1:, k], w[k, k + 1:])
-    n = lo[::-1, ::-1].copy()
-    zeta = up[::-1, ::-1].copy()
-    d = dd[::-1].copy()
-    return n, d, zeta
+    nb, s = a.shape[0], a.shape[-1]
+    w = a[:, ::-1, ::-1].copy()
+    flat = w.reshape(nb, s * s)
+    scale = np.maximum(np.abs(flat).max(axis=1), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(s - 1):
+            col = w[:, k + 1:, k]
+            col /= w[:, k, k, None]
+            w[:, k + 1:, k + 1:] -= col[:, :, None] * w[:, k, None, k + 1:]
+        # steps after k leave row k and column k alone: the diagonal holds
+        # the pivots, the strict upper triangle the unscaled rows of U
+        dd = flat[:, ::s + 1]
+        lower, upper, eye = _triangles(s)
+        lo = np.where(lower, w, eye)
+        up = np.where(upper, w / dd[:, :, None], eye)
+    in_cell = ~(np.abs(dd) < tol * scale[:, None]).any(axis=1)
+    # contiguous: numpy's elementwise loops for strided input may round
+    # differently (np.log of a reversed view does)
+    return (np.ascontiguousarray(lo[:, ::-1, ::-1]),
+            np.ascontiguousarray(dd[:, ::-1]),
+            np.ascontiguousarray(up[:, ::-1, ::-1]), in_cell)
+
+
+@lru_cache(maxsize=16)
+def _triangles(s: int):
+    """Strict lower and strict upper masks and the identity of size s."""
+    lower = np.tri(s, k=-1, dtype=bool)
+    return lower, lower.T, np.eye(s, dtype=complex)
+
+
+def cell_miss(g, tol: float = CELL_TOL) -> OutsideCell:
+    """The OutsideCell error of one matrix ``g`` off the open cell.
+
+    Names the first pivot of ``ul_decompose`` below tolerance.
+    """
+    g = np.asarray(g, dtype=complex)
+    piv = ul_decompose(g[None], tol)[1][0, ::-1]
+    k = int(np.argmax(np.abs(piv)
+                      < tol * max(float(np.max(np.abs(g))), 1e-300)))
+    return OutsideCell(f"Bruhat pivot {k} has magnitude {abs(piv[k]):.3e}; "
+                       "the element misses this cell")
 
 
 def quaternion_iwasawa(z: QuaternionMatrix):

@@ -2,7 +2,10 @@
 
 The residuals take one point or a whole batch: ``iwasawa_residuals`` gives
 one value per row of an ``iwasawa_batch``, ``spectral_mismatch`` the worst
-row of a stack of spectra.
+row of a stack of spectra. Random inputs come one at a time from a
+generator (``random_chart``, ``haar_su``) or as batches read off a block of
+standard normals (``normal_coords``, ``haar_batch``), which is the same
+stream drawn in bulk.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import numpy as np
 
 from .decompose import chart_point
 from .orbit import required_zero_mask
+from .quaternion import QuaternionMatrix
 
 
 def spectral_mismatch(a, b) -> float:
@@ -26,22 +30,76 @@ def spectral_mismatch(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
+def haar_width(spec) -> int:
+    """Standard normals ``haar_batch`` reads per group element."""
+    fam = spec.adapter
+    # Sp: two complex n x n blocks, (2n)^2 normals
+    return (2 if fam.family == "su" else 1) * fam.slots ** 2
+
+
+def haar_batch(spec, normals) -> np.ndarray:
+    """Haar-ish random compact group elements from standard normals.
+
+    ``normals`` is (N, ``haar_width``); returns the (N, s, s) complex stack in
+    the working realization, one element per row. SU(n): QR of a complex
+    Gaussian, the phases of R moved into Q and det Q divided out (as
+    ``haar_su``). Sp(n): QR of the interleaved image of a quaternionic
+    Gaussian, which stays in that image, read back in the split basis.
+    SO(n): QR of a real Gaussian with det Q = +1.
+    """
+    fam = spec.adapter
+    m = fam.slots // 2 if fam.family == "sp" else fam.slots
+    g = np.asarray(normals, dtype=float).reshape(
+        len(normals), haar_width(spec) // m ** 2, m, m)
+    if fam.family == "su":
+        return _haar_su(g[:, 0] + 1j * g[:, 1])
+    if fam.family == "sp":
+        q, r = np.linalg.qr(QuaternionMatrix(g[:, 0] + 1j * g[:, 1],
+                                             g[:, 2] + 1j * g[:, 3]).embed())
+        dr = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * np.conj(dr / np.abs(dr))[:, None, :]
+        return QuaternionMatrix.from_embedded(q).embed("split")
+    q, r = np.linalg.qr(g[:, 0])
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q.astype(complex)
+
+
+def _haar_su(m):
+    """SU(n) elements from a stack of complex Gaussians."""
+    q, r = np.linalg.qr(m)
+    q = q * np.exp(-1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[
+        ..., None, :]
+    # np.power: the ** operator takes a square root for n = 2, which rounds
+    # differently from the scalar power
+    return q / np.power(np.linalg.det(q), 1.0 / m.shape[-1])[..., None, None]
+
+
 def haar_su(n, rng):
     """Haar-ish random SU(n) element via QR of a complex Gaussian."""
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
-    return q / np.linalg.det(q) ** (1.0 / n)
+    return _haar_su(m)
+
+
+def normal_coords(spec, normals, point=None, scale=1.0) -> np.ndarray:
+    """Chart coordinates scale (x + i y) from standard normals (..., 2 dim).
+
+    The real parts x come first, then the imaginary parts y, as
+    ``random_chart`` draws them. With ``point`` given, the coordinates
+    that vanish on its orbit are set to 0.
+    """
+    dim = spec.adapter.chart_dim
+    normals = np.asarray(normals, dtype=float)
+    z = scale * (normals[..., :dim] + 1j * normals[..., dim:])
+    if point is not None:
+        z[..., required_zero_mask(spec, point)] = 0.0
+    return z
 
 
 def random_chart(spec, rng, scale=1.0, point=None):
     """Random chart point; respects degeneracy of ``point`` when given."""
-    fam = spec.adapter
-    z = scale * (rng.standard_normal(fam.chart_dim)
-                 + 1j * rng.standard_normal(fam.chart_dim))
-    if point is not None:
-        z[required_zero_mask(spec, point)] = 0.0
-    return chart_point(spec, z)
+    normals = rng.standard_normal(2 * spec.adapter.chart_dim)
+    return chart_point(spec, normal_coords(spec, normals, point, scale))
 
 
 def iwasawa_residuals(spec, coords, fac) -> tuple:

@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from . import cohomology, decompose, kahler, orbit
-from .checks import haar_su, iwasawa_residuals, random_chart, spectral_mismatch
+from .checks import (haar_batch, haar_width, iwasawa_residuals, normal_coords,
+                     random_chart, spectral_mismatch)
 from .errors import (AllWeightsZero, DegeneracyViolation,
                      MaximalDegenerate, NumericalBreakdown, OutsideCell,
                      PoleOnChart, QuadratureNotConverged, UnsupportedGroup,
@@ -280,18 +282,12 @@ def cmd_verify(args, spec, report):
     rng = np.random.default_rng(args.seed)
     checks = []
     ref = spec.adapter.spectrum(point.matrix)
-
-    def draw():
-        return random_chart(spec, rng, point=point)
-
-    def stack(charts):
-        return np.array([c.coords for c in charts], dtype=complex).reshape(
-            len(charts), spec.adapter.chart_dim)
+    dim2 = 2 * spec.adapter.chart_dim
 
     def worst(residuals):
         return float(np.max(residuals, initial=0.0))
 
-    coords = stack([draw() for _ in range(npts)])
+    coords = normal_coords(spec, rng.standard_normal((npts, dim2)), point)
     res_mb, res_un = iwasawa_residuals(spec, coords,
                                        decompose.iwasawa_batch(spec, coords))
     mu = orbit.dress_batch(spec, point, coords)
@@ -300,29 +296,24 @@ def cmd_verify(args, spec, report):
     checks.append(_check("isospectrality",
                          spectral_mismatch(np.linalg.eigvals(mu), ref), 1e-10))
 
+    # one row per point, the chart and then g: the stream of per-point draws
+    draws = rng.standard_normal((npts, dim2 + haar_width(spec)))
+    coords = normal_coords(spec, draws[:, :dim2], point)
     if (spec.family, spec.n) == ("su", 3):
-        # draw in the per-point order (chart, g), then check as batches
-        charts, rows, moved, shifts = [], [], [], []
-        for i in range(npts):
-            chart = draw()
-            charts.append(chart)
-            g = haar_su(3, rng)
-            try:
-                zg, shift = kahler.cocycle_shift(spec, point, chart, g)
-            except OutsideCell:
-                continue
-            rows.append(i)
-            moved.append(zg)
-            shifts.append(shift)
-        coords = stack(charts)
         gm = orbit.gell_mann_coordinates(orbit.dress_batch(spec, point, coords))
-        closed = np.array([orbit.su3_closed_form(point, c) for c in charts])
-        worst_cf = worst(np.abs(gm - closed.reshape(gm.shape)))
-        lhs = kahler.potential_batch(spec, point, stack(moved)) \
-            - kahler.potential_batch(spec, point, coords[rows])
-        worst_cov = worst(np.abs(lhs - np.array(shifts)))
-        checks.append(_check("su3_closed_form", worst_cf, 1e-10))
-        checks.append(_check("potential_covariance", worst_cov, 1e-8))
+        # per point: stacked complex products round differently
+        closed = np.array([orbit.su3_closed_form(point,
+                                                 decompose.chart_point(spec, z))
+                           for z in coords])
+        checks.append(_check("su3_closed_form",
+                             worst(np.abs(gm - closed.reshape(gm.shape))),
+                             1e-10))
+    moved, shift, in_cell = kahler.cocycle_shift_batch(
+        spec, point, coords, haar_batch(spec, draws[:, dim2:]))
+    lhs = kahler.potential_batch(spec, point, moved[in_cell]) \
+        - kahler.potential_batch(spec, point, coords[in_cell])
+    checks.append(_check("potential_covariance",
+                         worst(np.abs(lhs - shift[in_cell])), 1e-8))
 
     bv = cohomology.betti(spec, point)
     # ties the polynomial to the group that chart transitions enumerate
@@ -396,8 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report = {
         "config": {
             "command": args.command, "group": args.group, "n": args.n,

@@ -4,9 +4,11 @@ The chart Z of an orbit is parameterized by one holomorphic coordinate per
 positive root. ``iwasawa_batch`` factors the chart representatives of a
 batch (N, chart_dim) of coordinates as z = n a k with one stacked
 Householder QR (``_linalg._rq``), with no Gram matrix z z*; ``iwasawa`` is
-its one-row case. ``gauss_bruhat`` factors a complexified group element as
-g = n d zeta on the open cell. Both work in the split basis, where the
-Borel subgroup is upper triangular, and map back to the working basis with
+its one-row case. ``gauss_bruhat_batch`` factors a stack of complexified
+group elements as g = n d zeta on the open cell with one stacked Doolittle
+elimination (``_linalg.ul_decompose``), and ``gauss_bruhat`` is its one-row
+case. All of them work in the split basis, where the Borel subgroup is
+upper triangular, and map back to the working basis with
 ``working_from_split``: the identity for SU and Sp, a fixed unitary for SO.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import iwasawa_nak, ul_decompose
+from ._linalg import cell_miss, iwasawa_nak, ul_decompose
 from .errors import ZeroTorusEntry
 from .groups import GroupSpec
 
@@ -133,19 +135,62 @@ class BruhatFactors:
         return self.n @ self.d @ self.zeta
 
 
-def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:
-    """Gauss-Bruhat factorization on the open cell.
+def _bruhat_split(spec: GroupSpec, g) -> tuple:
+    """``ul_decompose`` of a working-basis stack in the split basis, the
+    factors of off-cell rows set to nan."""
+    n, d, zeta, in_cell = ul_decompose(spec.adapter.split_from_working(g))
+    if not in_cell.all():
+        for x in (n, d, zeta):
+            x[~in_cell] = np.nan
+    return n, d, zeta, in_cell
 
-    Accepts an element of the complexified group in the working realization
-    (for Sp a 2n x 2n matrix in the split basis). Raises OutsideCell when a
-    required principal minor vanishes, signalling that a chart switch is
-    needed.
+
+def gauss_bruhat_batch(spec: GroupSpec, g) -> tuple:
+    """Gauss-Bruhat factors of a stack (N, s, s) and the mask of the open cell.
+
+    ``g`` holds elements of the complexified group in the working
+    realization (for Sp 2n x 2n matrices in the split basis). Returns
+    ``(factors, in_cell)``: ``factors`` stacked along a first batch axis
+    (``d_split`` an (N, s) array), ``in_cell`` the (N,) bool mask of the rows
+    whose required principal minors do not vanish. Off-cell rows need a
+    chart switch; their factors are nan. The whole stack is one
+    ``ul_decompose`` call.
     """
     fam = spec.adapter
-    n, d, zeta = ul_decompose(fam.split_from_working(g))
+    n, d, zeta, in_cell = _bruhat_split(spec, g)
+    dm = np.zeros_like(n)
+    idx = np.arange(d.shape[-1])
+    dm[:, idx, idx] = d
     to_w = fam.working_from_split
-    return BruhatFactors(n=to_w(n), d=to_w(np.diag(d)), zeta=to_w(zeta),
-                         d_split=tuple(d))
+    return BruhatFactors(n=to_w(n), d=to_w(dm), zeta=to_w(zeta),
+                         d_split=d), in_cell
+
+
+def bruhat_chart(spec: GroupSpec, g) -> tuple:
+    """Chart coordinates of the zeta factors of a stack (N, s, s).
+
+    Returns ``(coords, d_split, in_cell)`` as ``gauss_bruhat_batch`` would
+    give them (nan on off-cell rows), read straight off the split-basis
+    factors: what chart transitions and cocycle shifts need, without n or
+    the working-basis factors.
+    """
+    _, d, zeta, in_cell = _bruhat_split(spec, g)
+    return spec.adapter.coords_from_zeta_split(zeta), d, in_cell
+
+
+def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:
+    """Gauss-Bruhat factorization on the open cell: the one-row
+    ``gauss_bruhat_batch``.
+
+    Raises OutsideCell when a required principal minor vanishes, signalling
+    that a chart switch is needed.
+    """
+    g = np.asarray(g, dtype=complex)
+    fac, in_cell = gauss_bruhat_batch(spec, g[None])
+    if not in_cell[0]:
+        raise cell_miss(spec.adapter.split_from_working(g))
+    return BruhatFactors(n=fac.n[0], d=fac.d[0], zeta=fac.zeta[0],
+                         d_split=tuple(fac.d_split[0]))
 
 
 def torus_coordinates(spec: GroupSpec, d) -> np.ndarray:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import wirtinger_hessian
-from .decompose import ChartPoint, chart_matrix, chart_point, gauss_bruhat
+from ._linalg import cell_miss, wirtinger_hessian
+from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_point
 from .groups import GroupSpec, InitialPoint
-from .orbit import OrbitPoint, required_zero_mask, _zeta_coords
+from .orbit import OrbitPoint, required_zero_mask
 from .quaternion import QuaternionMatrix
 
 # scale of the trace form <X, Y> on the compact algebra; for Sp it refers to
@@ -93,28 +93,50 @@ def kks_pairing(point: OrbitPoint, x, y) -> float:
     return float(scale * np.trace(mu @ (x @ y - y @ x)).real)
 
 
-def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
-                  g) -> tuple:
-    """Transformed coordinates z_g and the potential shift under g.
-
-    Factors z(coords) g = n d zeta; returns the chart point of zeta and
-    shift = ln |chi^xi(d(zg))|^2 for the cocycle torus element (the inverse
-    of the emitted d-factor; this orientation is what makes
-    Phi(z_g) = Phi(z) + shift hold identically). ``g`` is in the working
-    realization; an Sp(n) element may also be given as a QuaternionMatrix.
-    Propagates OutsideCell when the product leaves the cell of this chart.
-    """
+def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
+    """(z g, coords_g, shift, in_cell) of ``cocycle_shift_batch``."""
     fam = spec.adapter
     if isinstance(g, QuaternionMatrix):
         g = g.embed("split")
-    z = chart_matrix(spec, chart)
-    fac = gauss_bruhat(spec, z @ g)
-    coords = _zeta_coords(spec, fac.zeta)
-    zg = chart_point(spec, coords, chart.chart)
-    log_abs = np.log(np.abs(np.asarray(fac.d_split)))
-    weights = np.asarray(point.weights)
-    shift = float(-(weights @ fam.potential_weights) @ log_abs)
-    return zg, shift
+    zg = fam.chart_working(chart_batch(spec, coords)) @ g
+    coords_g, d, in_cell = bruhat_chart(spec, zg)
+    c = -(np.asarray(point.weights) @ fam.potential_weights)
+    # a row vector times c is one dot per row, bitwise the one-row shift;
+    # log |d| @ c rounds differently
+    shift = np.matmul(np.log(np.abs(d))[:, None, :], c)[:, 0]
+    return zg, coords_g, shift, in_cell
+
+
+def cocycle_shift_batch(spec: GroupSpec, point: InitialPoint, coords,
+                        g) -> tuple:
+    """Transformed coordinates and potential shifts for a batch of points.
+
+    ``coords`` is (N, chart_dim); ``g`` one element or a stack (N, s, s) in
+    the working realization (an Sp(n) element may also be a
+    QuaternionMatrix). Factors z(coords) g = n d zeta in one
+    ``bruhat_chart`` call and returns ``(coords_g, shift, in_cell)``: the
+    (N, chart_dim) coordinates of zeta, the (N,) shifts
+    ln |chi^xi(d(zg))|^2 for the cocycle torus element (the inverse of the
+    emitted d-factor; this orientation is what makes
+    Phi(z_g) = Phi(z) + shift hold identically) and the (N,) mask of the
+    rows whose product stays in the cell of this chart. Off-cell rows of
+    ``coords_g`` and ``shift`` are nan.
+    """
+    return _cocycle(spec, point, coords, g)[1:]
+
+
+def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
+                  g) -> tuple:
+    """Transformed chart point z_g and the potential shift under g.
+
+    The one-row ``cocycle_shift_batch``. Raises OutsideCell when the product
+    leaves the cell of this chart.
+    """
+    zg, coords_g, shift, in_cell = _cocycle(spec, point, chart.array()[None],
+                                            g)
+    if not in_cell[0]:
+        raise cell_miss(spec.adapter.split_from_working(zg[0]))
+    return chart_point(spec, coords_g[0], chart.chart), float(shift[0])
 
 
 def integrality_check(spec: GroupSpec, point: InitialPoint):

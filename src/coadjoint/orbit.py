@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decompose import ChartPoint, _nak, chart_batch, chart_matrix, \
-    chart_point, gauss_bruhat
-from .errors import DegeneracyViolation, MaximalDegenerate, OutsideCell, \
-    PoleOnChart
+from ._linalg import cell_miss
+from .decompose import ChartPoint, _nak, bruhat_chart, chart_batch, \
+    chart_matrix, chart_point
+from .errors import DegeneracyViolation, MaximalDegenerate, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
     parabolic_roots, poincare_polynomial, reject_zero_orbit, weyl_group
 
@@ -173,21 +173,20 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     """Coordinates of the same orbit point on the w-translated chart.
 
     ``w`` is a WeylElement or a word (tuple of simple-reflection indices).
-    Computed by Gauss-Bruhat factorization of z(coords) w; raises
-    PoleOnChart where the target cell misses the point.
+    Computed by the Gauss-Bruhat factorization of z(coords) w, a one-row
+    ``bruhat_chart``; raises PoleOnChart where the target cell misses the
+    point.
     """
     wg = weyl_group(spec)
     el = w if isinstance(w, WeylElement) else wg.element_by_word(tuple(w))
-    z = chart_matrix(spec, chart)
-    m = z @ el.matrix
-    try:
-        fac = gauss_bruhat(spec, m)
-    except OutsideCell as exc:
+    m = chart_matrix(spec, chart) @ el.matrix
+    coords, _, in_cell = bruhat_chart(spec, m[None])
+    if not in_cell[0]:
+        exc = cell_miss(spec.adapter.split_from_working(m))
         raise PoleOnChart(f"transition by word {el.word} undefined "
                           f"at this point: {exc}") from exc
-    coords = _zeta_coords(spec, fac.zeta)
     new_word = wg.element_by_word(tuple(chart.chart) + el.word).word
-    return chart_point(spec, coords, new_word)
+    return chart_point(spec, coords[0], new_word)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 
 from coadjoint import decompose, kahler, orbit
-from coadjoint._linalg import complex_laplacian, gauss_legendre
+from coadjoint._linalg import CELL_TOL, complex_laplacian, gauss_legendre
 from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa: F401
                               spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
@@ -34,6 +34,15 @@ def haar_sp(n, rng) -> QuaternionMatrix:
     q, r = np.linalg.qr(QuaternionMatrix(cplx(), cplx()).embed())
     q = q * np.conj(np.diag(r) / np.abs(np.diag(r)))[None, :]
     return QuaternionMatrix.from_embedded(q)
+
+
+def haar_so(n, rng) -> np.ndarray:
+    """Haar-random SO(n) element: QR of a real Gaussian with det Q = +1."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))[None, :]
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q.astype(complex)
 
 
 def identity_like(spec, x):
@@ -449,6 +458,42 @@ def quaternion_udu(m: QuaternionMatrix):
 
 
 # ---------------------------------------------------------------------------
+# Per-point Doolittle elimination: the oracle for the stacked Gauss-Bruhat
+# kernel
+
+
+def doolittle_ul(g, tol: float = CELL_TOL):
+    """Gauss factorization ``g = n @ diag(d) @ zeta`` of one matrix.
+
+    ``n`` is unit upper triangular, ``zeta`` unit lower triangular. Raises
+    OutsideCell when a required trailing principal minor (pivot, relative to
+    the matrix norm) is below ``tol``.
+    """
+    a = np.asarray(g, dtype=complex)
+    nn = a.shape[0]
+    scale = max(float(np.max(np.abs(a))), 1e-300)
+    w = a[::-1, ::-1].copy()
+    lo = np.eye(nn, dtype=complex)
+    up = np.eye(nn, dtype=complex)
+    dd = np.zeros(nn, dtype=complex)
+    for k in range(nn):
+        piv = w[k, k]
+        if abs(piv) < tol * scale:
+            raise OutsideCell(
+                f"Bruhat pivot {k} has magnitude {abs(piv):.3e}; "
+                "the element misses this cell")
+        dd[k] = piv
+        if k + 1 < nn:
+            lo[k + 1:, k] = w[k + 1:, k] / piv
+            up[k, k + 1:] = w[k, k + 1:] / piv
+            w[k + 1:, k + 1:] -= np.outer(lo[k + 1:, k], w[k, k + 1:])
+    n = lo[::-1, ::-1].copy()
+    zeta = up[::-1, ::-1].copy()
+    d = dd[::-1].copy()
+    return n, d, zeta
+
+
+# ---------------------------------------------------------------------------
 # Test-only conventions
 
 
@@ -471,8 +516,8 @@ def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-point CLI loops: the oracles for the batched verify checks and the
-# column-wise grid CSV writer
+# Per-point CLI loops: the oracles for the batched verify checks, the
+# covariance check on every family and the column-wise grid CSV writer
 
 
 def per_point_verify_residuals(spec, point, rng, npts) -> dict:
@@ -517,6 +562,41 @@ def per_point_verify_residuals(spec, point, rng, npts) -> dict:
         out["su3_closed_form"] = worst_cf
         out["potential_covariance"] = worst_cov
     return out
+
+
+def per_point_covariance(spec, point, rng, npts) -> float:
+    """Worst |Phi(z_g) - Phi(z) - shift| of ``verify``, z_g one point at a time.
+
+    Draws as ``verify`` does: ``npts`` chart points for the other point
+    checks, then per point a chart point and a Haar element g of the family
+    (``haar_su``; ``haar_sp`` in the split basis; ``haar_so``). Points whose
+    product z g leaves the cell are skipped. The potentials are taken as two
+    batches, as ``verify`` takes them: a row of ``potential_batch`` may
+    differ in the last bit with the size of its batch.
+    """
+    haar = {"su": lambda: haar_su(spec.n, rng),
+            "sp": lambda: haar_sp(spec.n, rng).embed("split"),
+            "so": lambda: haar_so(spec.n, rng)}[spec.family]
+    for _ in range(npts):
+        random_chart(spec, rng, point=point)
+    charts, moved, shifts = [], [], []
+    for _ in range(npts):
+        chart = random_chart(spec, rng, point=point)
+        g = haar()
+        try:
+            zg, shift = kahler.cocycle_shift(spec, point, chart, g)
+        except OutsideCell:
+            continue
+        charts.append(chart.coords)
+        moved.append(zg.coords)
+        shifts.append(shift)
+    dim = spec.adapter.chart_dim
+
+    def stack(rows):
+        return np.array(rows, dtype=complex).reshape(len(rows), dim)
+    lhs = potential_batch(spec, point, stack(moved)) \
+        - potential_batch(spec, point, stack(charts))
+    return float(np.max(np.abs(lhs - np.array(shifts)), initial=0.0))
 
 
 def row_grid_csv(pts, columns: dict) -> str:

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +214,54 @@ def test_nonpositive_count_exits_2(capsys, command, flag, value):
     assert captured.out == ""
     assert err["error"] == "ValueError"
     assert f"{flag} needs at least 1, got {value}" in err["message"]
+
+
+# one process, many calls: flags of one call must not reach the next
+SEQUENCE = [
+    ["verify", "--group", "su", "--n", "3", "--weights", "1,2", "--seed", "3",
+     "--points", "5", "--order", "8", "--tol", "1e-3"],
+    ["classify", "--group", "sp", "--n", "2", "--weights", "1,0"],
+    ["dress", "--group", "so", "--n", "4", "--weights", "1,2",
+     "--z", "0.3,0.1;-0.2,0.4"],
+    ["potential", "--group", "su", "--n", "2", "--weights", "1",
+     "--grid=-1:1:3,0", "--out", "csv"],
+    ["verify", "--group", "sp", "--n", "2", "--weights", "1,1",
+     "--points", "0"],
+    ["verify", "--group", "so", "--n", "4", "--weights", "1,1", "--seed", "7",
+     "--points", "6", "--order", "8"],
+    ["classify", "--group", "xx", "--n", "3", "--weights", "1,1"],
+    ["decompose", "--help"],
+    ["metric", "--group", "su", "--n", "3", "--weights", "1,1", "--seed", "7"],
+]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse: --help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch):
+    # the parser is built once per process; each report must still equal
+    # the one a fresh process writes, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "100")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    procs = [subprocess.Popen([sys.executable, "-m", "coadjoint.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env)
+             for argv in SEQUENCE]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate()
+        fresh.append((proc.returncode, out, err))
+    # forwards, then backwards: every call follows a different one
+    order = list(range(len(SEQUENCE))) + list(range(len(SEQUENCE)))[::-1]
+    for i in order:
+        assert _in_process(SEQUENCE[i]) == fresh[i], SEQUENCE[i]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from coadjoint._families import get_family
-from coadjoint._linalg import iwasawa_nak, wirtinger_hessian
-from coadjoint.errors import NumericalBreakdown
-from helpers import cholesky_upper, fd_wirtinger_hessian, udu_factor
+from coadjoint._linalg import cell_miss, iwasawa_nak, ul_decompose, \
+    wirtinger_hessian
+from coadjoint.errors import NumericalBreakdown, OutsideCell
+from helpers import cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
+    udu_factor
 
 
 def _gram_batch(rng, batch, s):
@@ -72,3 +74,83 @@ def test_wirtinger_hessian_matches_fd_log_det():
         oracle = fd_wirtinger_hessian(log_det, t0)
         assert np.max(np.abs(h[..., j] - oracle)) < 1e-6 * max(
             1.0, np.max(np.abs(oracle)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked Gauss-Bruhat kernel against the per-point Doolittle loop
+
+
+def _complex_stack(rng, batch, s):
+    g = rng.standard_normal((batch, s, s)) + 1j * rng.standard_normal((batch, s, s))
+    # magnitudes from 1e-3 to 1e3, row by row
+    return g * 10.0 ** rng.integers(-3, 4, size=(batch, 1, 1))
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_ul_decompose_rows_equal_doolittle_loop(s):
+    g = _complex_stack(np.random.default_rng(40 + s), 60, s)
+    n, d, zeta, in_cell = ul_decompose(g)
+    assert n.shape == zeta.shape == g.shape and d.shape == (60, s)
+    assert in_cell.all()
+    for i in range(len(g)):
+        n1, d1, zeta1 = doolittle_ul(g[i])
+        assert np.array_equal(n[i], n1)
+        assert np.array_equal(d[i], d1)
+        assert np.array_equal(zeta[i], zeta1)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 8])
+def test_ul_decompose_masks_exactly_the_off_cell_row(s):
+    rng = np.random.default_rng(50 + s)
+    g = _complex_stack(rng, 7, s)
+    g[4] = np.eye(s)[::-1]              # anti-diagonal: its first pivot is 0
+    n, d, zeta, in_cell = ul_decompose(g)
+    assert in_cell.tolist() == [i != 4 for i in range(7)]
+    for i in range(7):
+        if i == 4:
+            with pytest.raises(OutsideCell) as want:
+                doolittle_ul(g[i])
+            assert str(cell_miss(g[i])) == str(want.value)
+            continue
+        n1, d1, zeta1 = doolittle_ul(g[i])
+        assert np.array_equal(n[i], n1) and np.array_equal(d[i], d1)
+        assert np.array_equal(zeta[i], zeta1)
+
+
+@pytest.mark.parametrize("s", [3, 5, 8])
+def test_ul_decompose_flags_a_later_vanishing_pivot(s):
+    # the second pivot of the index-reversed matrix is 6 - 3 * 2 / 1 = 0
+    g = _complex_stack(np.random.default_rng(70 + s), 3, s)
+    g[1, ::-1, ::-1][:2, :2] = [[1.0, 2.0], [3.0, 6.0]]
+    n, d, zeta, in_cell = ul_decompose(g)
+    assert in_cell.tolist() == [True, False, True]
+    with pytest.raises(OutsideCell, match="Bruhat pivot 1 ") as want:
+        doolittle_ul(g[1])
+    assert str(cell_miss(g[1])) == str(want.value)
+
+
+def test_ul_decompose_empty_stack():
+    n, d, zeta, in_cell = ul_decompose(np.zeros((0, 4, 4), dtype=complex))
+    assert n.shape == zeta.shape == (0, 4, 4)
+    assert d.shape == (0, 4) and in_cell.shape == (0,)
+
+
+def test_ul_decompose_non_finite_rows_as_the_loop():
+    # a nan entry is no vanishing pivot, so its row stays in the cell; an
+    # infinite entry makes the scale infinite, so a finite pivot fails. The
+    # mask and the factors follow the per-point loop, and the finite rows
+    # are untouched
+    g = _complex_stack(np.random.default_rng(60), 4, 3)
+    g[2, 0, 1] = np.nan
+    g[3, 2, 2] = np.inf
+    n, d, zeta, in_cell = ul_decompose(g)
+    assert in_cell.tolist() == [True, True, True, False]
+    assert np.isnan(d[2]).any()
+    for i in range(3):
+        with np.errstate(invalid="ignore"):
+            n1, d1, zeta1 = doolittle_ul(g[i])
+        assert np.array_equal(n[i], n1, equal_nan=True)
+        assert np.array_equal(d[i], d1, equal_nan=True)
+        assert np.array_equal(zeta[i], zeta1, equal_nan=True)
+    with pytest.raises(OutsideCell):
+        doolittle_ul(g[3])
