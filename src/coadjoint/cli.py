@@ -68,12 +68,18 @@ def _parse_grid(text: str):
 
 
 def _grid_points(axes):
+    """The grid lattice (*counts, m), coordinate k along axis k, and its
+    points as rows (N, m).
+
+    ``counts[k]`` is coordinate k's re steps times its im steps; the rows
+    run through the lattice in C order.
+    """
     mesh = np.meshgrid(*[v for ax in axes for v in ax], indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    pts = np.empty((flat[0].size, len(axes)), dtype=complex)
+    pts = np.empty(mesh[0].shape + (len(axes),), dtype=complex)
     for k in range(len(axes)):
-        pts[:, k] = flat[2 * k] + 1j * flat[2 * k + 1]
-    return pts
+        pts[..., k] = mesh[2 * k] + 1j * mesh[2 * k + 1]
+    lattice = pts.reshape([re.size * im.size for re, im in axes] + [len(axes)])
+    return lattice, lattice.reshape(-1, len(axes))
 
 
 def _c(z) -> list:
@@ -157,7 +163,7 @@ def cmd_decompose(args, spec, report):
 def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
-        pts = _grid_points(_parse_grid(args.grid))
+        lattice, pts = _grid_points(_parse_grid(args.grid))
         mu = orbit.dress_batch(spec, point, pts)
         if (spec.family, spec.n) == ("su", 3):
             gm = orbit.gell_mann_coordinates(mu)
@@ -171,7 +177,7 @@ def cmd_dress(args, spec, report):
                 cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
         cols["phi"] = kahler.potential_batch(spec, point, pts)
         report["results"].append({"grid_points": int(pts.shape[0])})
-        report["csv"] = _grid_csv(pts, cols)
+        report["grid"] = (lattice, cols)
         return 0
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -195,10 +201,10 @@ def cmd_dress(args, spec, report):
 def cmd_potential(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
-        pts = _grid_points(_parse_grid(args.grid))
+        lattice, pts = _grid_points(_parse_grid(args.grid))
         vals = kahler.potential_batch(spec, point, pts)
         report["results"].append({"grid_points": int(len(vals))})
-        report["csv"] = _grid_csv(pts, {"phi": vals})
+        report["grid"] = (lattice, {"phi": vals})
         return 0
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -211,7 +217,7 @@ def cmd_potential(args, spec, report):
 def cmd_metric(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
-        pts = _grid_points(_parse_grid(args.grid))
+        lattice, pts = _grid_points(_parse_grid(args.grid))
         gs = kahler.metric_batch(spec, point, pts)
         rows = {}
         m = gs.shape[1]
@@ -220,7 +226,7 @@ def cmd_metric(args, spec, report):
                 rows[f"g_{a + 1}{b + 1}_re"] = gs[:, a, b].real
                 rows[f"g_{a + 1}{b + 1}_im"] = gs[:, a, b].imag
         report["results"].append({"grid_points": len(gs)})
-        report["csv"] = _grid_csv(pts, rows)
+        report["grid"] = (lattice, rows)
         return 0
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -334,16 +340,34 @@ def cmd_verify(args, spec, report):
 # ---------------------------------------------------------------------------
 
 
-def _grid_csv(pts, columns: dict) -> str:
-    """CSV of the grid points and one column per entry, written by column."""
-    header, fields = [], []
-    for k in range(pts.shape[1]):
-        header += [f"z{k + 1}_re", f"z{k + 1}_im"]
-        fields += [pts[:, k].real, pts[:, k].imag]
-    header += list(columns)
-    fields += [np.asarray(v, dtype=float) for v in columns.values()]
-    text = [map(repr, f.tolist()) for f in fields]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*text)]
+def _grid_csv(lattice, columns: dict) -> str:
+    """CSV of the grid points and one column per entry, rows in C order.
+
+    ``lattice`` has shape (*counts, m): coordinate k varies along lattice
+    axis k only, except that the last axis carries every remaining
+    coordinate (so a flat (N, m) array is a one-axis lattice). Each
+    distinct coordinate is formatted once, from its value in the lattice
+    (so a signed zero prints as stored), and the row prefixes are built
+    axis by axis; each value column takes one repr per row. The bytes are
+    those of a row-by-row repr writer.
+    """
+    m = lattice.shape[-1]
+    depth = lattice.ndim - 1
+    header = [f"z{k + 1}_{part}" for k in range(m) for part in ("re", "im")]
+    parts = lattice.view(float)     # coordinate k: re, im at 2k, 2k + 1
+    rows = None
+    for axis in range(depth):
+        at = (0,) * axis + (slice(None),) + (0,) * (depth - 1 - axis)
+        stop = axis + 1 if axis < depth - 1 else m
+        # the coordinates this axis carries, one list per lattice step
+        coords = parts[at + (slice(2 * axis, 2 * stop),)].tolist()
+        texts = [",".join(map(repr, v)) for v in coords]
+        rows = texts if rows is None else [f"{p},{t}" for p in rows
+                                           for t in texts]
+    values = [map(repr, np.asarray(v, dtype=float).tolist())
+              for v in columns.values()]
+    lines = [",".join(header + list(columns)),
+             *map(",".join, zip(rows, *values))]
     return "\n".join(lines) + "\n"
 
 
@@ -421,12 +445,13 @@ def main(argv=None) -> int:
             c["pass"] for c in report["residuals"].values())
         if not report["pass"] and code == 0:
             code = 1
-    csv_text = report.pop("csv", None)
-    if args.out == "csv" and csv_text is not None:
-        payload = csv_text
+    grid = report.pop("grid", None)
+    if args.out == "csv" and grid is not None:
+        payload = _grid_csv(*grid)
     else:
-        if csv_text is not None:
-            report["csv_rows"] = csv_text.count("\n") - 1
+        if grid is not None:
+            lattice = grid[0]
+            report["csv_rows"] = lattice.size // lattice.shape[-1]
         payload = json.dumps(report, sort_keys=True,
                              separators=(",", ":")) + "\n"
     if args.output_file:

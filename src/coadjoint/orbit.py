@@ -163,12 +163,6 @@ def su3_transition_closed(word, coords) -> tuple:
     return (z1, z2, z3)
 
 
-def _zeta_coords(spec: GroupSpec, zeta) -> np.ndarray:
-    """Chart coordinates of a lower-unipotent Gauss-Bruhat factor."""
-    fam = spec.adapter
-    return fam.coords_from_zeta_split(fam.split_from_working(zeta))
-
-
 def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     """Coordinates of the same orbit point on the w-translated chart.
 

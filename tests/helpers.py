@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -597,6 +598,17 @@ def per_point_covariance(spec, point, rng, npts) -> float:
     lhs = potential_batch(spec, point, stack(moved)) \
         - potential_batch(spec, point, stack(charts))
     return float(np.max(np.abs(lhs - np.array(shifts)), initial=0.0))
+
+
+def grid_rows(axes) -> np.ndarray:
+    """The points of parsed ``--grid`` axes, built one by one in C order.
+
+    Each coordinate takes re + 1j*im over its (re, im) axis pair, re outer;
+    the rows run through every combination, the last coordinate fastest.
+    """
+    coords = [[re + 1j * im for re in re_axis for im in im_axis]
+              for re_axis, im_axis in axes]
+    return np.array(list(itertools.product(*coords)), dtype=complex)
 
 
 def row_grid_csv(pts, columns: dict) -> str:

@@ -12,12 +12,14 @@ from coadjoint import (DegeneracyViolation, NumericalBreakdown, OutsideCell,
                        build_group, chart_point, cocycle_shift, dress,
                        gauss_bruhat, initial_point, iwasawa)
 from coadjoint.checks import haar_batch, haar_width
-from coadjoint.cli import _grid_csv, main
+from coadjoint import cli
+from coadjoint.cli import _grid_csv, _grid_points, _parse_grid, main
 from coadjoint.decompose import gauss_bruhat_batch, iwasawa_batch
 from coadjoint.kahler import cocycle_shift_batch
 from coadjoint.orbit import GELL_MANN, dress_batch, gell_mann_coordinates
-from helpers import (haar_so, haar_sp, haar_su, per_point_covariance,
-                     per_point_verify_residuals, random_chart, row_grid_csv)
+from helpers import (grid_rows, haar_so, haar_sp, haar_su,
+                     per_point_covariance, per_point_verify_residuals,
+                     random_chart, row_grid_csv)
 
 GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2), ("sp", 3),
           ("so", 3), ("so", 4)]
@@ -248,6 +250,67 @@ def test_column_csv_equals_row_writer_on_edge_values():
             "h_12_im": np.array([0.0, -2.2250738585072014e-308, 123456789.0])}
     assert _grid_csv(pts, cols) == row_grid_csv(pts, cols)
     assert _grid_csv(pts[:1], {}) == row_grid_csv(pts[:1], {})
+
+
+# per coordinate: varying, constant and 1-step axes, repeated values
+# (1:1:3), signed zeros in axes and constants, magnitudes 1e-310 .. 1e300
+LATTICES = ["-0:1:2,-0;0,-0;1:1:3,0.25",
+            "1e-310:1e-300:2,-0.5;1e300,-1:1:1;0.5:0.5:1,-0",
+            "0.1,0.2;0.3,0.4;-0.5,-0.6",
+            "-1:1:3,-1:1:2;-1e300:1e300:2,1e-300;-2:2:5,0",
+            "5e-324,-0:0:2;-0:1:2,-0",
+            "-1:1:4,-0"]
+
+
+@pytest.mark.parametrize("grid", LATTICES)
+def test_lattice_csv_equals_row_writer(grid):
+    lattice, pts = _grid_points(_parse_grid(grid))
+    # bit for bit, signed zeros included
+    want = grid_rows(_parse_grid(grid))
+    assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+    rng = np.random.default_rng(5)
+    n = len(pts)
+    cols = {"phi": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            "g_11_im": np.where(rng.random(n) < 0.5, -0.0, np.nan)}
+    assert _grid_csv(lattice, cols) == row_grid_csv(pts, cols)
+    assert _grid_csv(lattice, {}) == row_grid_csv(pts, {})
+
+
+# chart dimensions: SU(3) 3, Sp(2) 4, SO(4) 2; every grid exits 0 on all
+# three commands (the extremes only where the chart factors them)
+CLI_GRIDS = [
+    ("su", 3, "-0:1:2,-0;0,-0;1:1:3,0.25"),
+    ("su", 3, "1e-310:1e-300:2,-0.5;1e3,-1:1:1;0.5:0.5:1,-0"),
+    ("su", 3, "1e6,1e-310;-0,0:1:2;0.3,0.2"),
+    ("su", 3, "-1:1:3,-1:1:2;0.5,-0.25;-1:1:2,0"),
+    ("sp", 2, "-0:1:2,-0;0.5,0.2;-1:1:3,0;0,0"),
+    ("sp", 2, "1e150,1e-310;0,-0;0,0;1:1:3,0"),
+    ("sp", 2, "1e-310:1:3,1e-310;0,-0;1:1:3,0;0,0"),
+    ("sp", 2, "-1e300:1e300:2,1e-300;0,0;0,0;0,0"),
+    ("sp", 2, "0.1,0.2;0.3,0.4;0.5,0.6;-0.7,-0.8"),
+    ("so", 4, "1e300,0;1e-310:2e-310:2,-0"),
+    ("so", 4, "-0:1:2,-0;0,-0"),
+    ("so", 4, "-1:1:3,-1:1:1;1:1:3,0.5:0.5:1"),
+]
+
+
+@pytest.mark.parametrize("command", ["potential", "metric", "dress"])
+@pytest.mark.parametrize("family,n,grid", CLI_GRIDS)
+def test_cli_grid_csv_equals_row_writer(monkeypatch, capsys, command, family,
+                                        n, grid):
+    # the row writer gets the columns the CLI computed and the grid points
+    # built one by one, so any misplaced field or row shows
+    seen = []
+
+    def spy(lattice, columns):
+        seen.append(columns)
+        return _grid_csv(lattice, columns)
+    monkeypatch.setattr(cli, "_grid_csv", spy)
+    code = main([command, "--group", family, "--n", str(n), "--weights",
+                 "1,2", f"--grid={grid}", "--out", "csv"])
+    assert code == 0
+    want = row_grid_csv(grid_rows(_parse_grid(grid)), seen[0])
+    assert capsys.readouterr().out == want
 
 
 def _dress_grid(capsys, *argv):

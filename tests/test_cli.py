@@ -184,6 +184,41 @@ def test_output_file(tmp_path, capsys):
     assert rep["results"][0]["betti_total"] == 6
 
 
+GRID_REQUESTS = [
+    ["potential", "--group", "sp", "--n", "2", "--weights", "1,2",
+     "--grid=-0:1:2,-0;0.5,0.2;-1:1:3,0;0,0"],
+    ["metric", "--group", "su", "--n", "3", "--weights", "1,2",
+     "--grid=-1:1:3,-1:1:2;0.5,-0.25;1:1:3,0"],
+    ["dress", "--group", "so", "--n", "4", "--weights", "1,2",
+     "--grid=0.1,0.2;-0.3,0.4"],
+]
+
+
+@pytest.mark.parametrize("argv", GRID_REQUESTS)
+def test_json_grid_report_counts_lattice_rows(capsys, argv):
+    size = 1
+    for axis in argv[-1].split("=", 1)[1].replace(";", ",").split(","):
+        size *= int(axis.split(":")[2]) if ":" in axis else 1
+    code, out = run(capsys, *argv, "--out", "csv")
+    assert code == 0
+    data_lines = out.count("\n") - 1
+    code, out = run(capsys, *argv, "--out", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["csv_rows"] == size == data_lines
+    assert rep["results"] == [{"grid_points": size}]
+
+
+@pytest.mark.parametrize("argv", GRID_REQUESTS)
+def test_grid_csv_output_file_equals_stdout(tmp_path, capsys, argv):
+    _, out = run(capsys, *argv, "--out", "csv")
+    path = tmp_path / "grid.csv"
+    code, printed = run(capsys, *argv, "--out", "csv", "--output-file",
+                        str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("command,group,n,weights,grid", [
     ("potential", "su", "2", "1", "-1:1:0,0"),
     ("metric", "su", "2", "1", "-1:1:0,0"),

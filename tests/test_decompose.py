@@ -5,6 +5,7 @@ from coadjoint import (OutsideCell, ZeroTorusEntry, build_group, chart_matrix,
                        chart_point, dress, dressing_matrix, gauss_bruhat,
                        initial_point, iwasawa, torus_character, weyl_group)
 from coadjoint._linalg import quaternion_iwasawa, quaternion_ul
+from coadjoint.decompose import bruhat_chart
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import haar_su, identity_like, mat_max, random_chart
 
@@ -242,13 +243,13 @@ def test_gauss_bruhat_consistency_with_iwasawa():
     # the compact factor of z_g matches k(z) g up to a torus phase, i.e.
     # k(z) g k(z_g)* is diagonal (the identity chain behind the cocycle)
     rng = np.random.default_rng(8)
-    from coadjoint.orbit import _zeta_coords
     for _ in range(20):
         pt = random_chart(SU3, rng)
         g = haar_su(3, rng)
         z = chart_matrix(SU3, pt)
-        fac = gauss_bruhat(SU3, z @ g)
-        zg = chart_point(SU3, _zeta_coords(SU3, fac.zeta))
+        coords, _, in_cell = bruhat_chart(SU3, (z @ g)[None])
+        assert in_cell[0]
+        zg = chart_point(SU3, coords[0])
         k1 = dressing_matrix(SU3, pt)
         k2 = dressing_matrix(SU3, zg)
         t = k1 @ g @ k2.conj().T
