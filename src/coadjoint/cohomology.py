@@ -32,8 +32,8 @@ import numpy as np
 from ._linalg import complex_laplacian, gauss_legendre
 from .decompose import ChartPoint, chart_point
 from .errors import MaximalDegenerate, QuadratureNotConverged
-from .groups import (GroupSpec, InitialPoint, _poly_divide,
-                     classify_initial_point, poincare_polynomial)
+from .groups import (GroupSpec, InitialPoint, poincare_quotient,
+                     reject_zero_orbit)
 from .orbit import FibrationDescription, fibration
 
 
@@ -49,10 +49,12 @@ class BettiVector:
 
 
 def betti(spec: GroupSpec, point: InitialPoint) -> BettiVector:
-    """Betti vector of the orbit through ``point``."""
-    classify_initial_point(spec, point)
-    return BettiVector(b=_poly_divide(poincare_polynomial(spec),
-                                      poincare_polynomial(spec, point.walls)))
+    """Betti vector of the orbit through ``point``.
+
+    Raises AllWeightsZero when the orbit is a point.
+    """
+    reject_zero_orbit(point)
+    return BettiVector(b=poincare_quotient(spec, None, point.walls))
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,11 @@ def leray_hirsch_check(fib: FibrationDescription) -> LerayHirschResult:
     be half the orbit's real dimension, which ``classify_initial_point``
     counts as the positive roots off the walls (``fib.total``).
     """
-    p_w = poincare_polynomial(fib.spec)
-    p_stab = poincare_polynomial(fib.spec, fib.stabilizer_generators)
-    p_k = poincare_polynomial(fib.spec, fib.intermediate_generators)
-    total = _poly_divide(p_w, p_stab)
-    base = _poly_divide(p_w, p_k)
-    fiber = _poly_divide(p_k, p_stab)
+    spec, stab = fib.spec, fib.stabilizer_generators
+    k_gens = fib.intermediate_generators
+    total = poincare_quotient(spec, None, stab)
+    base = poincare_quotient(spec, None, k_gens)
+    fiber = poincare_quotient(spec, k_gens, stab)
     ok = 2 * (len(total) - 1) == fib.total.real_dimension
     return LerayHirschResult(ok=ok, total=total, base=base, fiber=fiber)
 

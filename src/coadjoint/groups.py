@@ -217,6 +217,14 @@ def parabolic_roots(spec: GroupSpec, gens) -> np.ndarray:
     return ~coeff[:, outside].any(axis=1)
 
 
+def _wall_set(spec: GroupSpec, gens):
+    """Canonical key of a generator set: a sorted tuple, None for all of W."""
+    if gens is None:
+        return None
+    gens = tuple(sorted({int(k) for k in gens}))
+    return None if gens == tuple(range(spec.rank)) else gens
+
+
 def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
     """Poincare polynomial of the parabolic subgroup W_J, J = ``gens``.
 
@@ -226,8 +234,24 @@ def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
     Coefficient k counts the elements of length k: P_W(1) = |W|, and the
     degree is the number of positive roots of W_J. P_{G/P_J} = P_W / P_{W_J}
     (Macdonald, Math. Ann. 199 (1972); Humphreys, Reflection Groups and
-    Coxeter Groups, section 3.15).
+    Coxeter Groups, section 3.15). ``gens`` is any iterable of simple
+    reflection indices; the product is formed once per group and set.
     """
+    return _poincare(spec, _wall_set(spec, gens))
+
+
+def poincare_quotient(spec: GroupSpec, gens, sub) -> tuple:
+    """The exact quotient P_{W_J} / P_{W_K}, J = ``gens`` and K = ``sub``.
+
+    Sets are read as in ``poincare_polynomial`` (None for all of W) and
+    each quotient is divided once per group and pair of sets. Raises
+    ValueError when P_{W_K} does not divide P_{W_J}.
+    """
+    return _quotient(spec, _wall_set(spec, gens), _wall_set(spec, sub))
+
+
+@lru_cache(maxsize=256)
+def _poincare(spec: GroupSpec, gens) -> tuple:
     coeff = spec.adapter.simple_root_coefficients
     if gens is not None:
         coeff = coeff[parabolic_roots(spec, gens)]
@@ -236,6 +260,11 @@ def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
         num = _poly_multiply(num, (1,) * (h + 1))
         den = _poly_multiply(den, (1,) * h)
     return _poly_divide(num, den)
+
+
+@lru_cache(maxsize=256)
+def _quotient(spec: GroupSpec, gens, sub) -> tuple:
+    return _poly_divide(_poincare(spec, gens), _poincare(spec, sub))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._linalg import cell_miss, wirtinger_hessian
 from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_point
+from .errors import NumericalBreakdown
 from .groups import GroupSpec, InitialPoint
 from .orbit import OrbitPoint, required_zero_mask
 from .quaternion import QuaternionMatrix
@@ -63,8 +64,10 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     ``minor_weights``; its Hessian comes from the exact chart Jacobian.
     Degenerate orbits restrict to the m active coordinates (those not forced
     to vanish), keeping the tensor positive definite on its actual domain.
-    Raises NumericalBreakdown where ``potential`` does: only for a chart
-    matrix that is singular to working precision.
+    Raises NumericalBreakdown for a chart matrix that is singular to working
+    precision. A row whose chart Jacobian overflows (|z| near 1e300 on
+    SO(4) and Sp) comes back nan, as off-cell rows of
+    ``cocycle_shift_batch`` do; ``metric`` raises there.
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
@@ -75,9 +78,16 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
 
 def metric(spec: GroupSpec, point: InitialPoint,
            chart: ChartPoint) -> KahlerTensor:
-    """The one-point ``metric_batch``, with the active coordinate labels."""
+    """The one-point ``metric_batch``, with the active coordinate labels.
+
+    Raises NumericalBreakdown where the metric is not finite.
+    """
     active = np.flatnonzero(~required_zero_mask(spec, point))
-    g = metric_batch(spec, point, chart.array()[None])[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = metric_batch(spec, point, chart.array()[None])[0]
+    if not np.isfinite(g).all():
+        raise NumericalBreakdown("the metric is not finite at this point: "
+                                 "the chart or its Jacobian overflows")
     labels = tuple(spec.adapter.positive_roots[i].label for i in active)
     return KahlerTensor(g=g, active_indices=tuple(int(i) for i in active),
                         active_labels=labels, base_point=chart)

@@ -13,7 +13,7 @@ from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa:
                               spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
 from coadjoint.errors import NumericalBreakdown, OutsideCell
-from coadjoint.groups import _action_key
+from coadjoint.groups import _action_key, _poly_divide
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
@@ -92,6 +92,23 @@ def _coset_length_counts(wg, sub_gens, within_gens=None) -> tuple:
         counts[min(length_of[k] for k in coset)] += 1
     top = max(counts) if counts else 0
     return tuple(counts.get(i, 0) for i in range(top + 1))
+
+
+def macdonald_polynomial(spec, gens=None) -> tuple:
+    """P_{W_J} by Macdonald's product, formed afresh on every call.
+
+    Each positive root whose simple-root support lies in J (every root when
+    ``gens`` is None) contributes [h + 1]_t / [h]_t, h its height; the two
+    integer products are divided once with ``_poly_divide``.
+    """
+    inside = set(range(spec.rank)) if gens is None else set(gens)
+    num = den = np.ones(1, dtype=np.int64)
+    for row in spec.adapter.simple_root_coefficients:
+        if set(np.flatnonzero(row).tolist()) <= inside:
+            h = int(row.sum())
+            num = np.convolve(num, np.ones(h + 1, dtype=np.int64))
+            den = np.convolve(den, np.ones(h, dtype=np.int64))
+    return _poly_divide(tuple(num.tolist()), tuple(den.tolist()))
 
 
 # ---------------------------------------------------------------------------

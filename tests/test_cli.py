@@ -251,6 +251,22 @@ def test_nonpositive_count_exits_2(capsys, command, flag, value):
     assert f"{flag} needs at least 1, got {value}" in err["message"]
 
 
+@pytest.mark.parametrize("group,n,z", [("so", "4", "1e300,0;1e-310,0"),
+                                       ("sp", "2", "1e300,0;0,0;0,0;0,0")])
+def test_far_metric_breakdown_exits_3(capsys, group, n, z):
+    # the chart Jacobian overflows here: one point is a domain error, with
+    # no NaN tokens on stdout, while a grid through it writes a nan row
+    argv = ["metric", "--group", group, "--n", n, "--weights", "1,2"]
+    code = main(argv + ["--z", z])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NumericalBreakdown"
+    code, out = run(capsys, *argv, f"--grid={z}", "--out", "csv")
+    assert code == 0
+    assert "nan" in out.splitlines()[1]
+
+
 # one process, many calls: flags of one call must not reach the next
 SEQUENCE = [
     ["verify", "--group", "su", "--n", "3", "--weights", "1,2", "--seed", "3",

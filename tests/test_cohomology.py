@@ -8,11 +8,12 @@ from coadjoint import (QuadratureNotConverged, basis_cycles, basis_two_forms,
                        betti, build_group, fibration, initial_point,
                        leray_hirsch, leray_hirsch_check, pairing_integral,
                        pairing_matrix, weyl_group)
-from coadjoint import MaximalDegenerate, poincare_polynomial
+from coadjoint import AllWeightsZero, MaximalDegenerate, poincare_polynomial
 from coadjoint import cohomology
 from coadjoint._linalg import complex_laplacian, gauss_legendre
-from coadjoint.groups import _poly_divide
-from helpers import CHART_GROUPS, fd_complex_laplacian, product_rule_pairing
+from coadjoint.groups import _poly_divide, poincare_quotient
+from helpers import (CHART_GROUPS, fd_complex_laplacian, macdonald_polynomial,
+                     product_rule_pairing)
 
 SU2 = build_group("su", 2)
 SU3 = build_group("su", 3)
@@ -67,6 +68,66 @@ def test_poincare_polynomials_match_weyl_enumeration(family, n):
         assert lh.total == _coset_length_counts(wg, stab)
         assert lh.base == _coset_length_counts(wg, kg)
         assert lh.fiber == _coset_length_counts(wg, stab, within_gens=kg)
+
+
+TOPOLOGY_GROUPS = ([("su", n) for n in range(2, 7)]
+                   + [("sp", n) for n in range(2, 5)] + [("so", 3), ("so", 4)])
+
+
+@pytest.mark.parametrize("family,n", TOPOLOGY_GROUPS)
+def test_cached_poincare_data_equal_fresh_macdonald_products(family, n):
+    # every wall set J and every K inside it, asked twice: the first call
+    # may form the product, the second reads what was kept
+    spec = build_group(family, n)
+    fresh = {j: macdonald_polynomial(spec, j)
+             for k in range(spec.rank + 1)
+             for j in itertools.combinations(range(spec.rank), k)}
+    p_w = macdonald_polynomial(spec)
+    for _ in range(2):
+        assert poincare_polynomial(spec) == p_w
+        for j, p_j in fresh.items():
+            assert poincare_polynomial(spec, j) == p_j
+            assert poincare_quotient(spec, None, j) == _poly_divide(p_w, p_j)
+            for k, p_k in fresh.items():
+                if set(k) <= set(j):
+                    assert poincare_quotient(spec, j, k) == \
+                        _poly_divide(p_j, p_k)
+
+
+@pytest.mark.parametrize("family,n", [("su", 4), ("su", 6), ("sp", 3),
+                                      ("so", 4)])
+def test_poincare_wall_set_forms_share_one_entry(family, n):
+    spec = build_group(family, n)
+    rank = spec.rank
+    j = (0, rank - 1)
+    forms = [[rank - 1, 0], frozenset(j), (rank - 1, 0, rank - 1, 0),
+             np.array([rank - 1, 0])]
+    p_j = poincare_polynomial(spec, j)
+    q_j = poincare_quotient(spec, None, j)
+    for form in forms:
+        assert poincare_polynomial(spec, form) is p_j
+        assert poincare_quotient(spec, None, form) is q_j
+    # None and the full generator set both name W
+    p_w = poincare_polynomial(spec)
+    for full in (tuple(range(rank)), list(range(rank))[::-1],
+                 frozenset(range(rank))):
+        assert poincare_polynomial(spec, full) is p_w
+        assert poincare_quotient(spec, full, j) is q_j
+    assert poincare_quotient(spec, None, ()) is poincare_quotient(
+        spec, range(rank), [])
+    for value in (p_w, p_j, q_j):
+        assert type(value) is tuple
+        assert all(type(c) is int for c in value)
+
+
+def test_poincare_quotient_raises_when_not_exact():
+    with pytest.raises(ValueError):
+        poincare_quotient(SU3, (0,), None)
+
+
+def test_betti_rejects_the_zero_orbit():
+    with pytest.raises(AllWeightsZero):
+        betti(SU3, initial_point(SU3, (0, 0)))
 
 
 def test_poly_divide_is_exact():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coadjoint import (OutsideCell, basis_two_forms, build_group, chart_point,
+from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms, build_group, chart_point,
                        cocycle_shift, dress, initial_point, integrality_check,
                        kks_pairing, metric, metric_batch, potential,
                        potential_batch, weyl_group)
@@ -107,6 +107,30 @@ def test_metric_batch_equals_stacked_metric(family, n):
         rows = np.array([metric(spec, ip, chart_point(spec, c)).g
                          for c in coords])
         assert np.array_equal(metric_batch(spec, ip, coords), rows)
+
+
+# chart points where the SO(4) and Sp(2) chart Jacobians overflow while the
+# potential stays finite
+OVERFLOW_POINTS = [("so", 4, (1, 2), (1e300, 1e-310)),
+                   ("sp", 2, (1, 2), (1e300, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("family,n,weights,z", OVERFLOW_POINTS)
+def test_metric_raises_where_it_overflows(family, n, weights, z):
+    spec = build_group(family, n)
+    ip = initial_point(spec, weights)
+    assert np.isfinite(potential(spec, ip, chart_point(spec, z)))
+    with pytest.raises(NumericalBreakdown):
+        metric(spec, ip, chart_point(spec, z))
+    # the batch keeps its nan row there and finite rows elsewhere
+    near = np.full(len(z), 0.3 - 0.2j)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alone = metric_batch(spec, ip, np.array([z], dtype=complex))
+        mixed = metric_batch(spec, ip, np.array([near, z]))
+    assert np.isnan(alone).any()
+    assert np.array_equal(mixed[1], alone[0], equal_nan=True)
+    assert np.array_equal(mixed[0], metric(spec, ip,
+                                           chart_point(spec, near)).g)
 
 
 @pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
