@@ -25,7 +25,7 @@ from .kahler import (KahlerTensor, cocycle_shift, cocycle_shift_batch,
                      potential, potential_batch)
 from .orbit import (FibrationDescription, OrbitPoint, chart_transition,
                     dress, dress_batch, fibration, su3_closed_form,
-                    su3_transition_closed)
+                    su3_closed_form_batch, su3_transition_closed)
 from .quaternion import Quaternion, QuaternionMatrix
 
 __version__ = "0.1.0"
@@ -47,6 +47,6 @@ __all__ = [
     "kks_pairing", "leray_hirsch", "leray_hirsch_check", "metric",
     "metric_batch", "pairing_integral",
     "pairing_matrix", "poincare_polynomial", "potential", "potential_batch",
-    "root_datum", "su3_closed_form",
+    "root_datum", "su3_closed_form", "su3_closed_form_batch",
     "su3_transition_closed", "torus_character", "weyl_group",
 ]

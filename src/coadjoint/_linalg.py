@@ -108,9 +108,17 @@ def ul_decompose(g, tol: float = CELL_TOL):
 
 @lru_cache(maxsize=16)
 def _triangles(s: int):
-    """Strict lower and strict upper masks and the identity of size s."""
+    """Strict lower and strict upper masks and the identity of size s,
+    cached and read-only."""
     lower = np.tri(s, k=-1, dtype=bool)
-    return lower, lower.T, np.eye(s, dtype=complex)
+    return _read_only(lower, lower.T, np.eye(s, dtype=complex))
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def cell_miss(g, tol: float = CELL_TOL) -> OutsideCell:
@@ -174,10 +182,11 @@ def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
 
 @lru_cache(maxsize=16)
 def _below_mask(s: int):
-    """(s*s, s) indicator of the block {i >= j > k} of (i, k) per j."""
+    """(s*s, s) indicator of the block {i >= j > k} of (i, k) per j, cached
+    and read-only."""
     i, k = np.indices((s, s)).reshape(2, s * s, 1)
     j = np.arange(s)
-    return ((i >= j) & (k < j)).astype(float)
+    return _read_only(((i >= j) & (k < j)).astype(float))[0]
 
 
 def wirtinger_hessian(z, a) -> np.ndarray:
@@ -221,5 +230,5 @@ def complex_laplacian(z, dz) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def gauss_legendre(n: int):
-    """Nodes and weights on [-1, 1], cached."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights on [-1, 1], cached and read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))

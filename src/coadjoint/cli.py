@@ -27,7 +27,7 @@ from .errors import (AllWeightsZero, DegeneracyViolation,
                      PoleOnChart, QuadratureNotConverged, UnsupportedGroup,
                      ZeroTorusEntry)
 from .groups import build_group, classify_initial_point, initial_point, \
-    poincare_polynomial, weyl_group
+    poincare_polynomial, reject_zero_orbit, weyl_group
 
 CONFIG_ERRORS = (UnsupportedGroup, AllWeightsZero, ValueError)
 DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, ZeroTorusEntry,
@@ -285,6 +285,7 @@ def cmd_verify(args, spec, report):
     npts = _at_least_one("points", args.points)
     order = _at_least_one("order", args.order)
     point = _get_point(args, spec)
+    reject_zero_orbit(point)
     rng = np.random.default_rng(args.seed)
     checks = []
     ref = spec.adapter.spectrum(point.matrix)
@@ -294,9 +295,10 @@ def cmd_verify(args, spec, report):
         return float(np.max(residuals, initial=0.0))
 
     coords = normal_coords(spec, rng.standard_normal((npts, dim2)), point)
-    res_mb, res_un = iwasawa_residuals(spec, coords,
-                                       decompose.iwasawa_batch(spec, coords))
-    mu = orbit.dress_batch(spec, point, coords)
+    # one factorization serves the residuals and the dressed points
+    fac = decompose.iwasawa_batch(spec, coords)
+    res_mb, res_un = iwasawa_residuals(spec, coords, fac)
+    mu = orbit.coadjoint_action(point, fac.k)
     checks.append(_check("iwasawa_multiply_back", worst(res_mb), 1e-10))
     checks.append(_check("compactness_kk*", worst(res_un), 1e-10))
     checks.append(_check("isospectrality",
@@ -307,13 +309,9 @@ def cmd_verify(args, spec, report):
     coords = normal_coords(spec, draws[:, :dim2], point)
     if (spec.family, spec.n) == ("su", 3):
         gm = orbit.gell_mann_coordinates(orbit.dress_batch(spec, point, coords))
-        # per point: stacked complex products round differently
-        closed = np.array([orbit.su3_closed_form(point,
-                                                 decompose.chart_point(spec, z))
-                           for z in coords])
         checks.append(_check("su3_closed_form",
-                             worst(np.abs(gm - closed.reshape(gm.shape))),
-                             1e-10))
+                             worst(np.abs(gm - orbit.su3_closed_form_batch(
+                                 point, coords))), 1e-10))
     moved, shift, in_cell = kahler.cocycle_shift_batch(
         spec, point, coords, haar_batch(spec, draws[:, dim2:]))
     lhs = kahler.potential_batch(spec, point, moved[in_cell]) \

@@ -20,12 +20,16 @@ trailing principal minor unchanged. So the phi integral is exactly 2 pi and
 each cycle needs only a one-dimensional Gauss-Legendre rule in theta on the
 real ray: one pass of ``order`` nodes yields the integrals of every basis
 form over it, and the pairing matrix costs rank such passes, linear in
-``order``.
+``order``. The rows depend on neither weights nor seed, so each is
+computed once per process for each group, cycle and order:
+``pairing_matrix``, ``pairing_integral`` and the convergence check read
+the same kept rows, and ``pairing_matrix`` stacks them into a fresh array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,8 +149,13 @@ def basis_two_forms(spec: GroupSpec) -> list:
             for j in range(fam.rank)]
 
 
+@lru_cache(maxsize=256)
 def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
-    """Row int_{gamma_i} omega_j, j = 1..rank, from one pass over the cycle."""
+    """Row int_{gamma_i} omega_j, j = 1..rank, from one pass over the cycle.
+
+    Depends on neither weights nor seed: computed once per process for each
+    group, cycle and order, and read-only.
+    """
     fam = spec.adapter
     xs, ws = gauss_legendre(order)
     theta = (xs + 1.0) * (np.pi / 2.0)
@@ -162,7 +171,9 @@ def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
     jac = rho * (1.0 + rho ** 2) / 2.0
     # omega_j = lap_j d^2 t / pi with d^2 t = jac dtheta dphi; lap_j does
     # not depend on phi, so the phi integral is exactly 2 pi
-    return 2.0 * (wth * jac) @ lap
+    row = 2.0 * (wth * jac) @ lap
+    row.setflags(write=False)
+    return row
 
 
 def _pairing_row(spec: GroupSpec, i: int, order: int,
@@ -204,9 +215,9 @@ def pairing_matrix(spec: GroupSpec, order: int = 128,
 
     Row i comes from one ``order``-node radial pass over gamma_i that
     differentiates every basis potential at once, so the matrix costs rank
-    one-dimensional quadratures, linear in ``order``. With
-    ``check_convergence`` each row is compared with a second rule as in
-    ``pairing_integral``.
+    one-dimensional quadratures, linear in ``order``, paid once per process
+    for each group and order. With ``check_convergence`` each row is
+    compared with a second rule as in ``pairing_integral``.
     """
     return np.array([_pairing_row(spec, cyc.index, order, check_convergence)
                      for cyc in basis_cycles(spec)])

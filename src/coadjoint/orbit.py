@@ -1,11 +1,12 @@
 """Generalized stereographic projection: dressing, transitions, fibrations.
 
 ``dress_batch`` conjugates an initial point by the compact Iwasawa factors
-of a batch of chart representatives, mu = k* mu0 k, landing on the
-(co)adjoint orbit; the batch is one ``iwasawa_batch`` call and ``dress`` is
-its one-row case. Every family dresses through the same complex kernel, Sp
-in the split basis of C^2n. For SU(3), the eight Gell-Mann coordinates
-(over a whole stack at once) and their closed forms are provided;
+of a batch of chart representatives, mu = k* mu0 k (``coadjoint_action``),
+landing on the (co)adjoint orbit; the batch is one ``iwasawa_batch`` call
+and ``dress`` is its one-row case. Every family dresses through the same
+complex kernel, Sp in the split basis of C^2n. For SU(3), the eight
+Gell-Mann coordinates and their closed forms are provided, over a whole
+stack at once or at one point;
 chart transitions are computed numerically through the Gauss-Bruhat
 factorization of z w and, for SU(3), also by the closed-form coordinate
 maps.
@@ -98,7 +99,15 @@ def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
             labels = [spec.adapter.positive_roots[i].label for i in bad]
             raise DegeneracyViolation(f"coordinates along {labels} must "
                                       "vanish on this degenerate orbit")
-    k = _nak(spec, coords)[2]
+    return coadjoint_action(point, _nak(spec, coords)[2])
+
+
+def coadjoint_action(point: InitialPoint, k) -> np.ndarray:
+    """mu = k* mu0 k for a stack (N, s, s) of unitary ``k``.
+
+    With ``k`` the compact factors of an ``iwasawa_batch`` this is
+    ``dress_batch`` of the same coordinates, without a second factorization.
+    """
     return np.conj(np.swapaxes(k, -1, -2)) @ point.matrix @ k
 
 
@@ -117,29 +126,90 @@ def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint
 
 
 def su3_closed_form(point: InitialPoint, chart: ChartPoint) -> np.ndarray:
-    """The eight closed forms of the SU(3) stereographic projection."""
-    spec = point.spec
+    """The eight closed forms of the SU(3) stereographic projection.
+
+    The one-point ``su3_closed_form_batch``, on Python floats.
+    """
+    _require_su3(point.spec)
+    z = chart.coords
+    return _su3_mu(point.weights, [c.real for c in z], [c.imag for c in z])
+
+
+def su3_closed_form_batch(point: InitialPoint, coords) -> np.ndarray:
+    """The closed forms at a batch (N, 3) of chart coordinates, as (N, 8).
+
+    Row for row equal to ``su3_closed_form`` bit for bit.
+    """
+    _require_su3(point.spec)
+    coords = chart_batch(point.spec, coords)
+    return _su3_mu(point.weights, np.ascontiguousarray(coords.real.T),
+                   np.ascontiguousarray(coords.imag.T))
+
+
+def _require_su3(spec: GroupSpec) -> None:
     if (spec.family, spec.n) != ("su", 3):
         raise ValueError("closed forms are available only for SU(3)")
-    xi, eta = point.weights
-    z1, z2, z3 = chart.coords
-    w = z3 - z1 * z2
-    r1sq = 1.0 + abs(z1) ** 2 + abs(w) ** 2
-    r2sq = 1.0 + abs(z2) ** 2 + abs(z3) ** 2
-    ce, cx = eta / r2sq, xi / r1sq
-    zb1, zb2, zb3 = np.conj(z1), np.conj(z2), np.conj(z3)
-    wb = np.conj(w)
-    mu = np.empty(8)
-    mu[0] = (-ce * (zb2 * z3 + z2 * zb3) - cx * (z1 + zb1)).real
-    mu[1] = (1j * ce * (zb2 * z3 - z2 * zb3) + 1j * cx * (z1 - zb1)).real
-    mu[2] = ce * (abs(z2) ** 2 - abs(z3) ** 2) + cx * (1.0 - abs(z1) ** 2)
-    mu[3] = (-ce * (z3 + zb3) - cx * (w + wb)).real
-    mu[4] = (1j * ce * (z3 - zb3) + 1j * cx * (w - wb)).real
-    mu[5] = (-ce * (z2 + zb2) + cx * (zb1 * w + z1 * wb)).real
-    mu[6] = (1j * ce * (z2 - zb2) - 1j * cx * (zb1 * w - z1 * wb)).real
-    mu[7] = (ce * (2.0 - abs(z2) ** 2 - abs(z3) ** 2)
-             + cx * (1.0 + abs(z1) ** 2 - 2.0 * abs(w) ** 2)) / np.sqrt(3.0)
+
+
+def _su3_mu(weights, re, im) -> np.ndarray:
+    """mu_1..mu_8 from the parts of z1, z2, z3: three floats or three arrays.
+
+    The complex arithmetic is written out on (re, im) pairs as Python and
+    numpy complex scalars carry it out, a real factor x taken as x + 0i,
+    so that arrays give the scalar results bit for bit, signed zeros
+    included: numpy's complex-array products and ``np.abs`` round
+    differently. ``np.hypot`` is the modulus of a complex scalar, and
+    ``_square`` squares as a Python float does.
+    """
+    xi, eta = weights
+    z1, z2, z3 = zip(re, im)
+    w = _csub(z3, _cmul(z1, z2))
+    s1, s2, s3, sw = (_square(np.hypot(*z)) for z in (z1, z2, z3, w))
+    ce, cx = eta / (1.0 + s2 + s3), xi / (1.0 + s1 + sw)
+    zb1, zb2, zb3, wb = (_conj(z) for z in (z1, z2, z3, w))
+    mce, rcx = (-ce, 0.0), (cx, 0.0)
+    ice, icx = (_cmul((0.0, 1.0), (c, 0.0)) for c in (ce, cx))
+    p, q = _cmul(zb2, z3), _cmul(z2, zb3)
+    u, v = _cmul(zb1, w), _cmul(z1, wb)
+    mu = np.empty(np.shape(ce) + (8,))
+    mu[..., 0] = _re_cmul(mce, _cadd(p, q)) - _re_cmul(rcx, _cadd(z1, zb1))
+    mu[..., 1] = _re_cmul(ice, _csub(p, q)) + _re_cmul(icx, _csub(z1, zb1))
+    mu[..., 2] = ce * (s2 - s3) + cx * (1.0 - s1)
+    mu[..., 3] = _re_cmul(mce, _cadd(z3, zb3)) - _re_cmul(rcx, _cadd(w, wb))
+    mu[..., 4] = _re_cmul(ice, _csub(z3, zb3)) + _re_cmul(icx, _csub(w, wb))
+    mu[..., 5] = _re_cmul(mce, _cadd(z2, zb2)) + _re_cmul(rcx, _cadd(u, v))
+    mu[..., 6] = _re_cmul(ice, _csub(z2, zb2)) - _re_cmul(icx, _csub(u, v))
+    mu[..., 7] = (ce * (2.0 - s2 - s3)
+                  + cx * (1.0 + s1 - 2.0 * sw)) / np.sqrt(3.0)
     return mu
+
+
+def _square(x):
+    """x ** 2 through C ``pow``, as a Python float squares: numpy squares an
+    array as x * x, which rounds differently on about 0.1% of inputs."""
+    if np.ndim(x):
+        return np.array([v ** 2 for v in x.tolist()])
+    return float(x) ** 2
+
+
+def _re_cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1]
+
+
+def _cmul(a, b):
+    return _re_cmul(a, b), a[0] * b[1] + a[1] * b[0]
+
+
+def _cadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _csub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _conj(a):
+    return a[0], -a[1]
 
 
 # ---------------------------------------------------------------------------

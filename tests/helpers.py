@@ -538,6 +538,40 @@ def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
 # covariance check on every family and the column-wise grid CSV writer
 
 
+# ---------------------------------------------------------------------------
+# SU(3) closed form on complex scalars: the oracle for the stacked one
+
+
+def su3_closed_form_scalar(point, chart) -> np.ndarray:
+    """The eight closed forms of the SU(3) stereographic projection.
+
+    Python and numpy complex scalars, one point; ``orbit.su3_closed_form``
+    and ``su3_closed_form_batch`` must equal it bit for bit.
+    """
+    spec = point.spec
+    if (spec.family, spec.n) != ("su", 3):
+        raise ValueError("closed forms are available only for SU(3)")
+    xi, eta = point.weights
+    z1, z2, z3 = chart.coords
+    w = z3 - z1 * z2
+    r1sq = 1.0 + abs(z1) ** 2 + abs(w) ** 2
+    r2sq = 1.0 + abs(z2) ** 2 + abs(z3) ** 2
+    ce, cx = eta / r2sq, xi / r1sq
+    zb1, zb2, zb3 = np.conj(z1), np.conj(z2), np.conj(z3)
+    wb = np.conj(w)
+    mu = np.empty(8)
+    mu[0] = (-ce * (zb2 * z3 + z2 * zb3) - cx * (z1 + zb1)).real
+    mu[1] = (1j * ce * (zb2 * z3 - z2 * zb3) + 1j * cx * (z1 - zb1)).real
+    mu[2] = ce * (abs(z2) ** 2 - abs(z3) ** 2) + cx * (1.0 - abs(z1) ** 2)
+    mu[3] = (-ce * (z3 + zb3) - cx * (w + wb)).real
+    mu[4] = (1j * ce * (z3 - zb3) + 1j * cx * (w - wb)).real
+    mu[5] = (-ce * (z2 + zb2) + cx * (zb1 * w + z1 * wb)).real
+    mu[6] = (1j * ce * (z2 - zb2) - 1j * cx * (zb1 * w - z1 * wb)).real
+    mu[7] = (ce * (2.0 - abs(z2) ** 2 - abs(z3) ** 2)
+             + cx * (1.0 + abs(z1) ** 2 - 2.0 * abs(w) ** 2)) / np.sqrt(3.0)
+    return mu
+
+
 def per_point_verify_residuals(spec, point, rng, npts) -> dict:
     """Worst residuals of the ``verify`` point checks, one point at a time.
 

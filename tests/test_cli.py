@@ -280,6 +280,11 @@ SEQUENCE = [
      "--points", "0"],
     ["verify", "--group", "so", "--n", "4", "--weights", "1,1", "--seed", "7",
      "--points", "6", "--order", "8"],
+    # these two read the pairing rows an SU(3) report at order 8 kept
+    ["pairing", "--group", "su", "--n", "3", "--weights", "1,2", "--order",
+     "8"],
+    ["verify", "--group", "su", "--n", "3", "--weights", "1,0", "--seed", "5",
+     "--points", "5", "--order", "8"],
     ["classify", "--group", "xx", "--n", "3", "--weights", "1,1"],
     ["decompose", "--help"],
     ["metric", "--group", "su", "--n", "3", "--weights", "1,1", "--seed", "7"],
@@ -297,8 +302,8 @@ def _in_process(argv):
 
 
 def test_repeated_main_calls_match_fresh_processes(monkeypatch):
-    # the parser is built once per process; each report must still equal
-    # the one a fresh process writes, whatever ran before it
+    # the parser and the pairing rows are kept per process; each report
+    # must still equal the one a fresh process writes, whatever ran before it
     monkeypatch.setenv("COLUMNS", "100")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -404,3 +404,47 @@ def test_cycle_integrand_is_torus_invariant_past_the_fold(family, n):
         lap = (complex_laplacian(z, z @ x) @ fam.minor_weights.T) \
             .reshape(len(r), len(phi), -1) * jac[:, None, None]
         assert np.max(np.abs(lap - lap[:, :1])) <= 1e-12 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("family,n", TOPOLOGY_GROUPS)
+def test_kept_pairing_rows_equal_a_fresh_quadrature(family, n):
+    # the rows are kept per process and handed to every caller: they must
+    # be the uncached quadrature's bits and must refuse writes
+    spec = build_group(family, n)
+    fresh_quadrature = cohomology._pairing_quadrature.__wrapped__
+    for order in (8, 16, 128):
+        for i in range(spec.rank):
+            row = cohomology._pairing_quadrature(spec, i, order)
+            fresh = fresh_quadrature(spec, i, order)
+            assert np.array_equal(row.view(np.int64), fresh.view(np.int64))
+            assert cohomology._pairing_quadrature(spec, i, order) is row
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+
+
+@pytest.mark.parametrize("family,n", TOPOLOGY_GROUPS)
+def test_pairing_matrix_is_a_fresh_array_of_the_kept_rows(family, n):
+    spec = build_group(family, n)
+    forms, cycles = basis_two_forms(spec), basis_cycles(spec)
+    for order in (8, 16, 128):
+        m = pairing_matrix(spec, order=order)
+        expected = m.copy()
+        assert m.flags.writeable
+        m[...] = np.nan
+        again = pairing_matrix(spec, order=order)
+        assert np.array_equal(again, expected)
+        for cyc in cycles:
+            for form in forms:
+                assert pairing_integral(form, cyc, order=order,
+                                        check_convergence=False) \
+                    == again[cyc.index, form.index]
+
+
+def test_unconverged_pairing_raises_on_every_call():
+    # the rows are kept, the verdict is not: a warm process still refuses
+    for _ in range(3):
+        with pytest.raises(QuadratureNotConverged):
+            pairing_matrix(SU3, order=4, check_convergence=True)
+        with pytest.raises(QuadratureNotConverged):
+            pairing_integral(basis_two_forms(SU3)[0], basis_cycles(SU3)[0],
+                             order=4)

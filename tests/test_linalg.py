@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coadjoint._families import get_family
-from coadjoint._linalg import cell_miss, iwasawa_nak, ul_decompose, \
-    wirtinger_hessian
+from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
+    gauss_legendre, iwasawa_nak, ul_decompose, wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown, OutsideCell
 from helpers import cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
     udu_factor
@@ -154,3 +154,13 @@ def test_ul_decompose_non_finite_rows_as_the_loop():
         assert np.array_equal(zeta[i], zeta1, equal_nan=True)
     with pytest.raises(OutsideCell):
         doolittle_ul(g[3])
+
+
+def test_cached_kernel_arrays_are_read_only():
+    # each is handed to every later caller in the process: one write would
+    # corrupt every later quadrature or elimination
+    xs, ws = gauss_legendre(8)
+    cached = [xs, ws, *_triangles(3), _below_mask(3)]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0

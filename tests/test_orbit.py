@@ -6,8 +6,9 @@ import pytest
 from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
                        PoleOnChart, build_group, chart_point, chart_transition,
                        dress, fibration, initial_point, su3_closed_form,
-                       su3_transition_closed, weyl_group)
-from helpers import random_chart, spectral_mismatch
+                       su3_closed_form_batch, su3_transition_closed,
+                       weyl_group)
+from helpers import random_chart, spectral_mismatch, su3_closed_form_scalar
 
 SU3 = build_group("su", 3)
 
@@ -35,6 +36,39 @@ def test_su3_closed_form_hand_values():
     assert abs(mu[0] + 1.0) < 1e-14
     assert abs(mu[1]) < 1e-14
     assert abs(mu[2]) < 1e-14
+
+
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (1.0, 0.0), (0.0, 1.0),
+                                     (0.3, 1e-3)])
+def test_su3_closed_form_equals_complex_scalar_oracle_bit_for_bit(weights):
+    # numpy's complex-array products, np.abs and the square x * x each
+    # round differently from the complex scalars on some of these rows;
+    # the real-part formula must not. Every coordinate part is drawn at a
+    # scale from 1e-8 to 1e6, and a third of the parts are set to 0.0 or
+    # -0.0, so many rows hold exact and signed zeros
+    rng = np.random.default_rng(20)
+    n = 2600
+    parts = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-8, 6, (n, 6))
+    zeros = rng.random((n, 6)) < 1 / 3
+    parts[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    coords = parts.view(complex)
+    point = initial_point(SU3, weights)
+    charts = [chart_point(SU3, z) for z in coords]
+    oracle = np.array([su3_closed_form_scalar(point, c) for c in charts])
+    one_row = np.array([su3_closed_form(point, c) for c in charts])
+    stacked = su3_closed_form_batch(point, coords)
+    assert stacked.shape == (n, 8)
+    assert np.array_equal(one_row.view(np.int64), oracle.view(np.int64))
+    assert np.array_equal(stacked.view(np.int64), oracle.view(np.int64))
+
+
+def test_su3_closed_form_batch_rejects_other_groups_and_shapes():
+    with pytest.raises(ValueError, match="only for SU"):
+        su3_closed_form_batch(initial_point(build_group("su", 4), (1, 1, 1)),
+                              np.zeros((2, 6), dtype=complex))
+    with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+        su3_closed_form_batch(initial_point(SU3, (1, 2)),
+                              np.zeros(3, dtype=complex))
 
 
 def test_dress_matches_closed_form():
