@@ -72,14 +72,18 @@ def _grid_points(axes):
     points as rows (N, m).
 
     ``counts[k]`` is coordinate k's re steps times its im steps; the rows
-    run through the lattice in C order.
+    run through the lattice in C order. Each coordinate's values are one
+    table ``re + 1j * im``, re outer, computed once and broadcast along the
+    other axes: the elementwise expression of a point-by-point build, so
+    every bit (signed zeros, nan parts) is the same.
     """
-    mesh = np.meshgrid(*[v for ax in axes for v in ax], indexing="ij")
-    pts = np.empty(mesh[0].shape + (len(axes),), dtype=complex)
-    for k in range(len(axes)):
-        pts[..., k] = mesh[2 * k] + 1j * mesh[2 * k + 1]
-    lattice = pts.reshape([re.size * im.size for re, im in axes] + [len(axes)])
-    return lattice, lattice.reshape(-1, len(axes))
+    m = len(axes)
+    counts = [re.size * im.size for re, im in axes]
+    lattice = np.empty(counts + [m], dtype=complex)
+    for k, (re, im) in enumerate(axes):
+        table = re[:, None] + 1j * im[None, :]
+        lattice[..., k] = table.reshape([1] * k + [-1] + [1] * (m - 1 - k))
+    return lattice, lattice.reshape(-1, m)
 
 
 def _c(z) -> list:
@@ -346,8 +350,10 @@ def _grid_csv(lattice, columns: dict) -> str:
     coordinate (so a flat (N, m) array is a one-axis lattice). Each
     distinct coordinate is formatted once, from its value in the lattice
     (so a signed zero prints as stored), and the row prefixes are built
-    axis by axis; each value column takes one repr per row. The bytes are
-    those of a row-by-row repr writer.
+    axis by axis. The value columns are keyed by their bit patterns, so
+    0.0, -0.0 and each nan stay apart; each distinct pattern takes one repr,
+    shared by every entry that holds it. The bytes are those of a row-by-row
+    repr writer.
     """
     m = lattice.shape[-1]
     depth = lattice.ndim - 1
@@ -362,8 +368,13 @@ def _grid_csv(lattice, columns: dict) -> str:
         texts = [",".join(map(repr, v)) for v in coords]
         rows = texts if rows is None else [f"{p},{t}" for p in rows
                                            for t in texts]
-    values = [map(repr, np.asarray(v, dtype=float).tolist())
-              for v in columns.values()]
+    block = np.array(list(columns.values()), dtype=float)
+    keys, inverse = np.unique(block.view(np.int64).ravel(),
+                              return_inverse=True)
+    distinct = np.array(list(map(repr, keys.view(float).tolist())),
+                        dtype=object)
+    # one flat list of texts per column
+    values = distinct[inverse.reshape(block.shape)].tolist()
     lines = [",".join(header + list(columns)),
              *map(",".join, zip(rows, *values))]
     return "\n".join(lines) + "\n"

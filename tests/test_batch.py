@@ -241,6 +241,24 @@ def test_batched_verify_equals_per_point_oracle(family, n, weights, seed):
         assert got[name] == float(value), name
 
 
+def test_column_csv_equals_row_writer_on_repeated_special_values():
+    # the writer shares one text per bit pattern: 0.0 and -0.0, and each nan
+    # (sign and payload from their int64 bits), must keep their own texts
+    nan_bits = np.array([0x7FF8000000000000, 0x7FF0000000000001,
+                         0x7FF00000DEADBEEF], dtype=np.int64)
+    nans = np.concatenate([nan_bits, nan_bits | np.int64(-2 ** 63)]).view(float)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                               2.2250738585072009e-308, 1.0 / 3.0], nans])
+    base = np.tile(special, 3)
+    cols = {"phi": base, "g_11_re": base[::-1], "g_11_im": np.roll(base, 5),
+            "g_12_re": np.full(base.size, 1.0 / 3.0)}
+    pts = np.full((base.size, 2), 0.5 - 0.25j)
+    assert _grid_csv(pts, cols) == row_grid_csv(pts, cols)
+    for name in cols:
+        one = {name: cols[name]}
+        assert _grid_csv(pts, one) == row_grid_csv(pts, one)
+
+
 def test_column_csv_equals_row_writer_on_edge_values():
     pts = np.array([[-0.0 + 5e-324j, 1e300 - 1e300j],
                     [2.5e-310 - 0.0j, -1e-300 + 0.1j],
@@ -259,7 +277,9 @@ LATTICES = ["-0:1:2,-0;0,-0;1:1:3,0.25",
             "0.1,0.2;0.3,0.4;-0.5,-0.6",
             "-1:1:3,-1:1:2;-1e300:1e300:2,1e-300;-2:2:5,0",
             "5e-324,-0:0:2;-0:1:2,-0",
-            "-1:1:4,-0"]
+            "-1:1:4,-0",
+            "-1:1:2,-1:1:3;0.5:1:2,-1:1:2;-1:0:3,0.25:1:2;1:2:2,-1:1:2",
+            "0.5:0.5:1,-1:1:3;-1:1:2,0.25:0.75:3"]
 
 
 @pytest.mark.parametrize("grid", LATTICES)
@@ -292,10 +312,17 @@ CLI_GRIDS = [
     ("so", 4, "-0:1:2,-0;0,-0"),
     ("so", 4, "-1:1:3,-1:1:1;1:1:3,0.5:0.5:1"),
 ]
+# lattices centred on 0: conjugation and the torus phases map them onto
+# themselves and leave phi unchanged, so value columns repeat
+SYMMETRIC_GRIDS = [
+    ("sp", 2, "-1:1:3,-1:1:3;-1:1:3,-1:1:3;0,0;0,0"),
+    ("su", 3, "-1:1:3,-1:1:3;0.5,-0.25;-1:1:3,-1:1:3"),
+    ("so", 4, "-1.5:1.5:5,-1.5:1.5:5;-1:1:3,0"),
+]
 
 
 @pytest.mark.parametrize("command", ["potential", "metric", "dress"])
-@pytest.mark.parametrize("family,n,grid", CLI_GRIDS)
+@pytest.mark.parametrize("family,n,grid", CLI_GRIDS + SYMMETRIC_GRIDS)
 def test_cli_grid_csv_equals_row_writer(monkeypatch, capsys, command, family,
                                         n, grid):
     # the row writer gets the columns the CLI computed and the grid points
@@ -311,6 +338,9 @@ def test_cli_grid_csv_equals_row_writer(monkeypatch, capsys, command, family,
     assert code == 0
     want = row_grid_csv(grid_rows(_parse_grid(grid)), seen[0])
     assert capsys.readouterr().out == want
+    if (family, n, grid) in SYMMETRIC_GRIDS:
+        bits = np.array(list(seen[0].values())).view(np.int64)
+        assert len(np.unique(bits)) < bits.size
 
 
 def _dress_grid(capsys, *argv):
