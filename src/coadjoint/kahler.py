@@ -30,8 +30,17 @@ KKS_FORM_SCALE = {"su": 1.0, "so": 0.5, "sp": 0.5}
 
 
 def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
-    """Phi at a batch (N, chart_dim) of chart coordinates."""
-    return spec.adapter.chart_potentials(coords) @ np.asarray(point.weights)
+    """Phi at a batch (N, chart_dim) of chart coordinates.
+
+    Phi = log a . c with the weights folded into c = potential_weights.T @
+    weights. A row vector times c is one dot per row, so every row equals
+    the one-point ``potential`` bit for bit, whatever batch it is in; a
+    matrix product (gemm, gemv) rounds differently with the batch size.
+    """
+    fam = spec.adapter
+    c = fam.potential_weights.T @ np.asarray(point.weights)
+    log_a = fam.log_a(fam.chart_split(coords))
+    return np.matmul(log_a[:, None, :], c)[:, 0]
 
 
 def potential(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> float:

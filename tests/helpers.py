@@ -622,16 +622,14 @@ def per_point_covariance(spec, point, rng, npts) -> float:
     Draws as ``verify`` does: ``npts`` chart points for the other point
     checks, then per point a chart point and a Haar element g of the family
     (``haar_su``; ``haar_sp`` in the split basis; ``haar_so``). Points whose
-    product z g leaves the cell are skipped. The potentials are taken as two
-    batches, as ``verify`` takes them: a row of ``potential_batch`` may
-    differ in the last bit with the size of its batch.
+    product z g leaves the cell are skipped.
     """
     haar = {"su": lambda: haar_su(spec.n, rng),
             "sp": lambda: haar_sp(spec.n, rng).embed("split"),
             "so": lambda: haar_so(spec.n, rng)}[spec.family]
     for _ in range(npts):
         random_chart(spec, rng, point=point)
-    charts, moved, shifts = [], [], []
+    worst = 0.0
     for _ in range(npts):
         chart = random_chart(spec, rng, point=point)
         g = haar()
@@ -639,16 +637,10 @@ def per_point_covariance(spec, point, rng, npts) -> float:
             zg, shift = kahler.cocycle_shift(spec, point, chart, g)
         except OutsideCell:
             continue
-        charts.append(chart.coords)
-        moved.append(zg.coords)
-        shifts.append(shift)
-    dim = spec.adapter.chart_dim
-
-    def stack(rows):
-        return np.array(rows, dtype=complex).reshape(len(rows), dim)
-    lhs = potential_batch(spec, point, stack(moved)) \
-        - potential_batch(spec, point, stack(charts))
-    return float(np.max(np.abs(lhs - np.array(shifts)), initial=0.0))
+        lhs = kahler.potential(spec, point, zg) \
+            - kahler.potential(spec, point, chart)
+        worst = max(worst, abs(lhs - shift))
+    return worst
 
 
 def grid_rows(axes) -> np.ndarray:

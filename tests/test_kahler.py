@@ -463,3 +463,19 @@ def test_potential_batch_matches_scalar():
     vals = potential_batch(SU3, ip, pts)
     for row, v in zip(pts, vals):
         assert abs(potential(SU3, ip, chart_point(SU3, row)) - v) < 1e-12
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("su", 5), ("sp", 3),
+                                      ("so", 4)])
+def test_potential_batch_rows_equal_one_point_bitwise(family, n):
+    # a row's Phi does not depend on the batch around it
+    spec = build_group(family, n)
+    ip = initial_point(spec, tuple(float(k + 1) for k in range(spec.rank)))
+    rng = np.random.default_rng(0)
+    dim = spec.adapter.chart_dim
+    pts = rng.standard_normal((200, dim)) + 1j * rng.standard_normal((200, dim))
+    vals = potential_batch(spec, ip, pts)
+    one = np.array([potential(spec, ip, chart_point(spec, row)) for row in pts])
+    assert np.array_equal(vals.view(np.int64), one.view(np.int64))
+    assert np.array_equal(potential_batch(spec, ip, pts[::7]).view(np.int64),
+                          one[::7].view(np.int64))
