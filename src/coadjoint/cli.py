@@ -373,7 +373,6 @@ def _grid_csv(lattice, columns: dict) -> str:
                               return_inverse=True)
     distinct = np.array(list(map(repr, keys.view(float).tolist())),
                         dtype=object)
-    # one flat list of texts per column
     values = distinct[inverse.reshape(block.shape)].tolist()
     lines = [",".join(header + list(columns)),
              *map(",".join, zip(rows, *values))]
