@@ -33,7 +33,7 @@ is exp(t x_k); the base class reads all three off the chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,18 +153,15 @@ class Family:
 
     # --- cycles and potentials ---------------------------------------------
 
-    @property
+    @cached_property
     def lowering_generators(self) -> np.ndarray:
         """x_b = dz/dz_b at the origin, one per positive root (dim, s, s).
 
         The chart Jacobian is exact (see ``chart_jacobian``), so these are
         the root vectors of the chart's own normalization; read-only.
         """
-        x = self.__dict__.get("_lowering_generators")
-        if x is None:
-            x = self.chart_jacobian(np.zeros(self.chart_dim))[1][0]
-            x.setflags(write=False)
-            self.__dict__["_lowering_generators"] = x
+        x = self.chart_jacobian(np.zeros(self.chart_dim))[1][0]
+        x.setflags(write=False)
         return x
 
     def cycle_generators(self) -> np.ndarray:
@@ -186,29 +183,21 @@ class Family:
         """log of the Iwasawa A-diagonal for a batch of split matrices."""
         return np.log(_rq(z_split, r_only=True))
 
-    @property
+    @cached_property
     def potential_weights(self) -> np.ndarray:
         """Rows W_k with Phi_k = W_k . log a; dual to the simple-root cycles."""
-        w = self.__dict__.get("_potential_weights")
-        if w is None:
-            rows = []
-            for k in range(self.rank):
-                z = self.cycle_chart(k, np.array([1.0 + 0.0j]))
-                rows.append(self.log_a(z)[0] / _LN2)
-            v = np.asarray(rows)
-            w = np.linalg.solve(v @ v.T, v)
-            self.__dict__["_potential_weights"] = w
-        return w
+        rows = []
+        for k in range(self.rank):
+            z = self.cycle_chart(k, np.array([1.0 + 0.0j]))
+            rows.append(self.log_a(z)[0] / _LN2)
+        v = np.asarray(rows)
+        return np.linalg.solve(v @ v.T, v)
 
-    @property
+    @cached_property
     def simple_root_coefficients(self) -> np.ndarray:
         """Integer rows c with positive root beta = sum_k c_k alpha_k."""
-        c = self.__dict__.get("_simple_root_coefficients")
-        if c is None:
-            vecs = np.array([info.vec for info in self.positive_roots])
-            c = np.rint(vecs @ self.dual_weights.T).astype(int)
-            self.__dict__["_simple_root_coefficients"] = c
-        return c
+        vecs = np.array([info.vec for info in self.positive_roots])
+        return np.rint(vecs @ self.dual_weights.T).astype(int)
 
     @property
     def minor_weights(self) -> np.ndarray:
@@ -244,17 +233,6 @@ class Family:
     def weyl_generators(self):
         """Matrix representatives of the simple reflections (working basis)."""
         raise NotImplementedError
-
-    def weyl_action_on_coords(self, wmat) -> np.ndarray:
-        """Matrix of c -> coords(w* M(c) w) acting on weight coordinates."""
-        cols = []
-        for k in range(self.rankdim):
-            e = np.zeros(self.rankdim)
-            e[k] = 1.0
-            m = self.weight_matrix(e)
-            m2 = wmat.conj().T @ m @ wmat
-            cols.append(self.weight_coords(m2))
-        return np.array(cols).T
 
     # --- misc ---------------------------------------------------------------
 

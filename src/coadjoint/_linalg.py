@@ -69,7 +69,7 @@ def iwasawa_nak(z: np.ndarray):
     return u / delta[..., None, :], d, (delta / d)[..., :, None] * k
 
 
-def ul_decompose(g, tol: float = CELL_TOL):
+def ul_decompose(g):
     """Gauss factorization ``g = n @ diag(d) @ zeta`` of a stack on the open cell.
 
     ``g`` is (N, s, s); returns ``(n, d, zeta, in_cell)`` with ``n`` unit
@@ -78,7 +78,7 @@ def ul_decompose(g, tol: float = CELL_TOL):
     matrices, one step per column for the whole stack, in place: the
     multipliers overwrite the eliminated column. A row is outside the cell
     when a pivot (a ratio of trailing principal minors) has
-    |pivot| < tol * max|g|; its factors are then meaningless. A nan entry
+    |pivot| < CELL_TOL * max|g|; its factors are then meaningless. A nan entry
     does not flag its row, an infinite one makes every finite pivot fail.
     ``cell_miss`` names the failing pivot of one row.
     """
@@ -98,7 +98,7 @@ def ul_decompose(g, tol: float = CELL_TOL):
         lower, upper, eye = _triangles(s)
         lo = np.where(lower, w, eye)
         up = np.where(upper, w / dd[:, :, None], eye)
-    in_cell = ~(np.abs(dd) < tol * scale[:, None]).any(axis=1)
+    in_cell = ~(np.abs(dd) < CELL_TOL * scale[:, None]).any(axis=1)
     # contiguous: numpy's elementwise loops for strided input may round
     # differently (np.log of a reversed view does)
     return (np.ascontiguousarray(lo[:, ::-1, ::-1]),
@@ -121,15 +121,15 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def cell_miss(g, tol: float = CELL_TOL) -> OutsideCell:
+def cell_miss(g) -> OutsideCell:
     """The OutsideCell error of one matrix ``g`` off the open cell.
 
     Names the first pivot of ``ul_decompose`` below tolerance.
     """
     g = np.asarray(g, dtype=complex)
-    piv = ul_decompose(g[None], tol)[1][0, ::-1]
+    piv = ul_decompose(g[None])[1][0, ::-1]
     k = int(np.argmax(np.abs(piv)
-                      < tol * max(float(np.max(np.abs(g))), 1e-300)))
+                      < CELL_TOL * max(float(np.max(np.abs(g))), 1e-300)))
     return OutsideCell(f"Bruhat pivot {k} has magnitude {abs(piv[k]):.3e}; "
                        "the element misses this cell")
 
@@ -148,7 +148,7 @@ def quaternion_iwasawa(z: QuaternionMatrix):
     return back(n), d[..., 0::2], back(k)
 
 
-def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
+def quaternion_ul(g: QuaternionMatrix):
     """Quaternionic Gauss factorization ``g = n diag(d) zeta``; a test oracle."""
     nn = g.shape[0]
     scale = max(g.norm_max(), 1e-300)
@@ -159,7 +159,7 @@ def quaternion_ul(g: QuaternionMatrix, tol: float = CELL_TOL):
     dd = [Quaternion(0.0)] * nn
     for k in range(nn):
         piv = w[k, k]
-        if abs(piv) < tol * scale:
+        if abs(piv) < CELL_TOL * scale:
             raise OutsideCell(f"quaternionic Bruhat pivot {k} vanished")
         dd[k] = piv
         pinv = piv.inverse()

@@ -100,6 +100,11 @@ def _check(name, value, tol):
             "pass": bool(value < tol)}
 
 
+def _tol(args, default: float) -> float:
+    """``--tol`` when given, 0 included; else the check's default."""
+    return default if args.tol is None else args.tol
+
+
 def _at_least_one(flag: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"--{flag} needs at least 1, got {value}")
@@ -158,9 +163,9 @@ def cmd_decompose(args, spec, report):
         "k": _matrix(fac.k),
     })
     report["residuals"]["multiply_back"] = _check("multiply_back", res_mb,
-                                                  args.tol or 1e-10)
+                                                  _tol(args, 1e-10))
     report["residuals"]["unitarity"] = _check("unitarity", res_un,
-                                              args.tol or 1e-10)
+                                              _tol(args, 1e-10))
     return 0
 
 
@@ -195,9 +200,9 @@ def cmd_dress(args, spec, report):
         closed = orbit.su3_closed_form(point, chart)
         report["residuals"]["closed_form"] = _check(
             "closed_form", float(np.max(np.abs(np.array(op.coords) - closed))),
-            args.tol or 1e-10)
+            _tol(args, 1e-10))
     report["residuals"]["isospectrality"] = _check("isospectrality", spectrum,
-                                                   args.tol or 1e-10)
+                                                   _tol(args, 1e-10))
     report["results"].append(res)
     return 0
 
@@ -278,7 +283,7 @@ def cmd_pairing(args, spec, report):
         "normalization": "omega_j = (i/2pi) ddbar Phi_j",
     })
     report["residuals"]["identity"] = _check("identity", dev,
-                                             args.tol or 1e-6)
+                                             _tol(args, 1e-6))
     if not report["residuals"]["identity"]["pass"]:
         report["pass"] = False
         return 1

@@ -122,7 +122,7 @@ class WeylElement:
 
     word: tuple
     matrix: np.ndarray             # representative in the working basis
-    action: np.ndarray             # matrix acting on weight coordinates
+    action: np.ndarray             # signed permutation of weight coords
     length: int
 
     def action_key(self):
@@ -130,7 +130,8 @@ class WeylElement:
 
 
 def _action_key(action: np.ndarray):
-    return tuple(np.round(np.asarray(action), 6).ravel().tolist())
+    """The exact entries: 1 and 1.0 share a key, 1 + 1e-9 has its own."""
+    return tuple(np.asarray(action).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -151,25 +152,33 @@ class WeylGroup:
         return el
 
     def element_by_word(self, word) -> WeylElement:
-        fam = self.spec.adapter
-        act = np.eye(fam.rankdim)
+        """The element of a word of letters 0..rank-1; ValueError otherwise."""
+        act = self.elements[0].action
         for k in word:
+            if k not in range(self.spec.rank):
+                raise ValueError(f"{self.spec.name} has no simple reflection "
+                                 f"{k!r}, only 0..{self.spec.rank - 1}")
             act = self.generators[k].action @ act
         return self.find(act)
 
 
 @lru_cache(maxsize=16)
 def weyl_group(spec: GroupSpec) -> WeylGroup:
-    """Enumerate the Weyl group by closure over the simple reflections."""
+    """Enumerate the Weyl group by closure over the simple reflections.
+
+    Simple root alpha acts on weight coordinates as the integer matrix
+    1 - 2 alpha alpha^T / (alpha . alpha), composed exactly. Elements are
+    sorted by length, then word: the first reduced word in lexicographic order.
+    """
     fam = spec.adapter
-    gen_m = fam.weyl_generators()
-    gens = []
-    for k, gm in enumerate(gen_m):
-        gens.append(WeylElement(word=(k,), matrix=gm,
-                                action=fam.weyl_action_on_coords(gm),
-                                length=1))
     ident = WeylElement(word=(), matrix=np.eye(fam.slots, dtype=complex),
-                        action=np.eye(fam.rankdim), length=0)
+                        action=np.eye(fam.rankdim, dtype=int), length=0)
+    gens = []
+    for k, (info, gm) in enumerate(zip(fam.simple_roots,
+                                       fam.weyl_generators())):
+        a = np.asarray(info.vec).astype(int)
+        act = ident.action - 2 * np.outer(a, a) // (a @ a)
+        gens.append(WeylElement(word=(k,), matrix=gm, action=act, length=1))
     seen = {ident.action_key(): ident}
     frontier = [ident]
     while frontier:

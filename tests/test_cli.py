@@ -97,6 +97,18 @@ def test_decompose(capsys):
     assert abs(a1 - 1.0) < 1e-10 and abs(a2 - 0.5 ** 0.5) < 1e-10
 
 
+def test_decompose_honours_zero_tolerance(capsys):
+    # a residual is never below 0, so both checks fail
+    code, out = run(capsys, "decompose", "--group", "su", "--n", "3",
+                    "--weights", "1,2", "--seed", "7", "--tol", "0")
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["config"]["tol"] == 0.0
+    for name in ("multiply_back", "unitarity"):
+        assert rep["residuals"][name]["tol"] == 0.0
+        assert not rep["residuals"][name]["pass"]
+
+
 def test_verify_su3(capsys):
     code, out = run(capsys, "verify", "--group", "su", "--n", "3",
                     "--weights", "1,2", "--seed", "7", "--points", "20")

@@ -406,3 +406,81 @@ def test_find_matches_linear_scan(family, n):
         assert wg.find(el.action) is linear_find(wg, el.action)
     with pytest.raises(KeyError):
         wg.find(2.0 * wg.elements[0].action)
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+@pytest.mark.parametrize("letter", ["below", "rank"])
+def test_element_by_word_rejects_letters_outside_the_rank(family, n, letter):
+    spec = build_group(family, n)
+    bad = -1 if letter == "below" else spec.rank
+    with pytest.raises(ValueError):
+        weyl_group(spec).element_by_word((0, bad))
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_actions_are_exact_integer_reflections(family, n):
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    for g, info in zip(wg.generators, spec.adapter.simple_roots, strict=True):
+        a = info.as_array()
+        assert g.action.dtype.kind == "i"
+        assert np.array_equal(g.action,
+                              np.eye(len(a)) - 2.0 * np.outer(a, a) / (a @ a))
+    # an element acts as its word's generators, the first letter first
+    for el in wg.elements:
+        act = np.eye(spec.adapter.rankdim, dtype=int)
+        for k in el.word:
+            act = wg.generators[k].action @ act
+        assert np.array_equal(el.action, act)
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_lifts_satisfy_the_braid_relations(family, n):
+    # so a word's product of lifts depends only on its element; each stored
+    # matrix is that product along the stored word
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    lifts = [g.matrix for g in wg.generators]
+    roots = [info.as_array() for info in spec.adapter.simple_roots]
+    for i, j in itertools.combinations(range(spec.rank), 2):
+        a, b = roots[i], roots[j]
+        cos2 = round(4 * (a @ b) ** 2 / ((a @ a) * (b @ b)))
+        m = {0: 2, 1: 3, 2: 4, 3: 6}[cos2]
+        left = np.linalg.multi_dot([lifts[(i, j)[t % 2]] for t in range(m)])
+        right = np.linalg.multi_dot([lifts[(j, i)[t % 2]] for t in range(m)])
+        assert np.array_equal(left, right)
+    for el in wg.elements:
+        mat = np.eye(spec.adapter.slots, dtype=complex)
+        for k in el.word:
+            mat = mat @ lifts[k]
+        assert np.array_equal(el.matrix, mat)
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("sp", 2), ("sp", 3), ("so", 3),
+                                      ("so", 4)])
+def test_words_are_the_first_reduced_words(family, n):
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    gens = [g.action for g in wg.generators]
+    # every word of each length, in lexicographic order
+    level = [((), np.eye(spec.adapter.rankdim, dtype=int))]
+    first = {}
+    for _ in range(max(el.length for el in wg.elements) + 1):
+        for word, act in level:
+            first.setdefault(tuple(act.ravel().tolist()), word)
+        level = [(word + (k,), g @ act) for word, act in level
+                 for k, g in enumerate(gens)]
+    for el in wg.elements:
+        assert el.word == first[tuple(el.action.ravel().tolist())]
+        assert el.length == len(el.word)
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+def test_find_needs_the_exact_action(family, n):
+    wg = weyl_group(build_group(family, n))
+    for el in wg.elements:
+        with pytest.raises(KeyError):
+            wg.find(el.action + 1e-9)
+    with pytest.raises(KeyError):
+        wg.find(1.5 * wg.elements[0].action)

@@ -188,6 +188,15 @@ def test_transition_chart_labels_compose():
     assert b.chart == wg.element_by_word((0, 1)).word
 
 
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+def test_transition_rejects_letters_outside_the_rank(family, n):
+    spec = build_group(family, n)
+    pt = chart_point(spec, np.full(spec.adapter.chart_dim, 0.3 + 0.1j))
+    for bad in (-1, spec.rank):
+        with pytest.raises(ValueError):
+            chart_transition(spec, (bad,), pt)
+
+
 def test_chart_compatibility_dressing():
     # dressing at z then conjugating by w equals dressing at the transformed
     # point (the torus phase emitted by the factorization commutes with the
