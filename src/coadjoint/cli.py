@@ -173,7 +173,9 @@ def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
     if args.grid:
         lattice, pts = _grid_points(_parse_grid(args.grid))
-        mu = orbit.dress_batch(spec, point, pts)
+        # one factorization gives mu (from k) and phi (from the A-diagonal)
+        _, d, k = orbit._orbit_nak(spec, point, pts)
+        mu = orbit.coadjoint_action(point, k)
         if (spec.family, spec.n) == ("su", 3):
             gm = orbit.gell_mann_coordinates(mu)
             cols = {f"mu_{a + 1}": gm[:, a] for a in range(8)}
@@ -184,7 +186,7 @@ def cmd_dress(args, spec, report):
             for r, c in zip(*np.triu_indices(h.shape[-1])):
                 cols[f"h_{r + 1}{c + 1}_re"] = h[:, r, c].real
                 cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
-        cols["phi"] = kahler.potential_batch(spec, point, pts)
+        cols["phi"] = kahler._fold(spec, point, np.log(d))
         report["results"].append({"grid_points": int(pts.shape[0])})
         report["grid"] = (lattice, cols)
         return 0
@@ -248,7 +250,8 @@ def cmd_metric(args, spec, report):
         "g": _matrix(kt.g),
         "eigenvalues": [float(x) for x in eig],
     })
-    report["residuals"]["hermitian"] = _check("hermitian", herm, 1e-9)
+    report["residuals"]["hermitian"] = _check("hermitian", herm,
+                                               _tol(args, 1e-9))
     report["residuals"]["positivity"] = {
         "name": "positivity", "residual": float(eig.min()), "tol": -1e-9,
         "pass": bool(eig.min() > -1e-9)}
@@ -300,33 +303,32 @@ def cmd_verify(args, spec, report):
     ref = spec.adapter.spectrum(point.matrix)
     dim2 = 2 * spec.adapter.chart_dim
 
-    def worst(residuals):
-        return float(np.max(residuals, initial=0.0))
+    def check(name, residuals, default):
+        worst = float(np.max(residuals, initial=0.0))
+        checks.append(_check(name, worst, _tol(args, default)))
 
     coords = normal_coords(spec, rng.standard_normal((npts, dim2)), point)
     # one factorization serves the residuals and the dressed points
     fac = decompose.iwasawa_batch(spec, coords)
     res_mb, res_un = iwasawa_residuals(spec, coords, fac)
     mu = orbit.coadjoint_action(point, fac.k)
-    checks.append(_check("iwasawa_multiply_back", worst(res_mb), 1e-10))
-    checks.append(_check("compactness_kk*", worst(res_un), 1e-10))
-    checks.append(_check("isospectrality",
-                         spectral_mismatch(np.linalg.eigvals(mu), ref), 1e-10))
+    check("iwasawa_multiply_back", res_mb, 1e-10)
+    check("compactness_kk*", res_un, 1e-10)
+    check("isospectrality", spectral_mismatch(np.linalg.eigvals(mu), ref),
+          1e-10)
 
     # one row per point, the chart and then g: the stream of per-point draws
     draws = rng.standard_normal((npts, dim2 + haar_width(spec)))
     coords = normal_coords(spec, draws[:, :dim2], point)
     if (spec.family, spec.n) == ("su", 3):
         gm = orbit.gell_mann_coordinates(orbit.dress_batch(spec, point, coords))
-        checks.append(_check("su3_closed_form",
-                             worst(np.abs(gm - orbit.su3_closed_form_batch(
-                                 point, coords))), 1e-10))
+        check("su3_closed_form",
+              np.abs(gm - orbit.su3_closed_form_batch(point, coords)), 1e-10)
     moved, shift, in_cell = kahler.cocycle_shift_batch(
         spec, point, coords, haar_batch(spec, draws[:, dim2:]))
     lhs = kahler.potential_batch(spec, point, moved[in_cell]) \
         - kahler.potential_batch(spec, point, coords[in_cell])
-    checks.append(_check("potential_covariance",
-                         worst(np.abs(lhs - shift[in_cell])), 1e-8))
+    check("potential_covariance", np.abs(lhs - shift[in_cell]), 1e-8)
 
     bv = cohomology.betti(spec, point)
     # ties the polynomial to the group that chart transitions enumerate
@@ -336,8 +338,7 @@ def cmd_verify(args, spec, report):
                    "tol": 0, "pass": bv.total == expected})
 
     m = cohomology.pairing_matrix(spec, order=order)
-    dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
-    checks.append(_check("pairing_identity", dev, 1e-6))
+    check("pairing_identity", np.abs(m - np.eye(m.shape[0])), 1e-6)
 
     report["results"] = checks
     report["pass"] = all(c["pass"] for c in checks)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class WeylGroup:
         """The element of a word of letters 0..rank-1; ValueError otherwise."""
         act = self.elements[0].action
         for k in word:
-            if k not in range(self.spec.rank):
+            if not isinstance(k, Integral) or k not in range(self.spec.rank):
                 raise ValueError(f"{self.spec.name} has no simple reflection "
                                  f"{k!r}, only 0..{self.spec.rank - 1}")
             act = self.generators[k].action @ act

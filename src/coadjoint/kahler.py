@@ -38,8 +38,12 @@ def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     matrix product (gemm, gemv) rounds differently with the batch size.
     """
     fam = spec.adapter
-    c = fam.potential_weights.T @ np.asarray(point.weights)
-    log_a = fam.log_a(fam.chart_split(coords))
+    return _fold(spec, point, fam.log_a(fam.chart_split(coords)))
+
+
+def _fold(spec: GroupSpec, point: InitialPoint, log_a) -> np.ndarray:
+    """Phi = log a . c of ``potential_batch`` from the (N, slots) log a."""
+    c = spec.adapter.potential_weights.T @ np.asarray(point.weights)
     return np.matmul(log_a[:, None, :], c)[:, 0]
 
 

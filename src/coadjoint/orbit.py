@@ -69,18 +69,26 @@ def _wall_mask(spec: GroupSpec, walls: tuple) -> np.ndarray:
     return mask
 
 
-# Y_a = -(i/2) lambda_a, stacked
-_DUAL_BASIS = -0.5j * np.array(GELL_MANN)
+# Y_a = -(i/2) lambda_a transposed, so Tr(mu Y_a) = sum_ij mu[i, j] Y_a^T[i, j];
+# its 17 nonzero entries in the order the trace adds them (a, then i, then
+# j): two for each a, three for lambda_8, which comes last
+_DUAL_T = np.swapaxes(-0.5j * np.array(GELL_MANN), 1, 2)
+_I, _J = np.nonzero(_DUAL_T)[1:]
+_Y = _DUAL_T[_DUAL_T != 0]
 
 
 def gell_mann_coordinates(mu: np.ndarray) -> np.ndarray:
     """mu_a = <mu, Y_a> with Y_a = -(i/2) lambda_a and <A,B> = -2 Tr AB.
 
     ``mu`` is one 3 x 3 matrix or a stack (..., 3, 3); the eight
-    coordinates come last.
+    coordinates come last. Tr(mu Y_a) is summed over the nonzero entries
+    of Y_a only, in the order of the trace of mu @ Y_a; on dressed points
+    the two agree bit for bit.
     """
-    prods = np.asarray(mu)[..., None, :, :] @ _DUAL_BASIS
-    return (DUAL_PAIRING_SCALE * np.trace(prods, axis1=-2, axis2=-1)).real
+    terms = np.asarray(mu)[..., _I, _J] * _Y
+    tr = terms[..., 0:16:2] + terms[..., 1:16:2]
+    tr[..., 7] += terms[..., 16]
+    return (DUAL_PAIRING_SCALE * tr).real
 
 
 def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
@@ -90,6 +98,12 @@ def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     AllWeightsZero for the zero orbit and DegeneracyViolation when a row
     leaves the orbit chart (a required-zero coordinate is nonzero).
     """
+    return coadjoint_action(point, _orbit_nak(spec, point, coords)[2])
+
+
+def _orbit_nak(spec: GroupSpec, point: InitialPoint, coords) -> tuple:
+    """``_nak`` of a batch of orbit-chart coordinates, raising as
+    ``dress_batch`` does."""
     reject_zero_orbit(point)
     coords = chart_batch(spec, coords)
     mask = required_zero_mask(spec, point)
@@ -99,7 +113,7 @@ def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
             labels = [spec.adapter.positive_roots[i].label for i in bad]
             raise DegeneracyViolation(f"coordinates along {labels} must "
                                       "vanish on this degenerate orbit")
-    return coadjoint_action(point, _nak(spec, coords)[2])
+    return _nak(spec, coords)
 
 
 def coadjoint_action(point: InitialPoint, k) -> np.ndarray:

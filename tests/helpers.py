@@ -15,7 +15,7 @@ from coadjoint.cohomology import basis_cycles
 from coadjoint.errors import NumericalBreakdown, OutsideCell
 from coadjoint.groups import _action_key, _poly_divide
 from coadjoint.kahler import potential_batch
-from coadjoint.orbit import required_zero_mask
+from coadjoint.orbit import DUAL_PAIRING_SCALE, GELL_MANN, required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 
 
@@ -536,6 +536,20 @@ def quaternion_eigenvalues(m: QuaternionMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Per-point CLI loops: the oracles for the batched verify checks, the
 # covariance check on every family and the column-wise grid CSV writer
+
+
+# ---------------------------------------------------------------------------
+# SU(3) Gell-Mann coordinates by matmul and trace: the oracle for the read-out
+
+
+def gell_mann_trace(mu) -> np.ndarray:
+    """mu_a = -2 Tr(mu Y_a) with Y_a = -(i/2) lambda_a, one product per a.
+
+    ``mu`` is one 3 x 3 matrix or a stack; ``orbit.gell_mann_coordinates``
+    must equal it bit for bit on dressed points.
+    """
+    prods = np.asarray(mu)[..., None, :, :] @ (-0.5j * np.array(GELL_MANN))
+    return (DUAL_PAIRING_SCALE * np.trace(prods, axis1=-2, axis2=-1)).real
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from coadjoint import cli
 from coadjoint.cli import _grid_csv, _grid_points, _parse_grid, main
 from coadjoint.decompose import gauss_bruhat_batch, iwasawa_batch
 from coadjoint.kahler import cocycle_shift_batch
-from coadjoint.orbit import GELL_MANN, dress_batch, gell_mann_coordinates
-from helpers import (grid_rows, haar_so, haar_sp, haar_su,
+from coadjoint.orbit import (GELL_MANN, dress_batch, gell_mann_coordinates,
+                             required_zero_mask)
+from helpers import (gell_mann_trace, grid_rows, haar_so, haar_sp, haar_su,
                      per_point_covariance, per_point_verify_residuals,
                      random_chart, row_grid_csv)
 
@@ -68,6 +69,54 @@ def test_gell_mann_coordinates_of_a_stack_equal_each_matrix():
     for a, lam in enumerate(GELL_MANN):
         direct = np.array([(-2.0 * np.trace(m @ (-0.5j * lam))).real for m in mu])
         assert np.max(np.abs(stacked[:, a] - direct)) < 1e-14
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (1.0, 0.0), (0.0, 1.0)])
+def test_gell_mann_coordinates_equal_the_trace_bit_for_bit(weights):
+    spec = build_group("su", 3)
+    point = initial_point(spec, weights)
+    rng = np.random.default_rng(17)
+    z = np.concatenate([scale * (rng.standard_normal((40, 3))
+                                 + 1j * rng.standard_normal((40, 3)))
+                        for scale in 10.0 ** np.arange(-8, 6)])
+    # exact zeros and signed zeros among the coordinates, whole zero rows
+    z[::3, 0] = 0.0
+    z[1::4, 1] = complex(-0.0, 0.0)
+    z[2::5, 2] = complex(0.0, -0.0)
+    z[3::7] = complex(-0.0, -0.0)
+    z[:, required_zero_mask(spec, point)] = 0.0
+    mu = dress_batch(spec, point, z)
+    gm = gell_mann_coordinates(mu)
+    assert np.any((gm == 0.0) & np.signbit(gm))       # exact zeros are -0.0
+    assert np.array_equal(_bits(gm), _bits(gell_mann_trace(mu)))
+    for m in mu[::11]:
+        assert np.array_equal(_bits(gell_mann_coordinates(m)),
+                              _bits(gell_mann_trace(m)))
+
+
+def _sweep_lattice(steps, ncoords, const=()):
+    axis = f"-1.5:1.5:{steps},-1.5:1.5:{steps}"
+    return ";".join([axis] * ncoords + list(const))
+
+
+@pytest.mark.parametrize("grid", [
+    _sweep_lattice(5, 1, ["0.5,-0.25"]) + ";" + _sweep_lattice(5, 1),
+    _sweep_lattice(2, 1, ["0.5,-0.25"]) + ";" + _sweep_lattice(2, 1),
+    ";".join(["99:101:2,-1:1:2"] * 3),
+    ";".join(["99:101:2,0"] * 3),
+    _sweep_lattice(3, 3),
+])
+def test_gell_mann_coordinates_equal_the_trace_on_sweep_lattices(grid):
+    # the SU(3) lattices of the chart-sweep benchmark and its far slice
+    spec = build_group("su", 3)
+    mu = dress_batch(spec, initial_point(spec, (1.0, 2.0)),
+                     _grid_points(_parse_grid(grid))[1])
+    assert np.array_equal(_bits(gell_mann_coordinates(mu)),
+                          _bits(gell_mann_trace(mu)))
 
 
 @pytest.mark.parametrize("family,n", GROUPS)

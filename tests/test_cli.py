@@ -109,6 +109,26 @@ def test_decompose_honours_zero_tolerance(capsys):
         assert not rep["residuals"][name]["pass"]
 
 
+def test_verify_honours_tolerance(capsys):
+    code, out = run(capsys, "verify", "--group", "su", "--n", "3",
+                    "--weights", "1,2", "--seed", "7", "--points", "5",
+                    "--order", "8", "--tol", "1e-30")
+    rep = json.loads(out)
+    assert code == 1 and rep["pass"] is False
+    for check in rep["results"]:
+        if check["name"] != "betti_sum":
+            assert check["tol"] == 1e-30 and not check["pass"], check
+
+
+def test_metric_honours_zero_tolerance(capsys):
+    code, out = run(capsys, "metric", "--group", "su", "--n", "3",
+                    "--weights", "1,1", "--seed", "7", "--tol", "0")
+    rep = json.loads(out)
+    assert rep["residuals"]["hermitian"]["tol"] == 0.0
+    # positivity keeps its fixed bound
+    assert rep["residuals"]["positivity"]["tol"] == -1e-9
+
+
 def test_verify_su3(capsys):
     code, out = run(capsys, "verify", "--group", "su", "--n", "3",
                     "--weights", "1,2", "--seed", "7", "--points", "20")
@@ -162,6 +182,38 @@ def test_dress_grid_csv(capsys):
     row = dict(zip(lines[0].split(","), lines[2].split(",")))
     assert abs(float(row["mu_3"])) < 1e-12
     assert abs(float(row["phi"]) - 0.6931471805599453) < 1e-12
+
+
+@pytest.mark.parametrize("group,n,weights,grid", [
+    ("su", "3", "1,2", "-1.5:1.5:5,-1.5:1.5:5;0.5,-0.25;-1:1:3,-0:1:2"),
+    ("su", "3", "1,2", ";".join(["99:101:2,-1:1:2"] * 3)),
+    ("su", "4", "1,0,1", "-1:1:3,0.2;0,0;0.3,-0.1;-1:1:2,0;0.5,0.5;-0,1"),
+    ("sp", "2", "1,2", "-1:1:3,-1:1:3;0.5,0.2;0,0;0.3:0.9:3,0"),
+    ("so", "4", "1,2", "-1:1:3,-1:1:3;0.5,-1:1:3"),
+])
+def test_dress_grid_phi_equals_potential_grid(capsys, group, n, weights,
+                                              grid):
+    # the dress grid reads phi off its own factorization
+    argv = ["--group", group, "--n", n, "--weights", weights,
+            f"--grid={grid}", "--out", "csv"]
+    code, dressed = run(capsys, "dress", *argv)
+    assert code == 0
+    code, potential = run(capsys, "potential", *argv)
+    assert code == 0
+    assert [row.rsplit(",", 1)[1] for row in dressed.splitlines()] == \
+        [row.rsplit(",", 1)[1] for row in potential.splitlines()]
+
+
+@pytest.mark.parametrize("weights,grid,code,error", [
+    ("0,1", "0.5,0;0,0;-1:1:3,0", 3, "DegeneracyViolation"),
+    ("0,0", "-1:1:3,0;0,0;0,0", 2, "AllWeightsZero"),
+])
+def test_dress_grid_rejects_off_orbit_rows(capsys, weights, grid, code, error):
+    assert main(["dress", "--group", "su", "--n", "3", "--weights", weights,
+                 f"--grid={grid}", "--out", "csv"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 def test_potential_json(capsys):

@@ -417,6 +417,14 @@ def test_element_by_word_rejects_letters_outside_the_rank(family, n, letter):
         weyl_group(spec).element_by_word((0, bad))
 
 
+def test_element_by_word_takes_integer_letters_only():
+    wg = weyl_group(build_group("su", 3))
+    for bad in (1.0, 0.0, "1", None):
+        with pytest.raises(ValueError):
+            wg.element_by_word((bad,))
+    assert wg.element_by_word((np.int64(1), 0)) is wg.element_by_word((1, 0))
+
+
 @pytest.mark.parametrize("family,n", CHART_GROUPS)
 def test_actions_are_exact_integer_reflections(family, n):
     spec = build_group(family, n)

@@ -197,6 +197,14 @@ def test_transition_rejects_letters_outside_the_rank(family, n):
             chart_transition(spec, (bad,), pt)
 
 
+def test_transition_rejects_float_letters():
+    pt = chart_point(SU3, (0.3 + 0.1j, 0.2, -0.5j))
+    with pytest.raises(ValueError):
+        chart_transition(SU3, (1.0,), pt)
+    assert chart_transition(SU3, (np.int64(1),), pt) == \
+        chart_transition(SU3, (1,), pt)
+
+
 def test_chart_compatibility_dressing():
     # dressing at z then conjugating by w equals dressing at the transformed
     # point (the torus phase emitted by the factorization commutes with the
