@@ -180,8 +180,28 @@ class Family:
         return self.chart_split(coords).reshape(t.shape + (self.slots,) * 2)
 
     def log_a(self, z_split):
-        """log of the Iwasawa A-diagonal for a batch of split matrices."""
-        return np.log(_rq(z_split, r_only=True))
+        """log of the Iwasawa A-diagonal for a batch of split matrices.
+
+        Only the trailing ``rank`` rows of each chart are factored (an
+        s x rank QR, ``_rq``); ``log_a_from_tail`` fills in the rest. The
+        trailing entries are the first steps of the QR, accurate relative to
+        their own rows, so log a holds far out on the chart, where the
+        leading entries of a full QR lose digits to the norm of z.
+        """
+        tail = np.asarray(z_split)[..., -self.rank:, :]
+        return self.log_a_from_tail(_rq(tail, r_only=True))
+
+    def log_a_from_tail(self, a_tail):
+        """The (..., slots) log-diagonal of a torus element from the moduli
+        (..., rank) of its last ``rank`` entries.
+
+        Sp and SO: the split slots pair as i <-> slots - 1 - i with opposite
+        weights, so log a_i = -log a_(slots-1-i), and the SO(3) middle slot
+        is 0. SU overrides this with its determinant.
+        """
+        tail = np.log(a_tail)
+        mid = np.zeros(tail.shape[:-1] + (self.slots - 2 * self.rank,))
+        return np.concatenate([-tail[..., ::-1], mid, tail], axis=-1)
 
     @cached_property
     def potential_weights(self) -> np.ndarray:
@@ -225,6 +245,8 @@ class Family:
         """Family torus parameters of an A-element from its split log-diagonal.
 
         The log-diagonal may be a stack (..., slots); the parameters are last.
+        They are read from its trailing ``rank`` entries, which fix it
+        (``log_a_from_tail``) and are the accurate ones far out.
         """
         raise NotImplementedError
 
@@ -303,9 +325,18 @@ class SUFamily(Family):
         d = np.asarray(d_diag, dtype=complex)
         return 1.0 / np.cumprod(d)[: self.rank]
 
+    def log_a_from_tail(self, a_tail):
+        # a unitriangular chart has det 1: the log-diagonal sums to 0
+        tail = np.log(a_tail)
+        return np.concatenate([-tail.sum(axis=-1, keepdims=True), tail],
+                              axis=-1)
+
     def a_parameters(self, log_a):
-        # r_k from a = diag(1/r1, r1/r2, ..., r_{n-1})
-        return np.exp(-np.cumsum(log_a, axis=-1)[..., : self.rank])
+        # r_k from a = diag(1/r1, r1/r2, ..., r_{n-1}): ln r_k is the sum of
+        # log a from slot k on (exp before the reversal: np.exp of a
+        # reversed view rounds with the batch size)
+        suffix = np.cumsum(np.asarray(log_a)[..., :0:-1], axis=-1)
+        return np.exp(suffix)[..., ::-1]
 
     # Weyl ---------------------------------------------------------------------
 
@@ -472,8 +503,9 @@ class SpFamily(Family):
         return np.asarray(d_diag, dtype=complex)[: self.n]
 
     def a_parameters(self, log_a):
-        # (r_1..r_n), the first half of the split A-diagonal
-        return np.exp(np.asarray(log_a)[..., : self.n])
+        # (r_1..r_n), the first half of the split A-diagonal, read off the
+        # second: r_i = 1/a_(s-1-i)
+        return np.exp(-np.asarray(log_a)[..., self.n:])[..., ::-1]
 
     # Weyl --------------------------------------------------------------------
 

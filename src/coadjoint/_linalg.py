@@ -7,8 +7,9 @@ family:
 * ``_rq``: z = u k with u upper triangular and k unitary, from one
   Householder QR of the index-reversed transpose of z. No Gram matrix z z*
   is formed, so the condition number is not squared. ``iwasawa_nak`` reads
-  the Iwasawa N, A and K factors from it, ``Family.log_a`` the A-diagonal
-  from its R factor alone.
+  the Iwasawa N, A and K factors from it. ``Family.log_a`` needs only the
+  trailing ``rank`` entries of the A-diagonal, which the R factor of the
+  trailing ``rank`` rows of z alone gives.
 * ``ul_decompose``: g = n d zeta with n unit upper triangular, d diagonal,
   zeta unit lower triangular (Gauss-Bruhat on the open cell), for a whole
   stack at once, with a mask of the rows on the cell.
@@ -40,8 +41,12 @@ def _rq(z, r_only: bool = False):
     One Householder QR of (J z)^T, J the index reversal: (J z)^T = q r gives
     z = (J r^T J)(J q^T), so u = J r^T J and k = J q^T. The diagonal of u
     may carry phases. With ``r_only`` only R is computed and the moduli
-    |u_ii| are returned. Raises NumericalBreakdown when a diagonal entry of
-    u is exactly zero (z singular to working precision) or not finite.
+    |u_ii| are returned; ``z`` may then be the (..., m, s) block of the
+    trailing m rows of an s x s stack, whose (s, m) QR gives the trailing m
+    moduli, bit for bit those of the full QR (Householder QR works column
+    by column, and these columns come first). Raises NumericalBreakdown
+    when a returned diagonal entry of u is exactly zero (z singular to
+    working precision) or not finite.
     """
     zt = np.swapaxes(np.asarray(z, dtype=complex)[..., ::-1, :], -1, -2)
     # mode "raw" returns R transposed, with the same diagonal

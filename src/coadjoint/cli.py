@@ -186,7 +186,8 @@ def cmd_dress(args, spec, report):
             for r, c in zip(*np.triu_indices(h.shape[-1])):
                 cols[f"h_{r + 1}{c + 1}_re"] = h[:, r, c].real
                 cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
-        cols["phi"] = kahler._fold(spec, point, np.log(d))
+        cols["phi"] = kahler._fold(
+            spec, point, spec.adapter.log_a_from_tail(d[:, -spec.rank:]))
         report["results"].append({"grid_points": int(pts.shape[0])})
         report["grid"] = (lattice, cols)
         return 0

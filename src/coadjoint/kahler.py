@@ -6,8 +6,11 @@ simple-root two-cycles (for SU(n) these are ln r_k^2 in terms of the Iwasawa
 torus parameters). Each Phi_k is a combination of log det of the trailing
 minors of z z*, so the metric, the Wirtinger Hessian of Phi restricted to
 the active chart coordinates, is exact (``_linalg.wirtinger_hessian``).
-Both come from one Householder QR of z (``_linalg._rq``); z z* itself is
-never formed, so they hold far out on the chart.
+Both come from Householder QR (``_linalg._rq``): the metric from one QR of
+z, the potential from the QR of its trailing ``rank`` rows alone
+(``Family.log_a``), since log a is fixed by its last ``rank`` entries. The
+cocycle shift reads the same trailing entries of its Gauss-Bruhat d. z z*
+itself is never formed, so all of them hold far out on the chart.
 """
 
 from __future__ import annotations
@@ -124,9 +127,12 @@ def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
     zg = fam.chart_working(chart_batch(spec, coords)) @ g
     coords_g, d, in_cell = bruhat_chart(spec, zg)
     c = -(np.asarray(point.weights) @ fam.potential_weights)
+    # the trailing pivots are the first Doolittle steps on the reversed
+    # matrix, the accurate ones; they fix log |d| as they fix log a
+    log_d = fam.log_a_from_tail(np.abs(d[:, -fam.rank:]))
     # a row vector times c is one dot per row, bitwise the one-row shift;
     # log |d| @ c rounds differently
-    shift = np.matmul(np.log(np.abs(d))[:, None, :], c)[:, 0]
+    shift = np.matmul(log_d[:, None, :], c)[:, 0]
     return zg, coords_g, shift, in_cell
 
 
