@@ -100,7 +100,8 @@ def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
     """
     fam = spec.adapter
     n, d, k = _nak(spec, chart_batch(spec, coords))
-    log_d = np.log(d)
+    # the trailing entries are the accurate ones far out (``Family.log_a``)
+    log_d = fam.log_a_from_tail(d[:, -fam.rank:])
     a = fam.working_from_split(d[..., None] * np.eye(fam.slots))
     return IwasawaFactors(n=n, a=a, k=k, a_parameters=fam.a_parameters(log_d),
                           log_a_split=log_d)

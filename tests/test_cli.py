@@ -171,6 +171,28 @@ def test_metric_grid_csv(capsys):
     assert abs(g - 1.0 / (1 + abs(z) ** 2) ** 2) < 1e-6
 
 
+@pytest.mark.parametrize("group,n,weights,m", [
+    ("su", "5", "1,2,3,4", 10),
+    ("su", "6", "1,2,3,4,5", 15),
+    ("sp", "4", "1,2,3,4", 16),
+    ("sp", "4", "1,0,1,0", 14),
+])
+def test_metric_grid_names_every_entry(capsys, group, n, weights, m):
+    # g_<a><b> gave (1, 11) and (11, 1) the one name g_111
+    dim = {"su": int(n) * (int(n) - 1) // 2, "sp": int(n) ** 2}[group]
+    grid = ";".join(["0.1,0.2"] * dim)
+    code, out = run(capsys, "metric", "--group", group, "--n", n,
+                    "--weights", weights, f"--grid={grid}", "--out", "csv")
+    assert code == 0
+    header = out.splitlines()[0].split(",")
+    names = [h for h in header if h.startswith("g_")]
+    assert len(names) == len(set(names)) == 2 * m * m
+    if m <= 10:
+        assert f"g_1{m}_re" in names and f"g_{m}1_im" in names
+    else:
+        assert "g_1_11_re" in names and "g_11_1_im" in names
+
+
 def test_dress_grid_csv(capsys):
     code, out = run(capsys, "dress", "--group", "su", "--n", "3",
                     "--weights", "1,2", "--grid=0:1:2,0:0:1;0,0;0,0",

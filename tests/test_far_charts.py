@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from coadjoint import (NumericalBreakdown, build_group, chart_matrix,
-                       chart_point, dress, initial_point, iwasawa, metric,
-                       potential, potential_batch)
+                       chart_point, dress, initial_point, iwasawa,
+                       iwasawa_batch, metric, potential, potential_batch)
 from coadjoint._linalg import _rq, iwasawa_nak
 from coadjoint.checks import haar_batch, haar_width, iwasawa_residuals
 from coadjoint.kahler import cocycle_shift_batch
@@ -84,6 +84,22 @@ def test_log_a_reads_the_trailing_rows(family, n):
             assert np.array_equal(log_a[:, :fam.rank], -tail[:, ::-1])
             assert np.array_equal(log_a[:, fam.rank:fam.rank + mid],
                                   np.zeros((len(z), mid)))
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_iwasawa_log_a_split_is_log_a(family, n):
+    # the leading entries of the full QR's diagonal lose digits far out
+    # (8e-6 relative on SU(5) at 1e4); log_a_split fills them in from the
+    # trailing ones, as the potential does
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(6)
+    for scale in SCALES[:3]:
+        coords = np.array([random_chart(spec, rng, scale=scale).array()
+                           for _ in range(20)])
+        fac = iwasawa_batch(spec, coords)
+        assert np.array_equal(fac.log_a_split,
+                              fam.log_a(fam.chart_split(coords)))
 
 
 def _su3_far_points(rng):
