@@ -144,6 +144,9 @@ def _in_chunks(columns, pts) -> dict:
 
 def _grid(args, report, columns) -> int:
     """A ``--grid`` report: ``columns`` over the lattice, in ``_in_chunks``."""
+    if args.z is not None:
+        raise ValueError("--z and --grid exclude each other: give one point "
+                         "or one lattice")
     lattice, pts = _grid_points(_parse_grid(args.grid))
     report["grid"] = (lattice, _in_chunks(columns, pts))
     report["results"].append({"grid_points": int(pts.shape[0])})
@@ -423,36 +426,63 @@ def _grid_csv(lattice, columns: dict) -> str:
 
     ``lattice`` has shape (*counts, m): coordinate k varies along lattice
     axis k only, except that the last axis carries every remaining
-    coordinate (so a flat (N, m) array is a one-axis lattice). Each
-    distinct coordinate is formatted once, from its value in the lattice
-    (so a signed zero prints as stored), and the row prefixes are built
-    axis by axis. The value columns are keyed by their bit patterns, so
-    0.0, -0.0 and each nan stay apart; each distinct pattern takes one repr,
-    shared by every entry that holds it. The bytes are those of a row-by-row
-    repr writer.
+    coordinate (so a flat (N, m) array is a one-axis lattice). Every field
+    of a row is a token of one text table, and the body is that table
+    gathered by one (N, tokens per row) index matrix and joined once:
+
+    - one outer prefix per step of the outer axes (all but the last): the
+      coordinates they carry, after the row's newline;
+    - one text per step of the last axis: its coordinates, after a comma
+      (or the newline of a one-axis lattice) and, when there are value
+      columns, before the comma that opens the first value;
+    - one text per distinct value bit pattern, so 0.0, -0.0 and each nan
+      stay apart, shared by every entry that holds it;
+    - one comma, between each two values of a row.
+
+    So the header ends without a newline, and a grid without value columns
+    ends no row with a comma. Each distinct coordinate is formatted once,
+    from its value in the lattice (so a signed zero prints as stored), and
+    so is each distinct value; no text is built per row. The bytes are
+    those of a row-by-row repr writer.
     """
     m = lattice.shape[-1]
     depth = lattice.ndim - 1
     header = [f"z{k + 1}_{part}" for k in range(m) for part in ("re", "im")]
     parts = lattice.view(float)     # coordinate k: re, im at 2k, 2k + 1
-    rows = None
-    for axis in range(depth):
+
+    def texts(axis, sep, end=""):
+        # the coordinates this axis carries, one text per lattice step
         at = (0,) * axis + (slice(None),) + (0,) * (depth - 1 - axis)
         stop = axis + 1 if axis < depth - 1 else m
-        # the coordinates this axis carries, one list per lattice step
         coords = parts[at + (slice(2 * axis, 2 * stop),)].tolist()
-        texts = [",".join(map(repr, v)) for v in coords]
-        rows = texts if rows is None else [f"{p},{t}" for p in rows
-                                           for t in texts]
+        return [sep + ",".join(map(repr, v)) + end for v in coords]
+
+    prefixes = [""]
+    for axis in range(depth - 1):
+        steps = texts(axis, "," if axis else "\n")
+        prefixes = [p + t for p in prefixes for t in steps]
+    last = texts(depth - 1, "," if depth > 1 else "\n",
+                 "," if columns else "")
     block = np.array(list(columns.values()), dtype=float)
     keys, inverse = np.unique(block.view(np.int64).ravel(),
                               return_inverse=True)
-    distinct = np.array(list(map(repr, keys.view(float).tolist())),
-                        dtype=object)
-    values = distinct[inverse.reshape(block.shape)].tolist()
-    lines = [",".join(header + list(columns)),
-             *map(",".join, zip(rows, *values))]
-    return "\n".join(lines) + "\n"
+    # the values first, so a value's token index is its inverse entry; a
+    # comma token between values costs less than a comma on every distinct
+    # value, which is a second string per value
+    table = np.array(list(map(repr, keys.view(float).tolist()))
+                     + prefixes + last + [","], dtype=object)
+    outer, inner = len(prefixes), len(last)
+    first, comma = len(keys), len(table) - 1
+    # per row: prefix, last-axis text, then value, comma, ..., value
+    index = np.empty((outer, inner, 2 + max(2 * len(columns) - 1, 0)),
+                     dtype=np.intp)
+    index[..., 0] = np.arange(first, first + outer)[:, None]
+    index[..., 1] = np.arange(first + outer, comma)
+    index[..., 2::2] = inverse.reshape(len(columns), outer,
+                                       inner).transpose(1, 2, 0)
+    index[..., 3::2] = comma
+    return (",".join(header + list(columns))
+            + "".join(table[index].ravel().tolist()) + "\n")
 
 
 COMMANDS = {

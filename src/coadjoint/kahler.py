@@ -39,9 +39,11 @@ def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     weights. A row vector times c is one dot per row, so every row equals
     the one-point ``potential`` bit for bit, whatever batch it is in; a
     matrix product (gemm, gemv) rounds differently with the batch size.
+    Raises ValueError unless ``coords`` has shape (N, chart_dim).
     """
     fam = spec.adapter
-    return _fold(spec, point, fam.log_a(fam.chart_split(coords)))
+    z = fam.chart_split(chart_batch(spec, coords))
+    return _fold(spec, point, fam.log_a(z))
 
 
 def _fold(spec: GroupSpec, point: InitialPoint, log_a) -> np.ndarray:
@@ -83,11 +85,12 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     Raises NumericalBreakdown for a chart matrix that is singular to working
     precision. A row whose chart Jacobian overflows (|z| near 1e300 on
     SO(4) and Sp) comes back nan, as off-cell rows of
-    ``cocycle_shift_batch`` do; ``metric`` raises there.
+    ``cocycle_shift_batch`` do; ``metric`` raises there. Raises ValueError
+    unless ``coords`` has shape (N, chart_dim).
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
-    z, a = fam.chart_jacobian(coords)
+    z, a = fam.chart_jacobian(chart_batch(spec, coords))
     c = np.asarray(point.weights) @ fam.minor_weights
     return wirtinger_hessian(z, a[:, active]) @ c
 

@@ -392,6 +392,26 @@ def test_cli_grid_csv_equals_row_writer(monkeypatch, capsys, command, family,
         assert len(np.unique(bits)) < bits.size
 
 
+def test_cli_grid_csv_equals_row_writer_at_benchmark_size(monkeypatch,
+                                                          capsys):
+    # 15,625 rows in three row chunks, 625 outer prefixes of 25 rows each:
+    # the size of the timed SU(3) potential grid
+    grid = ";".join(["-1.5:1.5:5,-1.5:1.5:5"] * 3)
+    seen = []
+
+    def spy(lattice, columns):
+        seen.append(columns)
+        return _grid_csv(lattice, columns)
+    monkeypatch.setattr(cli, "_grid_csv", spy)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    code = main(["potential", "--group", "su", "--n", "3", "--weights", "1,2",
+                 f"--grid={grid}", "--out", "csv"])
+    assert code == 0
+    pts = grid_rows(_parse_grid(grid))
+    assert len(pts) == 15625 and len(pts) // cli.MIN_ROWS == 3
+    assert capsys.readouterr().out == row_grid_csv(pts, seen[0])
+
+
 def _dress_grid(capsys, *argv):
     code = main(["dress", *argv, "--out", "csv"])
     return code, capsys.readouterr().out

@@ -319,6 +319,43 @@ def test_zero_step_grid_exits_2(capsys, command, group, n, weights, grid):
     assert "-1:1:0,0" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["potential", "metric", "dress"])
+@pytest.mark.parametrize("group,n,grid,message", [
+    # SU(3) has 3 chart coordinates, Sp(2) 4
+    ("su", "3", "-1:1:2,0",
+     "SU(3) chart batches have shape (N, 3), got (2, 1)"),
+    ("su", "3", "-1:1:2,0;0,0;0,0;0,0",
+     "SU(3) chart batches have shape (N, 3), got (2, 4)"),
+    ("sp", "2", "-1:1:2,0;0,0",
+     "Sp(2) chart batches have shape (N, 4), got (2, 2)"),
+])
+def test_grid_with_wrong_coordinate_count_exits_2(capsys, command, group, n,
+                                                  grid, message):
+    # a short SU(3) potential grid used to exit 0 with Phi at (z1, z1, z1),
+    # the metric grid exit 1 with an IndexError traceback
+    code = main([command, "--group", group, "--n", n, "--weights", "1,2",
+                 f"--grid={grid}", "--out", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": message}
+
+
+@pytest.mark.parametrize("command", ["potential", "metric", "dress"])
+def test_z_with_grid_exits_2(capsys, command):
+    # the grid used to win and the point was dropped without a word
+    code = main([command, "--group", "su", "--n", "3", "--weights", "1,2",
+                 "--z", "0.1,0;0.2,0;0.3,0", "--grid=-1:1:2,0;0,0;0,0",
+                 "--out", "csv"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2
+    assert captured.out == ""
+    assert err["error"] == "ValueError"
+    assert "--z" in err["message"] and "--grid" in err["message"]
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("verify", "--points", "-3"),
     ("verify", "--points", "0"),

@@ -479,3 +479,17 @@ def test_potential_batch_rows_equal_one_point_bitwise(family, n):
     assert np.array_equal(vals.view(np.int64), one.view(np.int64))
     assert np.array_equal(potential_batch(spec, ip, pts[::7]).view(np.int64),
                           one[::7].view(np.int64))
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+@pytest.mark.parametrize("kernel", [potential_batch, metric_batch])
+def test_batch_kernels_reject_wrong_coordinate_count(family, n, kernel):
+    # chart_split broadcast an (N, 1) batch into every coordinate, so a
+    # short batch gave Phi at (z1, z1, z1) instead of failing
+    spec = build_group(family, n)
+    ip = initial_point(spec, (1.0, 2.0))
+    dim = spec.adapter.chart_dim
+    for width in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=rf"shape \(N, {dim}\), "
+                                             rf"got \(2, {width}\)"):
+            kernel(spec, ip, np.full((2, width), 0.5 + 0.1j))
