@@ -14,9 +14,10 @@ family:
   zeta unit lower triangular (Gauss-Bruhat on the open cell), for a whole
   stack at once, with a mask of the rows on the cell.
 
-``wirtinger_hessian`` differentiates log det of every trailing minor of
-z z* twice in closed form, from the same factor u (z z* = u u*); the Kahler
-metric and the pairing integrand are combinations of these.
+``wirtinger_hessian`` differentiates a weighted sum of log det of the
+trailing minors of z z* twice in closed form, from the same factor u, the
+weights folded in first: the Kahler metric, and along one coordinate
+(``complex_laplacian``) the pairing integrand.
 
 ``quaternion_iwasawa`` and ``quaternion_ul`` factor QuaternionMatrix input;
 no library path calls them, they are the quaternionic oracles the tests
@@ -194,43 +195,48 @@ def _below_mask(s: int):
     return _read_only(((i >= j) & (k < j)).astype(float))[0]
 
 
-def wirtinger_hessian(z, a) -> np.ndarray:
-    """d_a dbar_b log det G[j:, j:] of G = z z*, for every trailing size j.
-
-    ``z`` is a stack (N, s, s) of invertible matrices, holomorphic in the m
-    coordinates, and ``a`` (N, m, s, s) holds dz/dz_a. Returns the hermitian
-    (N, m, m, s), j last: the closed form tr(G^-1 a_a a_b*) -
-    tr(G^-1 a_a z* G^-1 z a_b*) on each trailing block.
-
-    One factorization z = u k of ``_rq`` (so G = u u*) and one triangular
-    solve for the direction blocks serve every j: put p_a = u^-1 a_a k*. As
-    u is upper triangular, G[j:, j:]^-1 = u[j:, j:]^-* u[j:, j:]^-1 reads
-    rows j: of it, and the closed form becomes
-
-        sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]),
-
-    free of cancellation and positive semidefinite. Neither G nor G^-1 is
-    formed. Raises NumericalBreakdown where ``_rq`` does.
-    """
+def _folded(z, a, c) -> tuple:
+    """(p_W, W) of ``wirtinger_hessian``: (N, m, K) and W's K nonzero rows."""
     nb, m, s = a.shape[:3]
     u, k = _rq(z)
-    rhs = a.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
-    kh = np.conj(np.swapaxes(k, -1, -2))
-    p = np.linalg.solve(u, rhs).reshape(nb, s, m, s) \
-        .transpose(0, 2, 1, 3) @ kh[:, None]
-    below = _below_mask(s)
-    # p_a[i, k] conj(p_b[i, k]), flattened over (i, k)
-    pair = (p[:, :, None] * np.conj(p[:, None])).reshape(nb, m, m, s * s)
-    return pair @ below
+    # rows (i, a) of a_a k*; u p = y for all m blocks by back substitution
+    p = (a.transpose(0, 2, 1, 3).reshape(nb, s * m, s)
+         @ np.conj(np.swapaxes(k, -1, -2))).reshape(nb, s, m * s)
+    for r in range(s - 1, -1, -1):
+        p[:, r] /= u[:, r, r, None]
+        p[:, :r] -= u[:, :r, r, None] * p[:, r, None]
+    w = _below_mask(s) @ c
+    i, kk = divmod(np.flatnonzero(np.any(w.reshape(s * s, -1), axis=1)), s)
+    at = i * (m * s) + kk + s * np.arange(m)[:, None]
+    return np.take(p.reshape(nb, -1), at, axis=1), w[i * s + kk]
 
 
-def complex_laplacian(z, dz) -> np.ndarray:
-    """d dbar log det G[j:, j:] along one holomorphic coordinate t.
+def wirtinger_hessian(z, a, c) -> np.ndarray:
+    """sum_j c_j d_a dbar_b log det G[j:, j:] of G = z z*, as (N, m, m).
 
-    ``z`` (N, s, s) is holomorphic in t with dz/dt = ``dz``; returns the real
-    (N, s), j last. The one-coordinate case of ``wirtinger_hessian``.
+    ``z`` (N, s, s) is invertible and holomorphic in m coordinates, ``a``
+    (N, m, s, s) holds dz/dz_a and ``c`` (s,) the minor weights. With
+    z = u k from ``_rq`` (G = u u*, neither G nor G^-1 formed) and
+    p_a = u^-1 a_a k*, block j is sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]).
+    Folding c into W_ik = sum_{k < j <= i} c_j leaves one product
+    (p_W W) p_W^H over the entries with W_ik != 0, free of cancellation;
+    its upper triangle is mirrored and its diagonal made real, so g is
+    exactly hermitian. Every step is per row: no row depends on its batch.
+    Raises NumericalBreakdown where ``_rq`` does.
     """
-    return wirtinger_hessian(z, dz[:, None])[:, 0, 0].real
+    nb, m = a.shape[:2]
+    p, w = _folded(z, a, c)
+    g = (p * w) @ np.conj(np.swapaxes(p, -1, -2))
+    g = np.where(_triangles(m)[0], np.conj(np.swapaxes(g, -1, -2)), g)
+    g.reshape(nb, m * m)[:, ::m + 1].imag = 0.0
+    return g
+
+
+def complex_laplacian(z, dz, c) -> np.ndarray:
+    """d dbar sum_j c_j log det G[j:, j:] along t (dz/dt = ``dz``) for each
+    column of ``c`` (s, l), (N, l): one-coordinate ``wirtinger_hessian``."""
+    p, w = _folded(z, dz[:, None], c)
+    return (p.real ** 2 + p.imag ** 2)[:, 0] @ w
 
 
 @lru_cache(maxsize=8)

@@ -38,6 +38,7 @@ DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, ZeroTorusEntry,
 # potential grid in two paid from about 6,500 rows and not reliably at
 # 4,096 or fewer; a 625-row dress grid ran 23% slower split
 MIN_ROWS = 4096
+GRID_COMMANDS = ("dress", "potential", "metric")
 
 
 def _parse_weights(text: str):
@@ -435,14 +436,14 @@ def _grid_csv(lattice, columns: dict) -> str:
     - one text per step of the last axis: its coordinates, after a comma
       (or the newline of a one-axis lattice) and, when there are value
       columns, before the comma that opens the first value;
-    - one text per distinct value bit pattern, so 0.0, -0.0 and each nan
-      stay apart, shared by every entry that holds it;
+    - one text per distinct value, shared by every entry that holds it:
+      "-" (never on a nan) before the repr of its magnitude;
     - one comma, between each two values of a row.
 
     So the header ends without a newline, and a grid without value columns
     ends no row with a comma. Each distinct coordinate is formatted once,
     from its value in the lattice (so a signed zero prints as stored), and
-    so is each distinct value; no text is built per row. The bytes are
+    so is each distinct magnitude; no text is built per row. The bytes are
     those of a row-by-row repr writer.
     """
     m = lattice.shape[-1]
@@ -466,11 +467,15 @@ def _grid_csv(lattice, columns: dict) -> str:
     block = np.array(list(columns.values()), dtype=float)
     keys, inverse = np.unique(block.view(np.int64).ravel(),
                               return_inverse=True)
+    # repr(-x) is "-" + repr(x) for every float but nan: one repr a magnitude
+    mags, back = np.unique(np.abs(keys.view(float)), return_inverse=True)
+    texts = np.array(list(map(repr, mags.tolist())), dtype=object)[back]
+    minus = (keys < 0) & ~np.isnan(keys.view(float))
+    texts[minus] = "-" + texts[minus]
     # the values first, so a value's token index is its inverse entry; a
     # comma token between values costs less than a comma on every distinct
     # value, which is a second string per value
-    table = np.array(list(map(repr, keys.view(float).tolist()))
-                     + prefixes + last + [","], dtype=object)
+    table = np.array(texts.tolist() + prefixes + last + [","], dtype=object)
     outer, inner = len(prefixes), len(last)
     first, comma = len(keys), len(table) - 1
     # per row: prefix, last-axis text, then value, comma, ..., value
@@ -545,6 +550,10 @@ def main(argv=None) -> int:
     }
     try:
         spec = build_group(args.group, args.n)
+        if args.grid is not None and args.command not in GRID_COMMANDS:
+            raise ValueError("--grid is for dress, potential and metric only")
+        if args.out == "csv" and not args.grid:
+            raise ValueError("--out csv writes a grid: it needs --grid")
         code = COMMANDS[args.command](args, spec, report)
     except CONFIG_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},

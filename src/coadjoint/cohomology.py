@@ -166,8 +166,8 @@ def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
                    np.tan(theta / 2.0), np.tan((np.pi - theta) / 2.0))
     z = fam.cycle_chart(i, rho)
     # the cycle chart is exp(t x_i), so dz/dt = z x_i
-    lap = complex_laplacian(z, z @ fam.cycle_generators()[i]) \
-        @ fam.minor_weights.T
+    lap = complex_laplacian(z, z @ fam.cycle_generators()[i],
+                            fam.minor_weights.T)
     jac = rho * (1.0 + rho ** 2) / 2.0
     # omega_j = lap_j d^2 t / pi with d^2 t = jac dtheta dphi; lap_j does
     # not depend on phi, so the phi integral is exactly 2 pi

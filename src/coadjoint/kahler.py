@@ -4,8 +4,8 @@ The potential of the orbit through mu0 with chamber weights (xi_1..xi_l) is
 Phi = sum_k xi_k Phi_k, where Phi_k are the basis potentials dual to the
 simple-root two-cycles (for SU(n) these are ln r_k^2 in terms of the Iwasawa
 torus parameters). Each Phi_k is a combination of log det of the trailing
-minors of z z*, so the metric, the Wirtinger Hessian of Phi restricted to
-the active chart coordinates, is exact (``_linalg.wirtinger_hessian``).
+minors of z z*, so the metric, the Wirtinger Hessian of Phi on the active
+chart coordinates, is exact and exactly hermitian (``wirtinger_hessian``).
 Both come from Householder QR (``_linalg._rq``): the metric from one QR of
 z, the potential from the QR of its trailing ``rank`` rows alone
 (``Family.log_a``), since log a is fixed by its last ``rank`` entries. The
@@ -79,9 +79,9 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """g_{a bbar} = d^2 Phi / dz_a dzbar_b at a batch (N, chart_dim), (N, m, m).
 
     Phi = sum_j c_j log det G[j:, j:] with G = z z* and c = weights @
-    ``minor_weights``; its Hessian comes from the exact chart Jacobian.
-    Degenerate orbits restrict to the m active coordinates (those not forced
-    to vanish), keeping the tensor positive definite on its actual domain.
+    ``minor_weights``, folded in by ``wirtinger_hessian`` before any
+    product. Degenerate orbits restrict to the m active coordinates (those
+    not forced to vanish), where the tensor is positive definite.
     Raises NumericalBreakdown for a chart matrix that is singular to working
     precision. A row whose chart Jacobian overflows (|z| near 1e300 on
     SO(4) and Sp) comes back nan, as off-cell rows of
@@ -92,7 +92,7 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     active = np.flatnonzero(~required_zero_mask(spec, point))
     z, a = fam.chart_jacobian(chart_batch(spec, coords))
     c = np.asarray(point.weights) @ fam.minor_weights
-    return wirtinger_hessian(z, a[:, active]) @ c
+    return wirtinger_hessian(z, a[:, active], c)
 
 
 def metric(spec: GroupSpec, point: InitialPoint,

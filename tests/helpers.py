@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 
 from coadjoint import decompose, kahler, orbit
-from coadjoint._linalg import CELL_TOL, complex_laplacian, gauss_legendre
+from coadjoint._linalg import (CELL_TOL, _below_mask, _rq, complex_laplacian,
+                               gauss_legendre)
 from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa: F401
                               spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
@@ -321,8 +322,8 @@ def _product_rule_row(spec, i, order):
     t = rho[:, None] * np.exp(1j * phi[None, :])
     z = fam.cycle_chart(i, t.ravel())
     # the cycle chart is exp(t x_i), so dz/dt = z x_i
-    lap = complex_laplacian(z, z @ fam.cycle_generators()[i])
-    lap = (lap @ fam.minor_weights.T).reshape(t.shape + (-1,))
+    lap = complex_laplacian(z, z @ fam.cycle_generators()[i],
+                            fam.minor_weights.T).reshape(t.shape + (-1,))
     jac = rho * (1.0 + rho ** 2) / 2.0
     return np.array([wth @ (lap[..., j] * jac[:, None]) @ wph / np.pi
                      for j in range(lap.shape[-1])])
@@ -406,6 +407,42 @@ def exp_series(x, t) -> np.ndarray:
         tk = tk * t
         out += tk[..., None, None] * term
     return out
+
+
+# ---------------------------------------------------------------------------
+# The pair-tensor Wirtinger kernel: the oracle for the folded one. It forms
+# the (N, m, m, s^2) products p_a[i,k] conj(p_b[i,k]) and contracts them with
+# the block mask per trailing size j, before any weights.
+
+
+def pair_tensor_hessian(z, a) -> np.ndarray:
+    """d_a dbar_b log det G[j:, j:] of G = z z*, for every trailing size j.
+
+    ``z`` is a stack (N, s, s) of invertible matrices, holomorphic in the m
+    coordinates, and ``a`` (N, m, s, s) holds dz/dz_a. Returns the hermitian
+    (N, m, m, s), j last: the closed form tr(G^-1 a_a a_b*) -
+    tr(G^-1 a_a z* G^-1 z a_b*) on each trailing block.
+
+    One factorization z = u k of ``_rq`` (so G = u u*) and one triangular
+    solve for the direction blocks serve every j: put p_a = u^-1 a_a k*. As
+    u is upper triangular, G[j:, j:]^-1 = u[j:, j:]^-* u[j:, j:]^-1 reads
+    rows j: of it, and the closed form becomes
+
+        sum_{i >= j > k} p_a[i,k] conj(p_b[i,k]),
+
+    free of cancellation and positive semidefinite. Neither G nor G^-1 is
+    formed. Raises NumericalBreakdown where ``_rq`` does.
+    """
+    nb, m, s = a.shape[:3]
+    u, k = _rq(z)
+    rhs = a.transpose(0, 2, 1, 3).reshape(nb, s, m * s)
+    kh = np.conj(np.swapaxes(k, -1, -2))
+    p = np.linalg.solve(u, rhs).reshape(nb, s, m, s) \
+        .transpose(0, 2, 1, 3) @ kh[:, None]
+    below = _below_mask(s)
+    # p_a[i, k] conj(p_b[i, k]), flattened over (i, k)
+    pair = (p[:, :, None] * np.conj(p[:, None])).reshape(nb, m, m, s * s)
+    return pair @ below
 
 
 # ---------------------------------------------------------------------------

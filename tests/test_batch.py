@@ -314,7 +314,12 @@ def test_column_csv_equals_row_writer_on_edge_values():
                     [np.nan + 1j * np.inf, -np.inf + 0j]])
     cols = {"phi": np.array([-0.0, 5e-324, 1e300]),
             "g_11_re": np.array([-1e300, 1.0 / 3.0, np.nan]),
-            "h_12_im": np.array([0.0, -2.2250738585072014e-308, 123456789.0])}
+            "h_12_im": np.array([0.0, -2.2250738585072014e-308, 123456789.0]),
+            # x beside -x, -0.0 beside 0.0, -inf, and a nan with its sign
+            # bit set, which prints "nan" as every nan does
+            "mu_1": np.array([1.0 / 3.0, -1.0 / 3.0, -0.0]),
+            "mu_2": np.array([-np.inf, np.copysign(np.nan, -1.0), 0.0])}
+    assert np.signbit(cols["mu_2"][1])
     assert _grid_csv(pts, cols) == row_grid_csv(pts, cols)
     assert _grid_csv(pts[:1], {}) == row_grid_csv(pts[:1], {})
 

@@ -356,6 +356,27 @@ def test_z_with_grid_exits_2(capsys, command):
     assert "--z" in err["message"] and "--grid" in err["message"]
 
 
+@pytest.mark.parametrize("command,extra,flag", [
+    *[(c, ["--grid=-1:1:2,0;0,0;0,0"], "--grid")
+      for c in ("classify", "decompose", "betti", "pairing", "verify")],
+    ("verify", ["--grid=-1:1:2,0;0,0;0,0", "--out", "csv"], "--grid"),
+    *[(c, ["--out", "csv"], "--out")
+      for c in ("classify", "decompose", "dress", "potential", "metric",
+                "betti", "pairing", "verify")],
+])
+def test_unread_flag_exits_2(capsys, command, extra, flag):
+    # these commands used to ignore the flag: verify with a grid and --out
+    # csv wrote its JSON report and exited 0
+    code = main([command, "--group", "su", "--n", "3", "--weights", "1,2",
+                 "--points", "2", "--order", "8", *extra])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2
+    assert captured.out == ""
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(flag)
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("verify", "--points", "-3"),
     ("verify", "--points", "0"),

@@ -9,7 +9,7 @@ from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms, build_g
                        potential_batch, weyl_group)
 from coadjoint.orbit import required_zero_mask
 from helpers import (KKS_METRIC_RATIO, fd_metric, fd_wirtinger_hessian,
-                     haar_sp, haar_su, random_chart)
+                     haar_sp, haar_su, pair_tensor_hessian, random_chart)
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -107,6 +107,47 @@ def test_metric_batch_equals_stacked_metric(family, n):
         rows = np.array([metric(spec, ip, chart_point(spec, c)).g
                          for c in coords])
         assert np.array_equal(metric_batch(spec, ip, coords), rows)
+
+
+def _weight_patterns(spec):
+    """Weights 1..rank on every wall pattern: generic, then with walls."""
+    rank = spec.adapter.rank
+    for pattern in itertools.product((1, 0), repeat=rank):
+        if any(pattern):
+            yield initial_point(spec, np.multiply(pattern, range(1, rank + 1)))
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_metric_matches_pair_tensor_oracle(family, n):
+    # the folded kernel against the pair-tensor one with the weights applied
+    # last, over rows at |z| from 1 to 1e4. Far rows lose digits to the
+    # conditioning of z in both kernels alike, and the two take u^-1 a k*
+    # in different orders, so the miss is scaled by the largest entry of
+    # all rows
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(21)
+    for ip in _weight_patterns(spec):
+        coords = np.array([random_chart(spec, rng, scale=s, point=ip).array()
+                           for s in (1.0, 10.0, 1e2, 1e3, 1e4)])
+        active = np.flatnonzero(~required_zero_mask(spec, ip))
+        z, a = fam.chart_jacobian(coords)
+        oracle = pair_tensor_hessian(z, a[:, active]) \
+            @ (np.asarray(ip.weights) @ fam.minor_weights)
+        g = metric_batch(spec, ip, coords)
+        assert np.max(np.abs(g - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_metric_is_exactly_hermitian(family, n):
+    spec = build_group(family, n)
+    rng = np.random.default_rng(22)
+    for ip in _weight_patterns(spec):
+        coords = np.array([random_chart(spec, rng, scale=s, point=ip).array()
+                           for s in (1.0, 1e2, 1e4)])
+        g = metric_batch(spec, ip, coords)
+        assert np.array_equal(g, np.conj(np.swapaxes(g, 1, 2)))
+        assert np.all(np.diagonal(g, axis1=1, axis2=2).imag == 0)
 
 
 # chart points where the SO(4) and Sp(2) chart Jacobians overflow while the

@@ -3,10 +3,11 @@ import pytest
 
 from coadjoint._families import get_family
 from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
-    gauss_legendre, iwasawa_nak, ul_decompose, wirtinger_hessian
+    complex_laplacian, gauss_legendre, iwasawa_nak, ul_decompose, \
+    wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown, OutsideCell
 from helpers import cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
-    udu_factor
+    pair_tensor_hessian, udu_factor
 
 
 def _gram_batch(rng, batch, s):
@@ -66,14 +67,31 @@ def test_wirtinger_hessian_matches_fd_log_det():
         return z0 + np.tensordot(t, a, 1)
 
     t0 = 0.3 * cplx(m)
-    h = wirtinger_hessian(z_at(t0)[None], a[None])[0]
-    for j in range(s):
+    for j, c in enumerate(np.eye(s)):
+        h = wirtinger_hessian(z_at(t0)[None], a[None], c)[0]
         def log_det(ts, j=j):
             g = z_at(ts)[:, j:]
             return np.linalg.slogdet(g @ np.conj(np.swapaxes(g, -1, -2)))[1]
         oracle = fd_wirtinger_hessian(log_det, t0)
-        assert np.max(np.abs(h[..., j] - oracle)) < 1e-6 * max(
+        assert np.max(np.abs(h - oracle)) < 1e-6 * max(
             1.0, np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 5),
+                                      ("sp", 2), ("sp", 3), ("so", 3),
+                                      ("so", 4)])
+def test_complex_laplacian_matches_pair_tensor_oracle(family, n):
+    # the pairing integrand, every basis potential at once, against the
+    # pair-tensor kernel with the minor weights applied last, over the
+    # cycle radii 1e-2 .. 1e2 that the radial rule folds into (0, 1]
+    fam = get_family(family, n)
+    t = np.logspace(-2, 2, 9) * np.exp(0.4j)
+    for i, x in enumerate(fam.cycle_generators()):
+        z = fam.cycle_chart(i, t)
+        lap = complex_laplacian(z, z @ x, fam.minor_weights.T)
+        oracle = pair_tensor_hessian(z, (z @ x)[:, None])[:, 0, 0].real \
+            @ fam.minor_weights.T
+        assert np.max(np.abs(lap - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
 
 # ---------------------------------------------------------------------------
