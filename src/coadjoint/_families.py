@@ -23,11 +23,12 @@ that fixes, in one place, the conventions the numerical layer relies on:
   two-cycle and to 0 on the others. ``Family.potential_weights`` calibrates
   them, once per family, at the point t = 1 of each cycle chart.
 
-``chart_split`` is the one per-family source of root-space data. The
-lowering generator of a root is the chart's derivative along its coordinate
-at the origin, the simple roots are the first ``rank`` coordinates, and the
-two-cycle of simple root k is the chart restricted to coordinate k, which
-is exp(t x_k); the base class reads all three off the chart.
+``chart_split`` is the one per-family source of root-space data, and
+``chart_jacobian`` differentiates it in closed form. The lowering generator
+of a root is the chart's derivative along its coordinate at the origin, the
+simple roots are the first ``rank`` coordinates, and the two-cycle of
+simple root k is the chart restricted to coordinate k, which is
+exp(t x_k); the base class reads all three off the chart.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import _rq
+from ._linalg import _read_only, _rq
 from .errors import UnsupportedGroup
 
 _LN2 = float(np.log(2.0))
@@ -103,7 +104,7 @@ class Family:
 
     def chart_split(self, coords):
         """Split-basis matrices for a batch of chart coordinates (N, dim)."""
-        raise NotImplementedError
+        return self._chart(coords, False)[:, 0]
 
     def chart_working(self, coords):
         """Chart matrix in the family's working basis.
@@ -118,25 +119,36 @@ class Family:
         """Split charts and their holomorphic derivatives at a coordinate batch.
 
         Returns ``z`` (N, s, s) and ``a`` (N, dim, s, s) with
-        a[:, k] = dz/dz_k. Every chart entry is a holomorphic polynomial of
-        degree at most 2 in each single coordinate (SO(3) has z^2; the SO(4)
-        and Sp entries are affine in each coordinate, as a product down a
-        triangular matrix uses each entry at most once), so a central
-        difference along a coordinate is the exact derivative for any step,
-        whatever the total degree (n - 1 for Sp(n)). The step is the power of
-        two at or above the point's largest coordinate (at least 1), which
-        keeps the rounding of the difference relative to the derivative.
+        a[:, k] = dz/dz_k in closed form: SU reads its constant E_(r, c) off
+        a table, SO and Sp take the product rule along their one chart build
+        (``_chart``). ``a`` may be a read-only view.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        nb, dim = coords.shape
-        e = np.eye(dim)
-        h = np.exp2(np.ceil(np.log2(np.maximum(
-            1.0, np.max(np.abs(coords), axis=1)))))[:, None, None]
-        pts = coords[:, None] + h * np.concatenate([e, -e])
-        z = self.chart_split(np.concatenate([coords, pts.reshape(-1, dim)]))
-        d = z[nb:].reshape((nb, 2, dim) + z.shape[1:]) \
-            / (2.0 * h[..., None, None])
-        return z[:nb], d[:, 0] - d[:, 1]
+        z = self._chart(coords, True)
+        return z[:, 0], z[:, 1:]
+
+    def _chart(self, coords, jac: bool):
+        """(N, 1 + dim, s, s) with ``jac``, else (N, 1, s, s): the charts at
+        [:, 0] and dz/dz_k at [:, 1 + k].
+
+        ``_fill_chart`` writes the chart into the identity from a stack c of
+        the point and, with ``jac``, the unit vectors e_k, one slot each: an
+        entry linear in c is then its own derivative, and a product of two
+        takes the product rule (``_dual``).
+        """
+        c = np.atleast_2d(np.asarray(coords, dtype=complex))[:, None]
+        if jac:
+            e = np.eye(c.shape[-1])
+            c = np.concatenate([c, np.broadcast_to(e, (len(c),) + e.shape)], 1)
+        z = np.empty(c.shape[:2] + (self.slots,) * 2, dtype=complex)
+        z[...] = self._one[:c.shape[1]]
+        self._fill_chart(z, c)
+        return z
+
+    @cached_property
+    def _one(self) -> np.ndarray:
+        """The identity on slot 0 of a ``_chart`` stack, 0 on the others."""
+        first = np.arange(1 + self.chart_dim)[:, None, None] == 0
+        return _read_only(np.eye(self.slots, dtype=complex) * first)[0]
 
     def coords_from_zeta_split(self, zeta):
         """Chart coordinates of a split-basis lower-unitriangular element.
@@ -157,12 +169,11 @@ class Family:
     def lowering_generators(self) -> np.ndarray:
         """x_b = dz/dz_b at the origin, one per positive root (dim, s, s).
 
-        The chart Jacobian is exact (see ``chart_jacobian``), so these are
-        the root vectors of the chart's own normalization; read-only.
+        Read off the closed-form ``chart_jacobian``, so these are the root
+        vectors of the chart's own normalization; read-only.
         """
         x = self.chart_jacobian(np.zeros(self.chart_dim))[1][0]
-        x.setflags(write=False)
-        return x
+        return _read_only(x)[0]
 
     def cycle_generators(self) -> np.ndarray:
         """Lowering generators x_k of the simple roots, one per cycle."""
@@ -219,13 +230,14 @@ class Family:
         vecs = np.array([info.vec for info in self.positive_roots])
         return np.rint(vecs @ self.dual_weights.T).astype(int)
 
-    @property
+    @cached_property
     def minor_weights(self) -> np.ndarray:
         """Rows C_k with Phi_k = sum_j C_kj log det G[j:, j:], G = z z*.
 
         From log a_j = (log det G[j:, j:] - log det G[j+1:, j+1:]) / 2.
         """
-        return 0.5 * np.diff(self.potential_weights, axis=1, prepend=0.0)
+        return _read_only(0.5 * np.diff(self.potential_weights, axis=1,
+                                        prepend=0.0))[0]
 
     def potentials(self, z_split) -> np.ndarray:
         """All rank basis potentials Phi_k at a batch of split matrices."""
@@ -288,6 +300,9 @@ class SUFamily(Family):
         self.positive_roots = [RootInfo(tuple(e[c] - e[r]), f"e{c + 1}-e{r + 1}")
                                for r, c in positions]
         self._rows, self._cols = np.array(positions).T
+        # dz/dz_k = E_(r_k, c_k), one read-only table
+        self._units, = _read_only(np.eye(n * n, dtype=complex)[
+            n * self._rows + self._cols].reshape(-1, n, n))
         # dual basis: fundamental weight vectors
         dual = np.zeros((n - 1, n))
         for k in range(1, n):
@@ -308,13 +323,12 @@ class SUFamily(Family):
 
     # charts ---------------------------------------------------------------
 
-    def chart_split(self, coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        nb = coords.shape[0]
-        z = np.empty((nb, self.n, self.n), dtype=complex)
-        z[...] = np.eye(self.n)
-        z[:, self._rows, self._cols] = coords
-        return z
+    def _fill_chart(self, z, c):
+        z[..., self._rows, self._cols] = c
+
+    def chart_jacobian(self, coords):
+        z = self.chart_split(coords)
+        return z, np.broadcast_to(self._units, z.shape[:1] + self._units.shape)
 
     def coords_from_zeta_split(self, zeta):
         return np.asarray(zeta)[..., self._rows, self._cols]
@@ -387,8 +401,7 @@ class SpFamily(Family):
     two factor orders, [[I, 0], [J U, I]] diag(A, J A^-T J) (P = U) and its
     reverse (P = A^-T U A^-1): with either order alone, the Sp(2) points
     where e1+e2 and 2e1 vanish lie on the pole of a chart transition of
-    length two ((1, 0) or (0, 1)), with S on none. Every entry of z has
-    degree at most 2 in each coordinate, and in all of them up to Sp(3).
+    length two ((1, 0) or (0, 1)), with S on none.
 
     Each root has one entry of M = [[A], [J U]] on or above its
     anti-diagonal; as for SU, the coordinates run level by level down the
@@ -452,28 +465,25 @@ class SpFamily(Family):
 
     # charts -----------------------------------------------------------------
 
-    def chart_split(self, coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        nb, n = coords.shape[0], self.n
-        eye = np.eye(n, dtype=complex)
-        z = np.zeros((nb, 2 * n, 2 * n), dtype=complex)
-        z[:, :n, :n] = eye
-        z[:, self._rows, self._cols] = coords          # [[A], [J U]]
-        z[:, self._mrows, self._mcols] = coords[:, self._midx]
-        low, ju = z[:, :n, :n] - eye, z[:, n:, :n]
+    def _fill_chart(self, z, c):
+        n = self.n
+        one = self._one[:z.shape[1], :n, :n]
+        z[..., self._rows, self._cols] = c          # [[A], [J U]]
+        z[..., self._mrows, self._mcols] = c[..., self._midx]
+        low, ju = z[..., :n, :n] - one, z[..., n:, :n]
         # J S of the Sp(2) corner: S = x [[U10, U11/2], [U11/2, 0]]
-        x = low[:, 1, 0]
-        js = x * ju[:, n - 2, 0], 0.5 * x * ju[:, n - 2, 1]
-        ju += _small_matmul(ju, low)
-        ju[:, -1, 0] -= js[0]
-        ju[:, -1, 1] -= js[1]
-        ju[:, -2, 0] -= js[1]
+        x = low[..., 1, 0]
+        js = (_dual(np.multiply, x, ju[..., n - 2, 0]),
+              _dual(np.multiply, 0.5 * x, ju[..., n - 2, 1]))
+        ju += _dual(_small_matmul, ju, low)
+        ju[..., -1, 0] -= js[0]
+        ju[..., -1, 1] -= js[1]
+        ju[..., -2, 0] -= js[1]
         # A^-1 = sum_k (-L)^k, L = A - I nilpotent of order n, by Horner
-        inv = eye - low
+        inv = one - low
         for _ in range(n - 2):
-            inv = eye - _small_matmul(low, inv)
-        z[:, n:, n:] = np.swapaxes(inv, -1, -2)[:, ::-1, ::-1]
-        return z
+            inv = one - _dual(_small_matmul, low, inv)
+        z[..., n:, n:] = np.swapaxes(inv, -1, -2)[..., ::-1, ::-1]
 
     def coords_from_zeta_split(self, zeta):
         # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C A^-1;
@@ -609,24 +619,19 @@ class SOFamily(Family):
     def working_from_split(self, g):
         return self._t @ np.asarray(g, dtype=complex) @ self._t.conj().T
 
-    def chart_split(self, coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=complex))
-        nb = coords.shape[0]
+    def _fill_chart(self, z, c):
         if self.n == 3:
-            z = np.broadcast_to(np.eye(3, dtype=complex), (nb, 3, 3)).copy()
             rt2 = np.sqrt(2.0)
-            z[:, 1, 0] = rt2 * coords[:, 0]
-            z[:, 2, 1] = -rt2 * coords[:, 0]
-            z[:, 2, 0] = -coords[:, 0] ** 2
-            return z
-        z = np.broadcast_to(np.eye(4, dtype=complex), (nb, 4, 4)).copy()
-        z1, z2 = coords[:, 0], coords[:, 1]
-        z[:, 1, 0] = z1
-        z[:, 3, 2] = -z1
-        z[:, 2, 0] = z2
-        z[:, 3, 1] = -z2
-        z[:, 3, 0] = -z1 * z2
-        return z
+            z[..., 1, 0] = rt2 * c[..., 0]
+            z[..., 2, 1] = -rt2 * c[..., 0]
+            z[..., 2, 0] = -_dual(np.multiply, c[..., 0], c[..., 0])
+            return
+        z1, z2 = c[..., 0], c[..., 1]
+        z[..., 1, 0] = z1
+        z[..., 3, 2] = -z1
+        z[..., 2, 0] = z2
+        z[..., 3, 1] = -z2
+        z[..., 3, 0] = _dual(np.multiply, -z1, z2)
 
     def coords_from_zeta_split(self, zeta):
         zeta = np.asarray(zeta)
@@ -669,6 +674,16 @@ def _sp_label(c: int, r: int, n: int) -> str:
         return f"e{c + 1}-e{r + 1}"
     r = 2 * n - 1 - r
     return f"2e{c + 1}" if r == c else f"e{c + 1}+e{r + 1}"
+
+
+def _dual(mul, x, y):
+    """mul(x, y) on ``_chart`` stacks: the values at [:, 0], and the product
+    rule at [:, 1:]."""
+    if y.shape[1] == 1:
+        return mul(x, y)
+    out = mul(x, y[:, :1])
+    out[:, 1:] += mul(x[:, :1], y[:, 1:])
+    return out
 
 
 def _small_matmul(x, y):

@@ -276,7 +276,7 @@ def _metric_columns(spec, point, pts) -> dict:
 
 def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid:
+    if args.grid is not None:
         return _grid(args, report, partial(_dress_columns, spec, point))
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -299,7 +299,7 @@ def cmd_dress(args, spec, report):
 
 def cmd_potential(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid:
+    if args.grid is not None:
         return _grid(args, report, partial(_potential_columns, spec, point))
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -311,7 +311,7 @@ def cmd_potential(args, spec, report):
 
 def cmd_metric(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid:
+    if args.grid is not None:
         return _grid(args, report, partial(_metric_columns, spec, point))
     rng = np.random.default_rng(args.seed)
     chart = _get_chart(args, spec, point, rng)
@@ -467,9 +467,12 @@ def _grid_csv(lattice, columns: dict) -> str:
     block = np.array(list(columns.values()), dtype=float)
     keys, inverse = np.unique(block.view(np.int64).ravel(),
                               return_inverse=True)
-    # repr(-x) is "-" + repr(x) for every float but nan: one repr a magnitude
-    mags, back = np.unique(np.abs(keys.view(float)), return_inverse=True)
-    texts = np.array(list(map(repr, mags.tolist())), dtype=object)[back]
+    # repr(-x) is "-" + repr(x) for every float but nan: one repr a
+    # magnitude once a key has its sign bit set (the int64 keys sort first)
+    values, back = keys.view(float), slice(None)
+    if keys.size and keys[0] < 0:
+        values, back = np.unique(np.abs(values), return_inverse=True)
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)[back]
     minus = (keys < 0) & ~np.isnan(keys.view(float))
     texts[minus] = "-" + texts[minus]
     # the values first, so a value's token index is its inverse entry; a
@@ -552,7 +555,7 @@ def main(argv=None) -> int:
         spec = build_group(args.group, args.n)
         if args.grid is not None and args.command not in GRID_COMMANDS:
             raise ValueError("--grid is for dress, potential and metric only")
-        if args.out == "csv" and not args.grid:
+        if args.out == "csv" and args.grid is None:
             raise ValueError("--out csv writes a grid: it needs --grid")
         code = COMMANDS[args.command](args, spec, report)
     except CONFIG_ERRORS as exc:

@@ -80,13 +80,14 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
 
     Phi = sum_j c_j log det G[j:, j:] with G = z z* and c = weights @
     ``minor_weights``, folded in by ``wirtinger_hessian`` before any
-    product. Degenerate orbits restrict to the m active coordinates (those
-    not forced to vanish), where the tensor is positive definite.
-    Raises NumericalBreakdown for a chart matrix that is singular to working
-    precision. A row whose chart Jacobian overflows (|z| near 1e300 on
-    SO(4) and Sp) comes back nan, as off-cell rows of
-    ``cocycle_shift_batch`` do; ``metric`` raises there. Raises ValueError
-    unless ``coords`` has shape (N, chart_dim).
+    product, on z and its closed-form ``Family.chart_jacobian``. Degenerate
+    orbits restrict to the m active coordinates (those not forced to
+    vanish), where the tensor is positive definite. Raises
+    NumericalBreakdown for a chart matrix that is singular to working
+    precision. A row that overflows in the kernel (Sp near |z| ~ 1e300)
+    comes back nan, as off-cell rows of ``cocycle_shift_batch`` do;
+    ``metric`` raises there. Raises ValueError unless ``coords`` has shape
+    (N, chart_dim).
     """
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
@@ -106,7 +107,7 @@ def metric(spec: GroupSpec, point: InitialPoint,
         g = metric_batch(spec, point, chart.array()[None])[0]
     if not np.isfinite(g).all():
         raise NumericalBreakdown("the metric is not finite at this point: "
-                                 "the chart or its Jacobian overflows")
+                                 "the chart or its factorization overflows")
     labels = tuple(spec.adapter.positive_roots[i].label for i in active)
     return KahlerTensor(g=g, active_indices=tuple(int(i) for i in active),
                         active_labels=labels, base_point=chart)

@@ -289,6 +289,31 @@ def fd_complex_laplacian(f, t, h: float = 1e-4, richardson: bool = True):
     return (0.25 * full).reshape(t.shape + cols)
 
 
+def fd_chart_jacobian(fam, coords):
+    """``Family.chart_jacobian`` by central differences, over 2 dim + 1
+    chart builds per row.
+
+    Every chart entry is a holomorphic polynomial of degree at most 2 in
+    each single coordinate (SO(3) has z^2; the SO(4) and Sp entries are
+    affine in each coordinate, as a product down a triangular matrix uses
+    each entry at most once), so a central difference along a coordinate is
+    the exact derivative for any step, whatever the total degree (n - 1 for
+    Sp(n)). The step is the power of two at or above the point's largest
+    coordinate (at least 1), which keeps the rounding of the difference
+    relative to the chart entries at the shifted points.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=complex))
+    nb, dim = coords.shape
+    e = np.eye(dim)
+    h = np.exp2(np.ceil(np.log2(np.maximum(
+        1.0, np.max(np.abs(coords), axis=1)))))[:, None, None]
+    pts = coords[:, None] + h * np.concatenate([e, -e])
+    z = fam.chart_split(np.concatenate([coords, pts.reshape(-1, dim)]))
+    d = z[nb:].reshape((nb, 2, dim) + z.shape[1:]) \
+        / (2.0 * h[..., None, None])
+    return z[:nb], d[:, 0] - d[:, 1]
+
+
 def fd_metric(spec, point, chart, step=1e-4):
     """Metric on the active coordinates by Richardson central differences."""
     mask = required_zero_mask(spec, point)

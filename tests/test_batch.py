@@ -324,6 +324,19 @@ def test_column_csv_equals_row_writer_on_edge_values():
     assert _grid_csv(pts[:1], {}) == row_grid_csv(pts[:1], {})
 
 
+def test_column_csv_equals_row_writer_without_sign_bits():
+    # no key has its sign bit set, so no magnitude pass: +0.0, +inf and two
+    # nan payloads with the sign bit clear
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001]).view(float)
+    pts = np.array([[0.0 + 0.5j], [1e300 + 0j], [2.0 + 5e-324j]])
+    cols = {"phi": np.array([0.0, np.inf, nans[0]]),
+            "g_11_re": np.array([nans[1], 1.0 / 3.0, 0.0])}
+    assert not np.any(np.signbit(np.concatenate(list(cols.values()))))
+    assert np.isnan(nans).all() and nans.view(np.int64)[0] != \
+        nans.view(np.int64)[1]
+    assert _grid_csv(pts, cols) == row_grid_csv(pts, cols)
+
+
 # per coordinate: varying, constant and 1-step axes, repeated values
 # (1:1:3), signed zeros in axes and constants, magnitudes 1e-310 .. 1e300
 LATTICES = ["-0:1:2,-0;0,-0;1:1:3,0.25",

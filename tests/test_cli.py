@@ -356,6 +356,19 @@ def test_z_with_grid_exits_2(capsys, command):
     assert "--z" in err["message"] and "--grid" in err["message"]
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "csv"]])
+@pytest.mark.parametrize("command", ["potential", "metric", "dress"])
+def test_empty_grid_exits_2(capsys, command, out):
+    # an empty --grid= used to read as no grid: a report at a random point
+    code = main([command, "--group", "su", "--n", "3", "--weights", "1,2",
+                 "--grid=", *out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "bad grid component ''"}
+
+
 @pytest.mark.parametrize("command,extra,flag", [
     *[(c, ["--grid=-1:1:2,0;0,0;0,0"], "--grid")
       for c in ("classify", "decompose", "betti", "pairing", "verify")],
@@ -395,11 +408,11 @@ def test_nonpositive_count_exits_2(capsys, command, flag, value):
     assert f"{flag} needs at least 1, got {value}" in err["message"]
 
 
-@pytest.mark.parametrize("group,n,z", [("so", "4", "1e300,0;1e-310,0"),
-                                       ("sp", "2", "1e300,0;0,0;0,0;0,0")])
+@pytest.mark.parametrize("group,n,z", [("sp", "2", "1e300,0;0,0;0,0;0,0")])
 def test_far_metric_breakdown_exits_3(capsys, group, n, z):
-    # the chart Jacobian overflows here: one point is a domain error, with
-    # no NaN tokens on stdout, while a grid through it writes a nan row
+    # the kernel's back substitution overflows here: one point is a domain
+    # error, with no NaN tokens on stdout, while a grid through it writes a
+    # nan row
     argv = ["metric", "--group", group, "--n", n, "--weights", "1,2"]
     code = main(argv + ["--z", z])
     captured = capsys.readouterr()
@@ -409,6 +422,19 @@ def test_far_metric_breakdown_exits_3(capsys, group, n, z):
     code, out = run(capsys, *argv, f"--grid={z}", "--out", "csv")
     assert code == 0
     assert "nan" in out.splitlines()[1]
+
+
+def test_far_so4_metric_exits_0(capsys):
+    # central differences overflowed here and the report exited 3; the
+    # closed-form Jacobian gives diag(0, g_22(0)): g_11 = (1 + |z1|^2)^-2
+    # underflows
+    argv = ["metric", "--group", "so", "--n", "4", "--weights", "1,2", "--z"]
+    code, out = run(capsys, *argv, "1e300,0;1e-310,0")
+    assert code == 0
+    g = json.loads(out)["results"][0]["g"]
+    g0 = json.loads(run(capsys, *argv, "0,0;0,0")[1])["results"][0]["g"]
+    assert g[0] == [[0.0, 0.0], [0.0, 0.0]] and g[1][0] == [0.0, 0.0]
+    assert g[1][1] == pytest.approx(g0[1][1], rel=1e-15)
 
 
 # one process, many calls: flags of one call must not reach the next

@@ -162,11 +162,11 @@ def test_chunks_run_under_the_callers_error_state(monkeypatch, threads):
 
 
 def test_chunked_overflow_grid_warns_as_the_caller_asks(monkeypatch, threads):
-    # the chart Jacobian overflows on every row; numpy warns unless told not
+    # the metric kernel overflows on every row; numpy warns unless told not
     # to, in every chunk
     monkeypatch.setattr(cli, "MIN_ROWS", 2)
-    argv = ["metric", "--group", "so", "--n", "4", "--weights", "1,2",
-            "--grid=1e300,0;1e-310:1e-300:8,0", "--out", "csv"]
+    argv = ["metric", "--group", "sp", "--n", "2", "--weights", "1,2",
+            "--grid=1e300,0;0,0;0,0;1e-310:1e-300:8,0", "--out", "csv"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(all="ignore"):

@@ -7,9 +7,12 @@ from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms, build_g
                        cocycle_shift, dress, initial_point, integrality_check,
                        kks_pairing, metric, metric_batch, potential,
                        potential_batch, weyl_group)
+from coadjoint._linalg import wirtinger_hessian
+from coadjoint.checks import normal_coords
 from coadjoint.orbit import required_zero_mask
-from helpers import (KKS_METRIC_RATIO, fd_metric, fd_wirtinger_hessian,
-                     haar_sp, haar_su, pair_tensor_hessian, random_chart)
+from helpers import (KKS_METRIC_RATIO, fd_chart_jacobian, fd_metric,
+                     fd_wirtinger_hessian, haar_sp, haar_su,
+                     pair_tensor_hessian, random_chart)
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -150,10 +153,9 @@ def test_metric_is_exactly_hermitian(family, n):
         assert np.all(np.diagonal(g, axis1=1, axis2=2).imag == 0)
 
 
-# chart points where the SO(4) and Sp(2) chart Jacobians overflow while the
-# potential stays finite
-OVERFLOW_POINTS = [("so", 4, (1, 2), (1e300, 1e-310)),
-                   ("sp", 2, (1, 2), (1e300, 0, 0, 0))]
+# chart points where the Sp(2) metric overflows in the kernel (the back
+# substitution of ``_linalg._folded``) while the potential stays finite
+OVERFLOW_POINTS = [("sp", 2, (1, 2), (1e300, 0, 0, 0))]
 
 
 @pytest.mark.parametrize("family,n,weights,z", OVERFLOW_POINTS)
@@ -172,6 +174,82 @@ def test_metric_raises_where_it_overflows(family, n, weights, z):
     assert np.array_equal(mixed[1], alone[0], equal_nan=True)
     assert np.array_equal(mixed[0], metric(spec, ip,
                                            chart_point(spec, near)).g)
+
+
+def test_so4_metric_is_finite_far_out():
+    # central differences overflowed here (a step near 1e300 times z1); the
+    # closed-form Jacobian does not: g_11 = (1 + |z1|^2)^-2 underflows to 0
+    # and g_22 is its value at the origin
+    spec = build_group("so", 4)
+    ip = initial_point(spec, (1, 2))
+    g = metric(spec, ip, chart_point(spec, (1e300, 1e-310))).g
+    g0 = metric(spec, ip, chart_point(spec, (0, 0))).g
+    assert g[0, 0] == g[0, 1] == g[1, 0] == 0
+    assert abs(g[1, 1] - g0[1, 1]) <= 4 * np.finfo(float).eps * g0[1, 1].real
+    near = np.full(2, 0.3 - 0.2j)
+    mixed = metric_batch(spec, ip, np.array([near, (1e300, 1e-310)]))
+    assert np.array_equal(mixed[1], g)
+
+
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
+def test_chart_jacobian_matches_fd_oracle(family, n):
+    # 20 rows per scale, |z| from 1e-8 to 1e6. The chart is chart_split bit
+    # for bit; SU's dz/dz_k = E is read exactly by both. Elsewhere the
+    # difference quotients round relative to the chart entries at the
+    # shifted points, so the miss is scaled by the largest derivative
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(23)
+    for scale in 10.0 ** np.arange(-8, 7):
+        coords = normal_coords(
+            spec, rng.standard_normal((20, 2 * fam.chart_dim)), scale=scale)
+        z, a = fam.chart_jacobian(coords)
+        oracle = fd_chart_jacobian(fam, coords)[1]
+        assert z.tobytes() == fam.chart_split(coords).tobytes()
+        if family == "su":
+            assert np.array_equal(a, oracle)
+        else:
+            assert np.max(np.abs(a - oracle)) \
+                <= 4 * np.finfo(float).eps * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
+def test_lowering_generators_are_the_fd_oracle_at_the_origin(family, n):
+    # central differences at the origin are exact (steps of 1), so these
+    # are the generators the oracle Jacobian gave: bit for bit on SU and Sp,
+    # and on SO up to the sign of some zeros
+    fam = build_group(family, n).adapter
+    oracle = fd_chart_jacobian(fam, np.zeros(fam.chart_dim))[1][0]
+    assert np.array_equal(fam.lowering_generators, oracle)
+    if family != "so":
+        assert fam.lowering_generators.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
+def test_metric_on_fd_jacobian(family, n):
+    # the kernel on the oracle's Jacobian, on every wall pattern: at |z| <= 2
+    # within 2e-15 of each row's largest entry, and SU bit for bit at every
+    # scale. Far-out Sp rows differ by more, from the kernel's conditioning
+    spec = build_group(family, n)
+    fam = spec.adapter
+    rng = np.random.default_rng(24)
+    scales = (1.0, 1e2, 1e4, 1e6) if family == "su" else (1.0,)
+    for ip in _weight_patterns(spec):
+        active = np.flatnonzero(~required_zero_mask(spec, ip))
+        c = np.asarray(ip.weights) @ fam.minor_weights
+        for scale in scales:
+            coords = normal_coords(
+                spec, rng.standard_normal((20, 2 * fam.chart_dim)), ip)
+            coords *= scale * rng.uniform(0.0, 2.0, (20, 1)) \
+                / np.linalg.norm(coords, axis=1, keepdims=True)
+            z, a = fd_chart_jacobian(fam, coords)
+            oracle = wirtinger_hessian(z, a[:, active], c)
+            g = metric_batch(spec, ip, coords)
+            if family == "su":
+                assert np.array_equal(g, oracle)
+            else:
+                assert np.all(np.max(np.abs(g - oracle), axis=(1, 2))
+                              <= 2e-15 * np.max(np.abs(oracle), axis=(1, 2)))
 
 
 @pytest.mark.parametrize("family,n", GROUPS + [("sp", 4)])
@@ -234,8 +312,8 @@ def test_holomorphic_flag_matches_chart(family, n):
 @pytest.mark.parametrize("family,n", GROUPS)
 def test_chart_split_degree_at_most_two(family, n):
     # on these groups every chart entry has total degree <= 2 (from Sp(4) on
-    # the entries of J A^-T J have degree n - 1; chart_jacobian needs only the
-    # degree in each single coordinate, see the Sp closed-form test); the
+    # the entries of J A^-T J have degree n - 1; fd_chart_jacobian needs only
+    # the degree in each single coordinate, see the Sp closed-form test); the
     # closed-form metric also needs the mixed derivatives d dbar z to vanish
     fam = build_group(family, n).adapter
     rng = np.random.default_rng(9)
@@ -262,10 +340,7 @@ def test_chart_split_degree_at_most_two(family, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sp_chart_jacobian_matches_closed_form(n):
-    # J A^-T J has total degree n - 1 in the A coordinates, but every chart
-    # entry has degree <= 2 in each single coordinate (a product down a
-    # triangular matrix uses each entry at most once), so the central
-    # difference along a coordinate is exact for every n. Closed forms, with
+    # the product rule along chart_split's steps against closed forms, with
     # z = [[A, 0], [J (U A - S), J A^-T J]] and S = x K(U) on the Sp(2)
     # corner, K(U) = [[U10, U11/2], [U11/2, 0]]: d(J A^-T J) =
     # -J A^-T dA^T A^-T J and d(U A - S) = dU A + U dA - dx K(U) - x K(dU)
