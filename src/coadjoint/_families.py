@@ -15,13 +15,14 @@ that fixes, in one place, the conventions the numerical layer relies on:
   (a_1..a_n, b_n..b_1) of C^2n, where Sp(n) = Sp(2n, C) n U(2n); both are
   also the working basis. For SO it is an isotropic basis reached by a
   fixed unitary T.
-* chart coordinates in a fixed order, one complex coordinate per positive
-  root (SU and Sp level by level down the subdiagonals of the chart, that
-  is by root height).
+* one table, ``slot_weights`` eps: the weight of each split slot. Chart
+  coordinates are the entries (r, c) below the diagonal, level by level
+  (so by root height), cut at the anti-diagonal; (r, c) is the coordinate
+  of the positive root eps_c - eps_r.
 * the potential functionals: linear maps on log of the Iwasawa A-diagonal
   whose values restrict to ln(1+|t|^2) exactly on the matching simple-root
-  two-cycle and to 0 on the others. ``Family.potential_weights`` calibrates
-  them, once per family, at the point t = 1 of each cycle chart.
+  two-cycle and to 0 on the others, in closed form from eps
+  (``Family.potential_weights``).
 
 ``chart_split`` is the one per-family source of root-space data, and
 ``chart_jacobian`` differentiates it in closed form. The lowering generator
@@ -41,8 +42,6 @@ import numpy as np
 from ._linalg import _read_only, _rq
 from .errors import UnsupportedGroup
 
-_LN2 = float(np.log(2.0))
-
 
 @dataclass(frozen=True)
 class RootInfo:
@@ -54,19 +53,51 @@ class RootInfo:
         return np.asarray(self.vec, dtype=float)
 
 
+def _root(vec) -> RootInfo:
+    """The root with coordinates ``vec``, labelled as in e1-e2, e1+e2, 2e1."""
+    terms = "".join(("-" if v < 0 else "+") + ("2" if abs(v) == 2 else "")
+                    + f"e{i + 1}" for i, v in enumerate(vec) if v)
+    return RootInfo(tuple(vec), terms.lstrip("+"))
+
+
 class Family:
-    """Base adapter; concrete families fill in the tables in __init__."""
+    """Base adapter; concrete families set their sizes in __init__, then call
+    ``Family.__init__`` with their slot weights."""
 
     family: str
     n: int
     rank: int
     rankdim: int          # length of weight-coordinate vectors
     slots: int            # size of the split matrix realization
+    pairing_scale: float  # B(A, B) = scale * Re Tr(A B)
+    # the chart keeps the entries with r + c <= slots - 1 - gap: 0 keeps the
+    # anti-diagonal (Sp), 1 cuts it (SO), None keeps every entry (SU)
+    _antidiagonal_gap: int | None = None
 
-    # filled by subclasses ------------------------------------------------
+    slot_weights: np.ndarray  # (slots, rankdim), read-only
     positive_roots: list  # list[RootInfo], aligned with chart coordinates
-    dual_weights: np.ndarray      # (rank, rankdim): rows h_k, h_k . a_j = delta
-    pairing_scale: float          # B(A, B) = scale * Re Tr(A B)
+
+    def __init__(self, slot_weights=None):
+        # by default (e_1..e_r, [0,] -e_r..-e_1), r the rank: slots i and
+        # s - 1 - i pair with opposite weights (Sp, SO)
+        if slot_weights is None:
+            half = np.eye(self.rank)
+            mid = np.zeros((self.slots - 2 * self.rank, self.rank))
+            slot_weights = np.concatenate([half, mid, -half[::-1]])
+        self.slot_weights = eps = _read_only(slot_weights)[0]
+        s, gap = self.slots, self._antidiagonal_gap
+        positions = [(c + lvl, c) for lvl in range(1, s) for c in range(s - lvl)
+                     if gap is None or 2 * c + lvl <= s - 1 - gap]
+        self._rows, self._cols = np.array(positions).T
+        self.positive_roots = [_root(eps[c] - eps[r]) for r, c in positions]
+        self._eye = _read_only(np.eye(s, dtype=complex))[0]
+
+    @cached_property
+    def dual_weights(self) -> np.ndarray:
+        """Rows h_k with h_k . alpha_j = delta_kj: the inverse transpose of
+        the simple roots. SU, whose roots span a hyperplane, overrides this."""
+        simple = np.array([info.vec for info in self.simple_roots])
+        return _read_only(np.linalg.inv(simple).T)[0]
 
     # --- coordinates <-> matrices ---------------------------------------
 
@@ -139,23 +170,20 @@ class Family:
         if jac:
             e = np.eye(c.shape[-1])
             c = np.concatenate([c, np.broadcast_to(e, (len(c),) + e.shape)], 1)
-        z = np.empty(c.shape[:2] + (self.slots,) * 2, dtype=complex)
-        z[...] = self._one[:c.shape[1]]
+        z = np.zeros(c.shape[:2] + (self.slots,) * 2, dtype=complex)
+        z[:, 0] = self._eye
         self._fill_chart(z, c)
         return z
 
-    @cached_property
-    def _one(self) -> np.ndarray:
-        """The identity on slot 0 of a ``_chart`` stack, 0 on the others."""
-        first = np.arange(1 + self.chart_dim)[:, None, None] == 0
-        return _read_only(np.eye(self.slots, dtype=complex) * first)[0]
+    def _fill_chart(self, z, c):
+        z[..., self._rows, self._cols] = c
 
     def coords_from_zeta_split(self, zeta):
         """Chart coordinates of a split-basis lower-unitriangular element.
 
         ``zeta`` may be a stack (..., s, s); the coordinates come last.
         """
-        raise NotImplementedError
+        return np.asarray(zeta)[..., self._rows, self._cols]
 
     def split_from_working(self, g):
         return np.asarray(g, dtype=complex)
@@ -216,19 +244,24 @@ class Family:
 
     @cached_property
     def potential_weights(self) -> np.ndarray:
-        """Rows W_k with Phi_k = W_k . log a; dual to the simple-root cycles."""
-        rows = []
-        for k in range(self.rank):
-            z = self.cycle_chart(k, np.array([1.0 + 0.0j]))
-            rows.append(self.log_a(z)[0] / _LN2)
-        v = np.asarray(rows)
-        return np.linalg.solve(v @ v.T, v)
+        """Rows W_k = -2 (h_k . eps) / sum_i (h_k . eps_i)(a_k . eps_i), with
+        Phi_k = W_k . log a, h the ``dual_weights`` and eps the slot weights;
+        read-only, exact on Sp and SO.
+
+        The cycle of simple root k, coroot a_k, has log a = -ln(1+|t|^2)
+        (a_k . eps) / 2, so Phi_k = ln(1+|t|^2) on it, and eps^T eps is a
+        multiple of the identity, so Phi_k = 0 on the others.
+        """
+        simple = np.array([info.vec for info in self.simple_roots])
+        coroots = 2.0 * simple / (simple * simple).sum(axis=1, keepdims=True)
+        h, a = self.dual_weights @ self.slot_weights.T, coroots @ self.slot_weights.T
+        return _read_only(-2.0 * h / (h * a).sum(axis=1, keepdims=True))[0]
 
     @cached_property
     def simple_root_coefficients(self) -> np.ndarray:
-        """Integer rows c with positive root beta = sum_k c_k alpha_k."""
+        """Integer rows c with positive root beta = sum_k c_k alpha_k; read-only."""
         vecs = np.array([info.vec for info in self.positive_roots])
-        return np.rint(vecs @ self.dual_weights.T).astype(int)
+        return _read_only(np.rint(vecs @ self.dual_weights.T).astype(int))[0]
 
     @cached_property
     def minor_weights(self) -> np.ndarray:
@@ -292,23 +325,20 @@ class SUFamily(Family):
         self.rankdim = n
         self.slots = n
         self.pairing_scale = 1.0
+        super().__init__(np.eye(n))
 
-        # level order: subdiagonal distance 1 first, then 2, ...; the
-        # entry (r, c) is the coordinate of e_c - e_r
-        positions = [(i + lvl, i) for lvl in range(1, n) for i in range(n - lvl)]
-        e = np.eye(n)
-        self.positive_roots = [RootInfo(tuple(e[c] - e[r]), f"e{c + 1}-e{r + 1}")
-                               for r, c in positions]
-        self._rows, self._cols = np.array(positions).T
-        # dz/dz_k = E_(r_k, c_k), one read-only table
-        self._units, = _read_only(np.eye(n * n, dtype=complex)[
-            n * self._rows + self._cols].reshape(-1, n, n))
-        # dual basis: fundamental weight vectors
-        dual = np.zeros((n - 1, n))
-        for k in range(1, n):
-            dual[k - 1, :k] = 1.0 - k / n
-            dual[k - 1, k:] = -k / n
-        self.dual_weights = dual
+    @cached_property
+    def dual_weights(self) -> np.ndarray:
+        """Traceless fundamental weights h_k = e_1 + .. + e_k - k/n."""
+        n = self.n
+        return _read_only(np.tri(n - 1, n) - np.arange(1, n)[:, None] / n)[0]
+
+    @cached_property
+    def _units(self) -> np.ndarray:
+        """dz/dz_k = E_(r_k, c_k), one read-only table, built on first use."""
+        units = np.zeros((self.chart_dim, self.n, self.n), dtype=complex)
+        units[np.arange(self.chart_dim), self._rows, self._cols] = 1.0
+        return _read_only(units)[0]
 
     # matrices ------------------------------------------------------------
 
@@ -323,15 +353,9 @@ class SUFamily(Family):
 
     # charts ---------------------------------------------------------------
 
-    def _fill_chart(self, z, c):
-        z[..., self._rows, self._cols] = c
-
     def chart_jacobian(self, coords):
         z = self.chart_split(coords)
         return z, np.broadcast_to(self._units, z.shape[:1] + self._units.shape)
-
-    def coords_from_zeta_split(self, zeta):
-        return np.asarray(zeta)[..., self._rows, self._cols]
 
     # torus ------------------------------------------------------------------
 
@@ -404,12 +428,11 @@ class SpFamily(Family):
     length two ((1, 0) or (0, 1)), with S on none.
 
     Each root has one entry of M = [[A], [J U]] on or above its
-    anti-diagonal; as for SU, the coordinates run level by level down the
-    subdiagonals of z through those entries, so they are ordered by root
-    height, simple roots first.
+    anti-diagonal, the chart position of its coordinate.
     """
 
     family = "sp"
+    _antidiagonal_gap = 0
 
     def __init__(self, n: int):
         if n < 2:
@@ -419,33 +442,18 @@ class SpFamily(Family):
         self.rankdim = n
         self.slots = s = 2 * n
         self.pairing_scale = -0.5
-
-        # slot weights (e_1..e_n, -e_n..-e_1)
-        w = np.concatenate([np.eye(n), -np.eye(n)[::-1]])
-        # entries (r, c) of M, level r - c: the root is w[c] - w[r]
-        positions = [(c + lvl, c) for lvl in range(1, s)
-                     for c in range(min(n, s - lvl)) if 2 * c + lvl < s]
-        self.positive_roots = [RootInfo(tuple(w[c] - w[r]), _sp_label(c, r, n))
-                               for r, c in positions]
-        self._rows, self._cols = np.array(positions).T
+        super().__init__()
         # U[c, r] = U[r, c]: the entries of J U below its anti-diagonal
-        mirror = [(k, s - 1 - c, s - 1 - r) for k, (r, c) in enumerate(positions)
+        mirror = [(k, s - 1 - c, s - 1 - r)
+                  for k, (r, c) in enumerate(zip(self._rows, self._cols))
                   if r >= n and r + c < s - 1]
         self._midx, self._mrows, self._mcols = np.array(mirror).T
-        dual = np.zeros((n, n))
-        for k in range(n - 1):
-            dual[k, : k + 1] = 1.0
-        dual[n - 1, :] = 0.5
-        self.dual_weights = dual
-        self._omega = self._build_omega()
-
-    def _build_omega(self):
-        n = self.n
-        om = np.zeros((2 * n, 2 * n))
-        for k in range(n):
-            om[k, 2 * n - 1 - k] = 1.0
-            om[2 * n - 1 - k, k] = -1.0
-        return om
+        # the n x n identity on slot 0 of a ``_chart`` stack, 0 on the others
+        one = np.zeros((1 + self.chart_dim, n, n), dtype=complex)
+        one[0] = np.eye(n)
+        self._one, = _read_only(one)
+        # Omega pairs slot i with s - 1 - i, signed as the weight of slot i
+        self._omega = np.diag(np.sign(self.slot_weights.sum(axis=1)))[:, ::-1]
 
     # matrices -------------------------------------------------------------
 
@@ -467,8 +475,8 @@ class SpFamily(Family):
 
     def _fill_chart(self, z, c):
         n = self.n
-        one = self._one[:z.shape[1], :n, :n]
-        z[..., self._rows, self._cols] = c          # [[A], [J U]]
+        one = self._one[:z.shape[1]]
+        super()._fill_chart(z, c)                   # [[A], [J U]]
         z[..., self._mrows, self._mcols] = c[..., self._midx]
         low, ju = z[..., :n, :n] - one, z[..., n:, :n]
         # J S of the Sp(2) corner: S = x [[U10, U11/2], [U11/2, 0]]
@@ -560,6 +568,7 @@ class SOFamily(Family):
     """
 
     family = "so"
+    _antidiagonal_gap = 1
 
     def __init__(self, n: int):
         if n not in (3, 4):
@@ -572,27 +581,17 @@ class SOFamily(Family):
         self.rankdim = m
         self.slots = n
         self.pairing_scale = -0.5
-
-        if n == 3:
-            self.positive_roots = [RootInfo((1.0,), "e1")]
-            self.dual_weights = np.array([[1.0]])
-            t = np.zeros((3, 3), dtype=complex)
-            rt = 1.0 / np.sqrt(2.0)
-            t[:, 0] = [rt, -1j * rt, 0.0]     # ubar_1
-            t[:, 1] = [0.0, 0.0, 1.0]         # e_3
-            t[:, 2] = [rt, 1j * rt, 0.0]      # u_1
-            self._t = t
-        else:
-            self.positive_roots = [RootInfo((1.0, -1.0), "e1-e2"),
-                                   RootInfo((1.0, 1.0), "e1+e2")]
-            self.dual_weights = np.array([[0.5, -0.5], [0.5, 0.5]])
-            t = np.zeros((4, 4), dtype=complex)
-            rt = 1.0 / np.sqrt(2.0)
-            t[:, 0] = [rt, -1j * rt, 0.0, 0.0]    # ubar_1
-            t[:, 1] = [0.0, 0.0, rt, -1j * rt]    # ubar_2
-            t[:, 2] = [0.0, 0.0, rt, 1j * rt]     # u_2
-            t[:, 3] = [rt, 1j * rt, 0.0, 0.0]     # u_1
-            self._t = t
+        super().__init__()
+        # columns: ubar_k at slot k - 1 and u_k at slot n - k on the k-th
+        # rotation plane, e_3 in the middle of SO(3)
+        rt = 1.0 / np.sqrt(2.0)
+        t = np.zeros((n, n), dtype=complex)
+        for k in range(m):
+            t[2 * k:2 * k + 2, k] = rt, -1j * rt
+            t[2 * k:2 * k + 2, n - 1 - k] = rt, 1j * rt
+        if n % 2:
+            t[n - 1, m] = 1.0
+        self._t = t
 
     # matrices ----------------------------------------------------------------
 
@@ -666,14 +665,6 @@ class SOFamily(Family):
         if self.n == 3:
             return "SO(2)"
         return "U(2)" if walls else "SO(2)xSO(2)"
-
-
-def _sp_label(c: int, r: int, n: int) -> str:
-    """Label of the Sp(n) root of the chart entry (r, c) of [[A], [J U]]."""
-    if r < n:
-        return f"e{c + 1}-e{r + 1}"
-    r = 2 * n - 1 - r
-    return f"2e{c + 1}" if r == c else f"e{c + 1}+e{r + 1}"
 
 
 def _dual(mul, x, y):

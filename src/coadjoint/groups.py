@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
 
 from ._families import Family, get_family
+from ._linalg import _read_only
 from .errors import AllWeightsZero, UnsupportedGroup
 
 WALL_TOL = 1e-12
@@ -201,12 +203,12 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
                      by_key=seen)
 
 
-def _poly_multiply(p, q) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
+def _times_bracket(p, m: int) -> tuple:
+    """p(t) [m]_t, [m]_t = 1 + t + ... + t^(m-1): each coefficient is a sum
+    of m consecutive coefficients of p, read off its prefix sums."""
+    c, k = (0, *accumulate(p)), len(p)
+    return tuple(c[min(i + 1, k)] - c[max(i + 1 - m, 0)]
+                 for i in range(k + m - 1))
 
 
 def _poly_divide(p, q) -> tuple:
@@ -221,10 +223,19 @@ def _poly_divide(p, q) -> tuple:
 
 
 def parabolic_roots(spec: GroupSpec, gens) -> np.ndarray:
-    """Mask of the positive roots with simple-root support inside ``gens``."""
+    """Mask of the positive roots with simple-root support inside ``gens``.
+
+    Formed once per group and set (read as in ``poincare_polynomial``) and
+    read-only.
+    """
+    return _parabolic(spec, _wall_set(spec, gens))
+
+
+@lru_cache(maxsize=256)
+def _parabolic(spec: GroupSpec, gens) -> np.ndarray:
     coeff = spec.adapter.simple_root_coefficients
-    outside = sorted(set(range(coeff.shape[1])) - set(gens))
-    return ~coeff[:, outside].any(axis=1)
+    outside = [] if gens is None else sorted(set(range(spec.rank)) - set(gens))
+    return _read_only(~coeff[:, outside].any(axis=1))[0]
 
 
 def _wall_set(spec: GroupSpec, gens):
@@ -241,11 +252,14 @@ def poincare_polynomial(spec: GroupSpec, gens=None) -> tuple:
     Macdonald's product P_W(t) = prod_{alpha > 0} [ht alpha + 1]_t / [ht alpha]_t
     with [m]_t = 1 + t + ... + t^{m-1}, over the positive roots whose
     simple-root support lies in J (all of them when ``gens`` is None).
+    With m_h of those roots at height h it telescopes to the product of
+    [h + 1]_t^(m_h - m_(h+1)) over h, the degrees of W_J (Kostant), which
+    is formed without a division.
     Coefficient k counts the elements of length k: P_W(1) = |W|, and the
     degree is the number of positive roots of W_J. P_{G/P_J} = P_W / P_{W_J}
     (Macdonald, Math. Ann. 199 (1972); Humphreys, Reflection Groups and
-    Coxeter Groups, section 3.15). ``gens`` is any iterable of simple
-    reflection indices; the product is formed once per group and set.
+    Coxeter Groups, sections 3.15 and 3.20). ``gens`` is any iterable of
+    simple reflection indices; the product is formed once per group and set.
     """
     return _poincare(spec, _wall_set(spec, gens))
 
@@ -262,14 +276,13 @@ def poincare_quotient(spec: GroupSpec, gens, sub) -> tuple:
 
 @lru_cache(maxsize=256)
 def _poincare(spec: GroupSpec, gens) -> tuple:
-    coeff = spec.adapter.simple_root_coefficients
-    if gens is not None:
-        coeff = coeff[parabolic_roots(spec, gens)]
-    num = den = (1,)
-    for h in coeff.sum(axis=1).tolist():
-        num = _poly_multiply(num, (1,) * (h + 1))
-        den = _poly_multiply(den, (1,) * h)
-    return _poly_divide(num, den)
+    coeff = spec.adapter.simple_root_coefficients[_parabolic(spec, gens)]
+    m = np.bincount(coeff.sum(axis=1), minlength=2).tolist() + [0]
+    p = (1,)
+    for h in range(1, len(m) - 1):
+        for _ in range(m[h] - m[h + 1]):
+            p = _times_bracket(p, h + 1)
+    return p
 
 
 @lru_cache(maxsize=256)

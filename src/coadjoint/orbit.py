@@ -15,7 +15,6 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .decompose import ChartPoint, _nak, bruhat_chart, chart_batch, \
     chart_matrix, chart_point
 from .errors import DegeneracyViolation, MaximalDegenerate, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
-    parabolic_roots, poincare_polynomial, reject_zero_orbit, weyl_group
+    parabolic_roots, reject_zero_orbit, weyl_group
 
 GELL_MANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -59,14 +58,7 @@ def required_zero_mask(spec: GroupSpec, point: InitialPoint) -> np.ndarray:
 
     Cached per walls and read-only.
     """
-    return _wall_mask(spec, point.walls)
-
-
-@lru_cache(maxsize=64)
-def _wall_mask(spec: GroupSpec, walls: tuple) -> np.ndarray:
-    mask = parabolic_roots(spec, walls)
-    mask.setflags(write=False)
-    return mask
+    return parabolic_roots(spec, point.walls)
 
 
 # Y_a = -(i/2) lambda_a transposed, so Tr(mu Y_a) = sum_ij mu[i, j] Y_a^T[i, j];
@@ -311,10 +303,10 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
         raise MaximalDegenerate(
             f"no standard parabolic sits strictly between the stabilizer "
             f"and {spec.name}; the orbit is maximally degenerate")
-    # deg P_{W_J} is the number of positive roots of W_J
-    n_pos, n_stab, n_k = (len(poincare_polynomial(spec, gens)) - 1
-                          for gens in (None, stab, k_gens))
-    base_dim = 2 * (n_pos - n_k)
+    # one chart coordinate per positive root, of G and of each parabolic
+    n_stab, n_k = (int(np.count_nonzero(parabolic_roots(spec, gens)))
+                   for gens in (stab, k_gens))
+    base_dim = 2 * (fam.chart_dim - n_k)
     fiber_dim = 2 * (n_k - n_stab)
     total = SpaceDescriptor(_orbit_label(spec, cls), cls.real_dimension)
     base = SpaceDescriptor(_base_label(spec, drop, base_dim), base_dim)

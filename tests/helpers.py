@@ -100,15 +100,16 @@ def macdonald_polynomial(spec, gens=None) -> tuple:
 
     Each positive root whose simple-root support lies in J (every root when
     ``gens`` is None) contributes [h + 1]_t / [h]_t, h its height; the two
-    integer products are divided once with ``_poly_divide``.
+    integer products are divided once with ``_poly_divide``. The products
+    are formed in python integers: on Sp(6) their coefficients pass 2^63.
     """
     inside = set(range(spec.rank)) if gens is None else set(gens)
-    num = den = np.ones(1, dtype=np.int64)
+    num = den = np.ones(1, dtype=object)
     for row in spec.adapter.simple_root_coefficients:
         if set(np.flatnonzero(row).tolist()) <= inside:
             h = int(row.sum())
-            num = np.convolve(num, np.ones(h + 1, dtype=np.int64))
-            den = np.convolve(den, np.ones(h, dtype=np.int64))
+            num = np.convolve(num, np.ones(h + 1, dtype=object))
+            den = np.convolve(den, np.ones(h, dtype=object))
     return _poly_divide(tuple(num.tolist()), tuple(den.tolist()))
 
 

@@ -74,7 +74,7 @@ TOPOLOGY_GROUPS = ([("su", n) for n in range(2, 7)]
                    + [("sp", n) for n in range(2, 5)] + [("so", 3), ("so", 4)])
 
 
-@pytest.mark.parametrize("family,n", TOPOLOGY_GROUPS)
+@pytest.mark.parametrize("family,n", TOPOLOGY_GROUPS + [("su", 8), ("sp", 6)])
 def test_cached_poincare_data_equal_fresh_macdonald_products(family, n):
     # every wall set J and every K inside it, asked twice: the first call
     # may form the product, the second reads what was kept

@@ -10,7 +10,7 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import (CHART_GROUPS, cycle_generator, exp_series, root_pairing,
-                     root_vector_minus)
+                     root_vector_minus, slot_weights)
 
 
 def test_build_group_ranks():
@@ -492,3 +492,9 @@ def test_find_needs_the_exact_action(family, n):
             wg.find(el.action + 1e-9)
     with pytest.raises(KeyError):
         wg.find(1.5 * wg.elements[0].action)
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_slot_weights_match_the_oracle(family, n):
+    fam = build_group(family, n).adapter
+    assert np.array_equal(fam.slot_weights, slot_weights(fam))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -609,3 +610,50 @@ def test_batch_kernels_reject_wrong_coordinate_count(family, n, kernel):
         with pytest.raises(ValueError, match=rf"shape \(N, {dim}\), "
                                              rf"got \(2, {width}\)"):
             kernel(spec, ip, np.full((2, width), 0.5 + 0.1j))
+
+
+# The closed-form potential weights: exact rows on Sp and SO, and on SU
+# -2 times the fundamental weights, with no rounding from a fit
+
+
+def _exact_potential_rows(family, n):
+    """W_k: -1 on the first k + 1 Sp slots and +1 on their mirrors (the long
+    root's row too); the SO rows are half-integers."""
+    if family == "so":
+        return {3: [[-0.5, 0.0, 0.5]],
+                4: [[-0.5, 0.5, -0.5, 0.5], [-0.5, -0.5, 0.5, 0.5]]}[n]
+    rows = np.zeros((n, 2 * n))
+    for k in range(n):
+        rows[k, :k + 1] = -1.0
+        rows[k, 2 * n - 1 - k:] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("family,n", [("sp", 2), ("sp", 3), ("sp", 4),
+                                      ("sp", 5), ("so", 3), ("so", 4)])
+def test_potential_weights_are_the_exact_rows(family, n):
+    fam = build_group(family, n).adapter
+    assert np.array_equal(fam.potential_weights,
+                          _exact_potential_rows(family, n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_su_potential_weights_are_minus_twice_the_dual_weights(n):
+    fam = build_group("su", n).adapter
+    assert np.array_equal(fam.potential_weights, -2.0 * fam.dual_weights)
+
+
+def test_su60_potential_stays_small_in_memory():
+    # the chart Jacobian's unit table, cut from an n^2 x n^2 identity, and a
+    # 1 + dim deep identity stack took 300 MiB at SU(60); a one-row
+    # potential needs neither
+    tracemalloc.start()
+    try:
+        spec = build_group("su", 60)
+        point = initial_point(spec, range(1, 60))
+        phi = potential_batch(spec, point, np.ones((1, spec.adapter.chart_dim)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(phi).all()
+    assert peak < 20 * 2 ** 20

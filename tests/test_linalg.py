@@ -6,7 +6,7 @@ from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
     complex_laplacian, gauss_legendre, iwasawa_nak, ul_decompose, \
     wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown, OutsideCell
-from helpers import cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
+from helpers import CHART_GROUPS, cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
     pair_tensor_hessian, udu_factor
 
 
@@ -182,3 +182,15 @@ def test_cached_kernel_arrays_are_read_only():
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_cached_family_tables_are_read_only(family, n):
+    # kept on the family for the whole process, like the kernel arrays
+    fam = get_family(family, n)
+    cached = [fam.simple_root_coefficients, fam.slot_weights,
+              fam.dual_weights, fam.potential_weights, fam.minor_weights,
+              fam.lowering_generators]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
