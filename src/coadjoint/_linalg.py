@@ -10,9 +10,9 @@ family:
   the Iwasawa N, A and K factors from it. ``Family.log_a`` needs only the
   trailing ``rank`` entries of the A-diagonal, which the R factor of the
   trailing ``rank`` rows of z alone gives.
-* ``ul_decompose``: g = n d zeta with n unit upper triangular, d diagonal,
-  zeta unit lower triangular (Gauss-Bruhat on the open cell), for a whole
-  stack at once, with a mask of the rows on the cell.
+* ``ul_decompose``: g = n d zeta (n, zeta unit upper, lower triangular, d
+  diagonal: Gauss-Bruhat on the open cell) of a stack, with its cell mask.
+  ``_doolittle`` leaves n packed, for the reads that need only d and zeta.
 
 ``wirtinger_hessian`` differentiates a weighted sum of log det of the
 trailing minors of z z* twice in closed form, from the same factor u, the
@@ -80,14 +80,21 @@ def ul_decompose(g):
 
     ``g`` is (N, s, s); returns ``(n, d, zeta, in_cell)`` with ``n`` unit
     upper triangular, ``zeta`` unit lower triangular, ``d`` (N, s) and the
-    (N,) mask ``in_cell``. Doolittle without pivoting on the index-reversed
-    matrices, one step per column for the whole stack, in place: the
-    multipliers overwrite the eliminated column. A row is outside the cell
-    when a pivot (a ratio of trailing principal minors) has
+    (N,) mask ``in_cell``: ``_doolittle`` with n unpacked. A row is outside
+    the cell when a pivot (a ratio of trailing principal minors) has
     |pivot| < CELL_TOL * max|g|; its factors are then meaningless. A nan entry
     does not flag its row, an infinite one makes every finite pivot fail.
     ``cell_miss`` names the failing pivot of one row.
     """
+    w, d, zeta, in_cell = _doolittle(g)
+    _, upper, eye = _triangles(w.shape[-1])
+    return np.where(upper, w[:, ::-1, ::-1], eye), d, zeta, in_cell
+
+
+def _doolittle(g) -> tuple:
+    """``(w, d, zeta, in_cell)`` of ``ul_decompose``, n left packed in w:
+    Doolittle without pivoting on the index-reversed matrices, one step per
+    column for the whole stack, in place, the multipliers in the column."""
     a = np.asarray(g, dtype=complex)
     nb, s = a.shape[0], a.shape[-1]
     w = a[:, ::-1, ::-1].copy()
@@ -101,15 +108,12 @@ def ul_decompose(g):
         # steps after k leave row k and column k alone: the diagonal holds
         # the pivots, the strict upper triangle the unscaled rows of U
         dd = flat[:, ::s + 1]
-        lower, upper, eye = _triangles(s)
-        lo = np.where(lower, w, eye)
-        up = np.where(upper, w / dd[:, :, None], eye)
+        lower, _, eye = _triangles(s)
+        zeta = np.where(lower, (w / dd[:, :, None])[:, ::-1, ::-1], eye)
     in_cell = ~(np.abs(dd) < CELL_TOL * scale[:, None]).any(axis=1)
-    # contiguous: numpy's elementwise loops for strided input may round
-    # differently (np.log of a reversed view does)
-    return (np.ascontiguousarray(lo[:, ::-1, ::-1]),
-            np.ascontiguousarray(dd[:, ::-1]),
-            np.ascontiguousarray(up[:, ::-1, ::-1]), in_cell)
+    # contiguous, as np.where's output is: numpy's elementwise loops for
+    # strided input may round differently (np.log of a reversed view does)
+    return w, np.ascontiguousarray(dd[:, ::-1]), zeta, in_cell
 
 
 @lru_cache(maxsize=16)

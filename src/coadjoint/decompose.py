@@ -6,10 +6,10 @@ batch (N, chart_dim) of coordinates as z = n a k with one stacked
 Householder QR (``_linalg._rq``), with no Gram matrix z z*; ``iwasawa`` is
 its one-row case. ``gauss_bruhat_batch`` factors a stack of complexified
 group elements as g = n d zeta on the open cell with one stacked Doolittle
-elimination (``_linalg.ul_decompose``), and ``gauss_bruhat`` is its one-row
-case. All of them work in the split basis, where the Borel subgroup is
-upper triangular, and map back to the working basis with
-``working_from_split``: the identity for SU and Sp, a fixed unitary for SO.
+elimination (``_linalg.ul_decompose``), ``gauss_bruhat`` is its one-row
+case and ``bruhat_chart`` unpacks only d and zeta. All of them work in the
+split basis, where the Borel subgroup is upper triangular, and map back
+with ``working_from_split``: the identity for SU and Sp, a unitary for SO.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cell_miss, iwasawa_nak, ul_decompose
+from ._linalg import _doolittle, cell_miss, iwasawa_nak, ul_decompose
 from .errors import ZeroTorusEntry
 from .groups import GroupSpec
 
@@ -33,7 +33,10 @@ class ChartPoint:
 
     def __post_init__(self):
         fam = self.spec.adapter
-        coords = tuple(complex(z) for z in self.coords)
+        c = self.coords       # a numeric vector in one call, else entry by entry
+        vec = type(c) is np.ndarray and c.ndim == 1 and c.dtype.kind in "biufc"
+        coords = tuple(c.astype(complex, copy=False).tolist() if vec
+                       else (complex(z) for z in c))
         if len(coords) != fam.chart_dim:
             raise ValueError(
                 f"{self.spec.name} charts have {fam.chart_dim} coordinates, "
@@ -45,7 +48,7 @@ class ChartPoint:
 
 
 def chart_point(spec: GroupSpec, coords, chart=()) -> ChartPoint:
-    return ChartPoint(spec, tuple(coords), tuple(chart))
+    return ChartPoint(spec, coords, tuple(chart))
 
 
 def chart_matrix(spec: GroupSpec, point: ChartPoint):
@@ -136,14 +139,10 @@ class BruhatFactors:
         return self.n @ self.d @ self.zeta
 
 
-def _bruhat_split(spec: GroupSpec, g) -> tuple:
-    """``ul_decompose`` of a working-basis stack in the split basis, the
-    factors of off-cell rows set to nan."""
-    n, d, zeta, in_cell = ul_decompose(spec.adapter.split_from_working(g))
+def _nan_off_cell(in_cell, *factors) -> None:
     if not in_cell.all():
-        for x in (n, d, zeta):
+        for x in factors:
             x[~in_cell] = np.nan
-    return n, d, zeta, in_cell
 
 
 def gauss_bruhat_batch(spec: GroupSpec, g) -> tuple:
@@ -158,7 +157,8 @@ def gauss_bruhat_batch(spec: GroupSpec, g) -> tuple:
     ``ul_decompose`` call.
     """
     fam = spec.adapter
-    n, d, zeta, in_cell = _bruhat_split(spec, g)
+    n, d, zeta, in_cell = ul_decompose(fam.split_from_working(g))
+    _nan_off_cell(in_cell, n, d, zeta)
     dm = np.zeros_like(n)
     idx = np.arange(d.shape[-1])
     dm[:, idx, idx] = d
@@ -172,11 +172,13 @@ def bruhat_chart(spec: GroupSpec, g) -> tuple:
 
     Returns ``(coords, d_split, in_cell)`` as ``gauss_bruhat_batch`` would
     give them (nan on off-cell rows), read straight off the split-basis
-    factors: what chart transitions and cocycle shifts need, without n or
-    the working-basis factors.
+    factors: what chart transitions and cocycle shifts need, without n
+    (left packed in ``_doolittle``) or the working-basis factors.
     """
-    _, d, zeta, in_cell = _bruhat_split(spec, g)
-    return spec.adapter.coords_from_zeta_split(zeta), d, in_cell
+    fam = spec.adapter
+    _, d, zeta, in_cell = _doolittle(fam.split_from_working(g))
+    _nan_off_cell(in_cell, d, zeta)
+    return fam.coords_from_zeta_split(zeta), d, in_cell
 
 
 def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:

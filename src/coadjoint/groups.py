@@ -1,5 +1,7 @@
 """Groups, root data, Weyl groups, Poincare polynomials, orbit classification.
 
+Weyl words resolve on the multiplication table that the closure records.
+
 Walls. The simple roots on which mu0 sits are decided once, in
 ``InitialPoint``: weight k is a wall when it is zero or below ``WALL_TOL``
 times the largest weight. A positive root vanishes on mu0 exactly when its
@@ -143,6 +145,7 @@ class WeylGroup:
     elements: tuple
     generators: tuple
     by_key: dict = field(repr=False, compare=False)   # _action_key -> element
+    steps: tuple = field(repr=False, compare=False)   # [i][k]: index of g_k elements[i]
 
     @property
     def order(self) -> int:
@@ -156,13 +159,14 @@ class WeylGroup:
 
     def element_by_word(self, word) -> WeylElement:
         """The element of a word of letters 0..rank-1; ValueError otherwise."""
-        act = self.elements[0].action
+        i, rank = 0, self.spec.rank
         for k in word:
-            if not isinstance(k, Integral) or k not in range(self.spec.rank):
+            if (type(k) is not int or not 0 <= k < rank) and (  # fast path
+                    not isinstance(k, Integral) or k not in range(rank)):
                 raise ValueError(f"{self.spec.name} has no simple reflection "
-                                 f"{k!r}, only 0..{self.spec.rank - 1}")
-            act = self.generators[k].action @ act
-        return self.find(act)
+                                 f"{k!r}, only 0..{rank - 1}")
+            i = self.steps[i][k]
+        return self.elements[i]
 
 
 @lru_cache(maxsize=16)
@@ -183,6 +187,7 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
         act = ident.action - 2 * np.outer(a, a) // (a @ a)
         gens.append(WeylElement(word=(k,), matrix=gm, action=act, length=1))
     seen = {ident.action_key(): ident}
+    after = {}                        # id(w) -> [g_k w for each k]
     frontier = [ident]
     while frontier:
         nxt = []
@@ -190,17 +195,18 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
             for k, g in enumerate(gens):
                 act = g.action @ el.action
                 key = _action_key(act)
-                if key in seen:
-                    continue
-                mat = el.matrix @ g.matrix
-                new = WeylElement(word=el.word + (k,), matrix=mat,
-                                  action=act, length=el.length + 1)
-                seen[key] = new
-                nxt.append(new)
+                if key not in seen:
+                    seen[key] = WeylElement(word=el.word + (k,), action=act,
+                                            matrix=el.matrix @ g.matrix,
+                                            length=el.length + 1)
+                    nxt.append(seen[key])
+                after.setdefault(id(el), []).append(seen[key])
         frontier = nxt
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
+    index = {id(e): i for i, e in enumerate(elements)}
+    steps = tuple(tuple(index[id(x)] for x in after[id(e)]) for e in elements)
     return WeylGroup(spec=spec, elements=elements, generators=tuple(gens),
-                     by_key=seen)
+                     by_key=seen, steps=steps)
 
 
 def _times_bracket(p, m: int) -> tuple:

@@ -242,13 +242,16 @@ def su3_transition_closed(word, coords) -> tuple:
 def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     """Coordinates of the same orbit point on the w-translated chart.
 
-    ``w`` is a WeylElement or a word (tuple of simple-reflection indices).
+    ``w`` is a WeylElement of this group or a word (tuple of simple
+    reflections), resolved on its multiplication table as the new tag is.
     Computed by the Gauss-Bruhat factorization of z(coords) w, a one-row
-    ``bruhat_chart``; raises PoleOnChart where the target cell misses the
-    point.
+    ``bruhat_chart``; raises PoleOnChart where the target cell misses it.
     """
     wg = weyl_group(spec)
-    el = w if isinstance(w, WeylElement) else wg.element_by_word(tuple(w))
+    el = wg.element_by_word(w.word if isinstance(w, WeylElement) else w)
+    if isinstance(w, WeylElement) and not (w is el or np.array_equal(
+            w.matrix, el.matrix)):    # equal: a copy from an earlier build
+        raise ValueError(f"{w.word} is not a Weyl element of {spec.name}")
     m = chart_matrix(spec, chart) @ el.matrix
     coords, _, in_cell = bruhat_chart(spec, m[None])
     if not in_cell[0]:

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 from collections import Counter
+from numbers import Integral
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa:
                               spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
 from coadjoint.errors import NumericalBreakdown, OutsideCell
-from coadjoint.groups import _action_key, _poly_divide
+from coadjoint.groups import WeylGroup, _action_key, _poly_divide
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import DUAL_PAIRING_SCALE, GELL_MANN, required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
@@ -177,6 +178,66 @@ def linear_find(wg, action):
         if el.action_key() == key:
             return el
     raise KeyError("action is not a Weyl element")
+
+
+def composed_element(wg, word):
+    """Element of a word by composing the integer actions letter by letter
+    and keying the product: the oracle for the table walk of
+    ``WeylGroup.element_by_word``."""
+    act = wg.elements[0].action
+    for k in word:
+        if not isinstance(k, Integral) or k not in range(wg.spec.rank):
+            raise ValueError(f"{wg.spec.name} has no simple reflection "
+                             f"{k!r}, only 0..{wg.spec.rank - 1}")
+        act = wg.generators[k].action @ act
+    return wg.find(act)
+
+
+# ---------------------------------------------------------------------------
+# Full Gauss-Bruhat read-out: the oracle for transitions and cocycle shifts
+
+
+def ul_decompose_unpacked(g):
+    """``ul_decompose`` as one function: the stacked elimination with n, d
+    and zeta unpacked at the end, each made contiguous."""
+    a = np.asarray(g, dtype=complex)
+    nb, s = a.shape[0], a.shape[-1]
+    w = a[:, ::-1, ::-1].copy()
+    flat = w.reshape(nb, s * s)
+    scale = np.maximum(np.abs(flat).max(axis=1), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(s - 1):
+            col = w[:, k + 1:, k]
+            col /= w[:, k, k, None]
+            w[:, k + 1:, k + 1:] -= col[:, :, None] * w[:, k, None, k + 1:]
+        dd = flat[:, ::s + 1]
+        lower = np.tri(s, k=-1, dtype=bool)
+        eye = np.eye(s, dtype=complex)
+        lo = np.where(lower, w, eye)
+        up = np.where(lower.T, w / dd[:, :, None], eye)
+    in_cell = ~(np.abs(dd) < CELL_TOL * scale[:, None]).any(axis=1)
+    return (np.ascontiguousarray(lo[:, ::-1, ::-1]),
+            np.ascontiguousarray(dd[:, ::-1]),
+            np.ascontiguousarray(up[:, ::-1, ::-1]), in_cell)
+
+
+def bruhat_chart_full(spec, g) -> tuple:
+    """``decompose.bruhat_chart`` through ``ul_decompose_unpacked``: n, d
+    and zeta unpacked, off-cell rows of all three set to nan, coordinates
+    read off zeta."""
+    fam = spec.adapter
+    n, d, zeta, in_cell = ul_decompose_unpacked(fam.split_from_working(g))
+    for x in (n, d, zeta):
+        x[~in_cell] = np.nan
+    return fam.coords_from_zeta_split(zeta), d, in_cell
+
+
+def full_readout(monkeypatch):
+    """Route transitions and cocycle shifts through ``bruhat_chart_full``
+    and words through ``composed_element`` while the patch holds."""
+    monkeypatch.setattr(orbit, "bruhat_chart", bruhat_chart_full)
+    monkeypatch.setattr(kahler, "bruhat_chart", bruhat_chart_full)
+    monkeypatch.setattr(WeylGroup, "element_by_word", composed_element)
 
 
 # ---------------------------------------------------------------------------

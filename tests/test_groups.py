@@ -9,8 +9,8 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        poincare_polynomial, root_datum, weyl_group)
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
-from helpers import (CHART_GROUPS, cycle_generator, exp_series, root_pairing,
-                     root_vector_minus, slot_weights)
+from helpers import (CHART_GROUPS, composed_element, cycle_generator,
+                     exp_series, root_pairing, root_vector_minus, slot_weights)
 
 
 def test_build_group_ranks():
@@ -423,6 +423,29 @@ def test_element_by_word_takes_integer_letters_only():
         with pytest.raises(ValueError):
             wg.element_by_word((bad,))
     assert wg.element_by_word((np.int64(1), 0)) is wg.element_by_word((1, 0))
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("su", 5), ("sp", 2), ("sp", 3),
+                                      ("so", 3), ("so", 4)])
+def test_word_table_resolves_every_short_word(family, n):
+    # every word up to length 2 * rank, against composing the actions
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    for length in range(2 * spec.rank + 1):
+        for word in itertools.product(range(spec.rank), repeat=length):
+            assert wg.element_by_word(word) is composed_element(wg, word)
+
+
+@pytest.mark.parametrize("family,n", [("su", 6), ("sp", 4)])
+def test_word_table_resolves_long_seeded_words(family, n):
+    spec = build_group(family, n)
+    wg = weyl_group(spec)
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        word = rng.integers(0, spec.rank, rng.integers(0, 13))
+        assert wg.element_by_word(word.tolist()) is composed_element(wg, word)
+        assert wg.element_by_word(tuple(word)) is composed_element(wg, word)
 
 
 @pytest.mark.parametrize("family,n", CHART_GROUPS)

@@ -7,7 +7,7 @@ from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
     wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown, OutsideCell
 from helpers import CHART_GROUPS, cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
-    pair_tensor_hessian, udu_factor
+    pair_tensor_hessian, udu_factor, ul_decompose_unpacked
 
 
 def _gram_batch(rng, batch, s):
@@ -145,6 +145,22 @@ def test_ul_decompose_flags_a_later_vanishing_pivot(s):
     with pytest.raises(OutsideCell, match="Bruhat pivot 1 ") as want:
         doolittle_ul(g[1])
     assert str(cell_miss(g[1])) == str(want.value)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_ul_decompose_equals_the_unpacked_elimination_bit_for_bit(s):
+    # n stays packed in the elimination until ul_decompose unpacks it;
+    # every factor, off-cell and non-finite rows included, and its layout
+    # are those of unpacking all three at the end
+    g = _complex_stack(np.random.default_rng(90 + s), 6, s)
+    g[1, -1, -1] = 0.0
+    g[2, 0, -1] = np.nan
+    g[3, -1, 0] = np.inf
+    g[4] = 0.0
+    for stack in (g, np.swapaxes(g, -1, -2)):
+        for got, ref in zip(ul_decompose(stack), ul_decompose_unpacked(stack)):
+            assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
+            assert got.flags.c_contiguous
 
 
 def test_ul_decompose_empty_stack():

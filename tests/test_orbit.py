@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
-                       PoleOnChart, build_group, chart_point, chart_transition,
-                       dress, fibration, initial_point, su3_closed_form,
+                       OutsideCell, PoleOnChart, build_group, chart_point,
+                       chart_transition, cocycle_shift, dress, fibration,
+                       initial_point, su3_closed_form,
                        su3_closed_form_batch, su3_transition_closed,
                        weyl_group)
-from helpers import random_chart, spectral_mismatch, su3_closed_form_scalar
+from helpers import (full_readout, haar_so, haar_sp, haar_su, random_chart,
+                     spectral_mismatch, su3_closed_form_scalar)
 
 SU3 = build_group("su", 3)
 
@@ -203,6 +205,113 @@ def test_transition_rejects_float_letters():
         chart_transition(SU3, (1.0,), pt)
     assert chart_transition(SU3, (np.int64(1),), pt) == \
         chart_transition(SU3, (1,), pt)
+
+
+def test_transition_rejects_weyl_elements_of_another_group():
+    # an SO(3) element on SU(3) gave sign-flipped coordinates on chart
+    # (0,), an Sp(2) element on SU(4) a point tagged (0, 1)
+    for spec, other, word in ((SU3, build_group("so", 3), (0,)),
+                              (build_group("su", 4), build_group("sp", 2),
+                               (0, 1))):
+        pt = chart_point(spec, np.full(spec.adapter.chart_dim, 0.3 + 0.1j))
+        with pytest.raises(ValueError):
+            chart_transition(spec, weyl_group(other).element_by_word(word), pt)
+
+
+def test_transition_takes_its_own_weyl_elements():
+    pt = chart_point(SU3, (0.3 + 0.1j, 0.2, -0.5j))
+    el = weyl_group(SU3).element_by_word((0, 1))
+    assert chart_transition(SU3, el, pt) == chart_transition(SU3, (0, 1), pt)
+    # an element of an earlier build of the group, dropped from the cache
+    weyl_group.cache_clear()
+    assert weyl_group(SU3).element_by_word((0, 1)) is not el
+    assert chart_transition(SU3, el, pt) == chart_transition(SU3, (0, 1), pt)
+
+
+TRANSITION_GROUPS = ([("su", n) for n in range(3, 7)]
+                     + [("sp", n) for n in range(2, 5)] + [("so", 3), ("so", 4)])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (PoleOnChart, OutsideCell) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, tuple):                    # (chart point, shift)
+        return _same_bits(a[0], b[0]) and \
+            np.float64(a[1]).tobytes() == np.float64(b[1]).tobytes()
+    return a.chart == b.chart and \
+        np.array(a.coords).tobytes() == np.array(b.coords).tobytes()
+
+
+@pytest.mark.parametrize("family,n", TRANSITION_GROUPS)
+def test_transitions_and_shifts_equal_the_full_readout(family, n,
+                                                        monkeypatch):
+    # bit for bit against ul_decompose with n unpacked and words composed
+    # on the actions; seeded points at |z| ~ 1 .. 1e4 on tagged charts,
+    # words up to 2 * rank, -0.0, nan and int coordinates, and a pole
+    spec = build_group(family, n)
+    dim, rank = spec.adapter.chart_dim, spec.rank
+    rng = np.random.default_rng(2400 + 10 * rank + dim)
+    point = initial_point(spec, range(1, rank + 1))
+    g = {"su": haar_su, "sp": haar_sp, "so": haar_so}[family](n, rng)
+    cases = []
+    for scale in (1.0, 1e1, 1e2, 1e3, 1e4):
+        for _ in range(4):
+            z = scale * (rng.standard_normal(dim)
+                         + 1j * rng.standard_normal(dim))
+            tag = rng.integers(0, rank, rng.integers(0, 3))
+            word = rng.integers(0, rank, rng.integers(1, 2 * rank + 1))
+            cases.append((chart_point(spec, z, tag.tolist()), word.tolist()))
+    special = [[-0.0] * dim, [1 + k % 3 for k in range(dim)],
+               [np.nan] + [0.5] * (dim - 1), [-0.0, 2] * dim]
+    cases += [(chart_point(spec, z[:dim]), [0]) for z in special]
+    pole = np.full(dim, 0.5 + 0.5j)
+    pole[0] = 0.0                      # s_0 inverts the first coordinate
+    cases.append((chart_point(spec, pole), [0]))
+
+    def run():
+        return [(_outcome(lambda: chart_transition(spec, word, pt)),
+                 _outcome(lambda: cocycle_shift(spec, point, pt, g)))
+                for pt, word in cases]
+
+    with monkeypatch.context() as patch:
+        full_readout(patch)
+        expected = run()
+    got = run()
+    assert expected[-1][0].startswith("PoleOnChart: transition by word (0,)")
+    for (a, b), (c, d) in zip(got, expected):
+        assert _same_bits(a, c) and _same_bits(b, d)
+
+
+@pytest.mark.parametrize("coords", [(1, 2, 3), (-0.0, 0.0, -0.0j),
+                                    (np.nan, np.inf, -np.inf),
+                                    (complex(np.nan, -0.0), 1j, True),
+                                    (np.float32(0.1), np.int64(2**53 + 1), 3)])
+def test_chart_point_converts_each_coordinate_as_complex_does(coords):
+    expected = np.array([complex(z) for z in coords])
+    for given in (coords, list(coords), np.array(coords),
+                  np.array(coords, dtype=object), (z for z in coords)):
+        got = chart_point(SU3, given).coords
+        assert all(type(z) is complex for z in got)
+        assert np.array(got).tobytes() == expected.tobytes()
+
+
+def test_chart_point_rejects_what_complex_rejects():
+    for bad in (np.ones((3, 1)), np.ones((1, 3)), (None, 1, 2), ([1], 2, 3),
+                ("x", 1, 2), 1.0, np.array(1.0)):
+        with pytest.raises((TypeError, ValueError)) as info:
+            chart_point(SU3, bad)
+        assert "charts have" not in str(info.value)
+    with pytest.raises(TypeError):
+        chart_point(SU3, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="charts have 3 coordinates"):
+        chart_point(SU3, np.ones(2))
 
 
 def test_chart_compatibility_dressing():
