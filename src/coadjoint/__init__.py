@@ -26,7 +26,6 @@ from .kahler import (KahlerTensor, cocycle_shift, cocycle_shift_batch,
 from .orbit import (FibrationDescription, OrbitPoint, chart_transition,
                     dress, dress_batch, fibration, su3_closed_form,
                     su3_closed_form_batch, su3_transition_closed)
-from .quaternion import Quaternion, QuaternionMatrix
 
 __version__ = "0.1.0"
 
@@ -35,10 +34,10 @@ __all__ = [
     "ChartPoint", "CoadjointError", "DegeneracyViolation",
     "FibrationDescription", "GroupSpec", "InitialPoint", "IwasawaFactors",
     "KahlerTensor", "MaximalDegenerate", "NumericalBreakdown", "OrbitClass",
-    "OrbitKind", "OrbitPoint", "OutsideCell", "PoleOnChart", "Quaternion",
-    "QuaternionMatrix", "QuadratureNotConverged", "RootDatum",
-    "TwoCycle", "UnsupportedGroup", "WeylElement",
-    "WeylGroup", "ZeroTorusEntry", "basis_cycles", "basis_two_forms",
+    "OrbitKind", "OrbitPoint", "OutsideCell", "PoleOnChart",
+    "QuadratureNotConverged", "RootDatum", "TwoCycle", "UnsupportedGroup",
+    "WeylElement", "WeylGroup", "ZeroTorusEntry", "basis_cycles",
+    "basis_two_forms",
     "betti", "build_group", "chart_matrix", "chart_point",
     "chart_transition", "classify_initial_point", "cocycle_shift",
     "cocycle_shift_batch", "dress", "dress_batch", "dressing_matrix",

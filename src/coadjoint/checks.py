@@ -14,7 +14,6 @@ import numpy as np
 
 from .decompose import chart_point
 from .orbit import required_zero_mask
-from .quaternion import QuaternionMatrix
 
 
 def spectral_mismatch(a, b) -> float:
@@ -54,15 +53,28 @@ def haar_batch(spec, normals) -> np.ndarray:
     if fam.family == "su":
         return _haar_su(g[:, 0] + 1j * g[:, 1])
     if fam.family == "sp":
-        q, r = np.linalg.qr(QuaternionMatrix(g[:, 0] + 1j * g[:, 1],
-                                             g[:, 2] + 1j * g[:, 3]).embed())
+        q, r = np.linalg.qr(_quaternionic(g[:, 0] + 1j * g[:, 1],
+                                          g[:, 2] + 1j * g[:, 3]))
         dr = np.diagonal(r, axis1=-2, axis2=-1)
         q = q * np.conj(dr / np.abs(dr))[:, None, :]
-        return QuaternionMatrix.from_embedded(q).embed("split")
+        # rebuilt from its even rows, in the split basis (a_1..a_n, b_n..b_1)
+        split = np.r_[0:2 * m:2, 2 * m - 1:0:-2]
+        return _quaternionic(q[:, 0::2, 0::2],
+                             -q[:, 0::2, 1::2])[:, split[:, None], split]
     q, r = np.linalg.qr(g[:, 0])
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q.astype(complex)
+
+
+def _quaternionic(z1, z2):
+    """The complex image of the quaternionic matrix z1 + z2 j: each entry
+    becomes the block [[z1, -z2], [conj z2, conj z1]], slots (a_k, b_k)."""
+    n = z1.shape[-1]
+    out = np.empty(z1.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., 0::2, 0::2], out[..., 0::2, 1::2] = z1, -z2
+    out[..., 1::2, 0::2], out[..., 1::2, 1::2] = z2.conj(), z1.conj()
+    return out
 
 
 def _haar_su(m):

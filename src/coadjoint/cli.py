@@ -4,10 +4,12 @@ Subcommands: classify, decompose, dress, potential, metric, betti, pairing,
 verify. Reports are canonical JSON objects {config, results, residuals,
 pass}; grids can be written as CSV. Complex numbers are entered as "re,im"
 pairs separated by ';'; grids as "re0:re1:steps,im0:im1:steps" per
-coordinate (or a constant "re,im"), also separated by ';'.
+coordinate (or a constant "re,im"), also separated by ';'. Each
+subcommand parses only the flags it reads (``FLAGS``).
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid configuration,
-3 domain error while evaluating a valid request.
+3 domain error while evaluating a valid request; 2 and 3 write a JSON
+error to stderr.
 """
 
 from __future__ import annotations
@@ -38,19 +40,6 @@ DOMAIN_ERRORS = (DegeneracyViolation, PoleOnChart, OutsideCell, ZeroTorusEntry,
 # potential grid in two paid from about 6,500 rows and not reliably at
 # 4,096 or fewer; a 625-row dress grid ran 23% slower split
 MIN_ROWS = 4096
-GRID_COMMANDS = ("dress", "potential", "metric")
-
-
-def _parse_weights(text: str):
-    return tuple(float(x) for x in text.split(","))
-
-
-def _parse_z(text: str):
-    out = []
-    for pair in text.split(";"):
-        re_s, im_s = pair.split(",")
-        out.append(complex(float(re_s), float(im_s)))
-    return tuple(out)
 
 
 def _parse_grid(text: str):
@@ -143,17 +132,6 @@ def _in_chunks(columns, pts) -> dict:
     return {key: np.concatenate([r[key] for r in out]) for key in out[0]}
 
 
-def _grid(args, report, columns) -> int:
-    """A ``--grid`` report: ``columns`` over the lattice, in ``_in_chunks``."""
-    if args.z is not None:
-        raise ValueError("--z and --grid exclude each other: give one point "
-                         "or one lattice")
-    lattice, pts = _grid_points(_parse_grid(args.grid))
-    report["grid"] = (lattice, _in_chunks(columns, pts))
-    report["results"].append({"grid_points": int(pts.shape[0])})
-    return 0
-
-
 def _c(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -180,13 +158,16 @@ def _at_least_one(flag: str, value: int) -> int:
 
 
 def _get_point(args, spec):
-    return initial_point(spec, _parse_weights(args.weights))
+    return initial_point(spec, [float(x) for x in args.weights.split(",")])
 
 
-def _get_chart(args, spec, point, rng):
-    if args.z is not None:
-        return decompose.chart_point(spec, _parse_z(args.z))
-    return random_chart(spec, rng, point=point)
+def _get_chart(args, spec, point):
+    if args.z is None:
+        return random_chart(spec, np.random.default_rng(args.seed),
+                            point=point)
+    pairs = [pair.split(",") for pair in args.z.split(";")]
+    return decompose.chart_point(
+        spec, tuple(complex(float(re), float(im)) for re, im in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +201,7 @@ def cmd_classify(args, spec, report):
 
 def cmd_decompose(args, spec, report):
     point = _get_point(args, spec)
-    rng = np.random.default_rng(args.seed)
-    chart = _get_chart(args, spec, point, rng)
+    chart = _get_chart(args, spec, point)
     fac = decompose.iwasawa(spec, chart)
     res_mb, res_un = iwasawa_residuals(spec, chart.array(), fac)
     report["results"].append({
@@ -274,12 +254,23 @@ def _metric_columns(spec, point, pts) -> dict:
     return cols
 
 
+# the commands that write a --grid, and the columns each writes per row
+GRID_COLUMNS = {"dress": _dress_columns, "potential": _potential_columns,
+                "metric": _metric_columns}
+
+
+def _grid(args, spec, report) -> int:
+    """A ``--grid`` report: the command's columns, in ``_in_chunks``."""
+    columns = partial(GRID_COLUMNS[args.command], spec, _get_point(args, spec))
+    lattice, pts = _grid_points(_parse_grid(args.grid))
+    report["grid"] = (lattice, _in_chunks(columns, pts))
+    report["results"].append({"grid_points": int(pts.shape[0])})
+    return 0
+
+
 def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid is not None:
-        return _grid(args, report, partial(_dress_columns, spec, point))
-    rng = np.random.default_rng(args.seed)
-    chart = _get_chart(args, spec, point, rng)
+    chart = _get_chart(args, spec, point)
     op = orbit.dress(spec, point, chart)
     spectrum = spectral_mismatch(op.spectrum(),
                                  spec.adapter.spectrum(point.matrix))
@@ -299,10 +290,7 @@ def cmd_dress(args, spec, report):
 
 def cmd_potential(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid is not None:
-        return _grid(args, report, partial(_potential_columns, spec, point))
-    rng = np.random.default_rng(args.seed)
-    chart = _get_chart(args, spec, point, rng)
+    chart = _get_chart(args, spec, point)
     val = kahler.potential(spec, point, chart)
     report["results"].append({"z": [_c(v) for v in chart.coords],
                               "phi": float(val)})
@@ -311,10 +299,7 @@ def cmd_potential(args, spec, report):
 
 def cmd_metric(args, spec, report):
     point = _get_point(args, spec)
-    if args.grid is not None:
-        return _grid(args, report, partial(_metric_columns, spec, point))
-    rng = np.random.default_rng(args.seed)
-    chart = _get_chart(args, spec, point, rng)
+    chart = _get_chart(args, spec, point)
     kt = kahler.metric(spec, point, chart)
     herm = float(np.max(np.abs(kt.g - kt.g.conj().T)))
     eig = kt.eigenvalues()
@@ -351,6 +336,7 @@ def cmd_betti(args, spec, report):
 
 
 def cmd_pairing(args, spec, report):
+    _get_point(args, spec)      # checked, though the matrix does not read it
     order = _at_least_one("order", args.order)
     m = cohomology.pairing_matrix(spec, order=order)
     dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
@@ -505,30 +491,56 @@ COMMANDS = {
 }
 
 
+# each optional flag: its argparse keywords and the commands that read it;
+# every command reads --group, --n, --weights and --output-file
+FLAGS = {
+    "--z": (dict(help="chart coordinates as re,im pairs joined by ';'"),
+            ("decompose", *GRID_COLUMNS)),
+    "--grid": (dict(help="per-coordinate grid re0:re1:steps,im0:im1:steps "
+                         "joined by ';'"), tuple(GRID_COLUMNS)),
+    "--seed": (dict(type=int, default=0),
+               ("decompose", *GRID_COLUMNS, "verify")),
+    "--tol": (dict(type=float),
+              ("decompose", "dress", "metric", "pairing", "verify")),
+    "--order": (dict(type=int, default=128,
+                     help="quadrature rule size for pairing integrals"),
+                ("pairing", "verify")),
+    "--points": (dict(type=int, default=100,
+                      help="number of random points in verify"), ("verify",)),
+    "--out": (dict(choices=["json", "csv"], default="json"),
+              tuple(GRID_COLUMNS)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError: main reports them as JSON, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="coadjoint",
         description="Coadjoint orbits of compact classical groups: "
                     "decompositions, dressing, Kahler data, cohomology.")
+    # a command's report lists every config key, read by it or not
+    p.set_defaults(**{flag[2:]: kw.get("default")
+                      for flag, (kw, _) in FLAGS.items()})
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        q = sub.add_parser(name)
+        # no prefix match: --out must not read as --output-file
+        q = sub.add_parser(name, allow_abbrev=False)
         q.add_argument("--group", required=True, choices=["su", "sp", "so"])
         q.add_argument("--n", required=True, type=int)
         q.add_argument("--weights", required=True,
                        help="comma-separated chamber weights, e.g. 1,1")
-        q.add_argument("--z", default=None,
-                       help="chart coordinates as re,im pairs joined by ';'")
-        q.add_argument("--grid", default=None,
-                       help="per-coordinate grid re0:re1:steps,im0:im1:steps "
-                            "joined by ';' (dress/potential/metric)")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--tol", type=float, default=None)
-        q.add_argument("--order", type=int, default=128,
-                       help="quadrature rule size for pairing integrals")
-        q.add_argument("--points", type=int, default=100,
-                       help="number of random points in verify")
-        q.add_argument("--out", choices=["json", "csv"], default="json")
+        # a grid command takes one point or one lattice
+        point = q.add_mutually_exclusive_group() if name in GRID_COLUMNS else q
+        for flag, (kw, readers) in FLAGS.items():
+            if name in readers:
+                (point if flag in ("--z", "--grid") else q).add_argument(
+                    flag, **kw)
         q.add_argument("--output-file", default=None)
     return p
 
@@ -540,44 +552,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    report = {
-        "config": {
-            "command": args.command, "group": args.group, "n": args.n,
-            "weights": args.weights, "z": args.z, "grid": args.grid,
-            "seed": args.seed, "tol": args.tol, "order": args.order,
-        },
-        "results": [],
-        "residuals": {},
-        "pass": True,
-    }
     try:
+        args, unread = _parser().parse_known_args(argv)
+        if unread:
+            raise ValueError(f"{unread[0].split('=', 1)[0]} is not read by "
+                             f"{args.command}")
+        config = ("command", "group", "n", "weights", "z", "grid", "seed",
+                  "tol", "order")
+        report = {"config": {key: getattr(args, key) for key in config},
+                  "results": [], "residuals": {}, "pass": True}
         spec = build_group(args.group, args.n)
-        if args.grid is not None and args.command not in GRID_COMMANDS:
-            raise ValueError("--grid is for dress, potential and metric only")
         if args.out == "csv" and args.grid is None:
             raise ValueError("--out csv writes a grid: it needs --grid")
-        code = COMMANDS[args.command](args, spec, report)
-    except CONFIG_ERRORS as exc:
+        code = (COMMANDS[args.command] if args.grid is None
+                else _grid)(args, spec, report)
+    except CONFIG_ERRORS + DOMAIN_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
-        return 2
-    except DOMAIN_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, CONFIG_ERRORS) else 3
     if report["residuals"]:
         report["pass"] = report["pass"] and all(
             c["pass"] for c in report["residuals"].values())
         if not report["pass"] and code == 0:
             code = 1
     grid = report.pop("grid", None)
-    if args.out == "csv" and grid is not None:
+    if args.out == "csv":               # a grid: main checked it is given
         payload = _grid_csv(*grid)
     else:
         if grid is not None:
-            lattice = grid[0]
-            report["csv_rows"] = lattice.size // lattice.shape[-1]
+            report["csv_rows"] = grid[0].size // grid[0].shape[-1]
         payload = json.dumps(report, sort_keys=True,
                              separators=(",", ":")) + "\n"
     if args.output_file:

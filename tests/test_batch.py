@@ -179,7 +179,7 @@ def _haar_rows(spec, rows, seed=5):
     return haar_batch(spec, rng.standard_normal((rows, haar_width(spec))))
 
 
-@pytest.mark.parametrize("family,n", GROUPS)
+@pytest.mark.parametrize("family,n", GROUPS + [("sp", 4), ("sp", 5)])
 def test_haar_batch_rows_equal_per_point_draws(family, n):
     spec = build_group(family, n)
     g = _haar_rows(spec, 20)

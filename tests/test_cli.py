@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -380,14 +382,149 @@ def test_empty_grid_exits_2(capsys, command, out):
 def test_unread_flag_exits_2(capsys, command, extra, flag):
     # these commands used to ignore the flag: verify with a grid and --out
     # csv wrote its JSON report and exited 0
+    counts = {"pairing": ["--order", "8"],
+              "verify": ["--points", "2", "--order", "8"]}
     code = main([command, "--group", "su", "--n", "3", "--weights", "1,2",
-                 "--points", "2", "--order", "8", *extra])
+                 *counts.get(command, []), *extra])
     captured = capsys.readouterr()
     err = json.loads(captured.err)
     assert code == 2
     assert captured.out == ""
     assert err["error"] == "ValueError"
     assert err["message"].startswith(flag)
+
+
+COMMANDS = ["classify", "decompose", "dress", "potential", "metric", "betti",
+            "pairing", "verify"]
+# the commands that read each optional flag, and a value every reader takes
+READERS = {
+    "--z": {"decompose", "dress", "potential", "metric"},
+    "--grid": {"dress", "potential", "metric"},
+    "--seed": {"decompose", "dress", "potential", "metric", "verify"},
+    "--tol": {"decompose", "dress", "metric", "pairing", "verify"},
+    "--order": {"pairing", "verify"},
+    "--points": {"verify"},
+    "--out": {"dress", "potential", "metric"},
+}
+VALUES = {"--z": "0.1,0;0.2,0;0.3,0", "--grid": "0.1,0;0.2,0;0.3,0",
+          "--seed": "3", "--tol": "1", "--order": "8", "--points": "2",
+          "--out": "json"}
+SU3 = ["--group", "su", "--n", "3", "--weights", "1,2"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    (c, f) for f in READERS for c in COMMANDS if c not in READERS[f]])
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    # each of these used to be parsed, echoed in config and ignored, or
+    # rejected by a check of its own
+    code = main([command, *SU3, flag, VALUES[flag]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": f"{flag} is not read by {command}"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (c, f) for f in READERS for c in COMMANDS if c in READERS[f]])
+def test_flag_the_command_reads_is_accepted(capsys, command, flag):
+    code = main([command, *SU3, flag, VALUES[flag]])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert captured.err == ""
+    config = json.loads(captured.out)["config"]
+    if flag[2:] in config:
+        assert str(config[flag[2:]]) in (VALUES[flag], VALUES[flag] + ".0")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out,
+                        re.M)
+    assert sorted(listed) == sorted(
+        ["--help", "--group", "--n", "--weights", "--output-file"]
+        + [f for f in READERS if command in READERS[f]])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # a prefix match read --out as --output-file and wrote a file "csv"
+    (["classify", *SU3, "--out", "csv"], "--out"),
+    (["verify", *SU3, "--poi", "3"], "--poi"),
+])
+def test_abbreviated_flag_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"].startswith(flag)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_default_config_lists_every_key(capsys, command):
+    # every report echoes all nine keys, the ones its command ignores too
+    _, out = run(capsys, command, *SU3)
+    assert json.loads(out)["config"] == {
+        "command": command, "group": "su", "n": 3, "weights": "1,2",
+        "z": None, "grid": None, "seed": 0, "tol": None, "order": 128}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--group", "xx", "--n", "3", "--weights", "1,1"],
+     "argument --group: invalid choice: 'xx'"),
+    (["classify", "--n", "3", "--weights", "1,1"],
+     "the following arguments are required: --group"),
+    (["verify", *SU3, "--points", "x"], "argument --points: invalid int"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_is_json(capsys, argv, message):
+    # argparse used to print its usage text and raise SystemExit
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2
+    assert captured.out == ""
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("1", "SU(3) needs 2 weights, got 1"),
+    ("1,-2", "weights must be nonnegative"),
+])
+def test_pairing_checks_its_weights(capsys, weights, message):
+    # pairing exited 0 with any --weights and echoed them in its config
+    code = main(["pairing", "--group", "su", "--n", "3", "--weights", weights,
+                 "--order", "8"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert code == 2
+    assert captured.out == ""
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(message)
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+            for line in block.splitlines() if line.startswith("coadjoint ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_example_exits_0(tmp_path, argv):
+    path = tmp_path / "report"
+    assert main(argv + ["--output-file", str(path)]) == 0
+    assert path.read_text()
+
+
+def test_readme_has_examples():
+    assert len(_readme_examples()) >= 7
 
 
 @pytest.mark.parametrize("command,flag,value", [
