@@ -25,11 +25,15 @@ that fixes, in one place, the conventions the numerical layer relies on:
   (``Family.potential_weights``).
 
 ``chart_split`` is the one per-family source of root-space data, and
-``chart_jacobian`` differentiates it in closed form. The lowering generator
-of a root is the chart's derivative along its coordinate at the origin, the
-simple roots are the first ``rank`` coordinates, and the two-cycle of
-simple root k is the chart restricted to coordinate k, which is
-exp(t x_k); the base class reads all three off the chart.
+``chart_jacobian`` differentiates it in closed form. SU writes its chart in
+one scatter and SO in a few; Sp evaluates its chart and its Gauss-Bruhat
+read-out from index tables compiled once per family (``_Passes``): passes
+of two-factor products gathered from a per-row buffer, rows on the fast
+axis, the Jacobian by the product rule along the same passes. The lowering
+generator of a root is the chart's derivative along its coordinate at the
+origin, the simple roots are the first ``rank`` coordinates, and the
+two-cycle of simple root k is the chart restricted to coordinate k, which
+is exp(t x_k); the base class reads all three off the chart.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ import numpy as np
 
 from ._linalg import _read_only, _rq
 from .errors import UnsupportedGroup
+
+# complex values in one row block of an Sp chart buffer (1 MiB): a block
+# stays in cache and the next one reuses its memory, where one buffer for a
+# whole 20,736-row Sp(2) grid pays for fresh pages (2.0 against 10 ms on a
+# two-CPU x86-64 host)
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -429,6 +439,15 @@ class SpFamily(Family):
 
     Each root has one entry of M = [[A], [J U]] on or above its
     anti-diagonal, the chart position of its coordinate.
+
+    The chart and the read-out of coordinates off a Gauss-Bruhat factor
+    (``coords_from_zeta_split``) are index tables (``_Passes``), compiled
+    on first use from these formulas and kept per family: A^-1 level by
+    level as in forward substitution, each level one pass of products of
+    earlier columns, and U A - S in the first pass, where x U10 cancels
+    U01 A10 exactly. An Sp(n) chart takes max(1, n - 2) passes of O(n^3)
+    terms in all, and its Jacobian is the product rule along the same
+    passes.
     """
 
     family = "sp"
@@ -440,18 +459,9 @@ class SpFamily(Family):
         self.n = n
         self.rank = n
         self.rankdim = n
-        self.slots = s = 2 * n
+        self.slots = 2 * n
         self.pairing_scale = -0.5
         super().__init__()
-        # U[c, r] = U[r, c]: the entries of J U below its anti-diagonal
-        mirror = [(k, s - 1 - c, s - 1 - r)
-                  for k, (r, c) in enumerate(zip(self._rows, self._cols))
-                  if r >= n and r + c < s - 1]
-        self._midx, self._mrows, self._mcols = np.array(mirror).T
-        # the n x n identity on slot 0 of a ``_chart`` stack, 0 on the others
-        one = np.zeros((1 + self.chart_dim, n, n), dtype=complex)
-        one[0] = np.eye(n)
-        self._one, = _read_only(one)
         # Omega pairs slot i with s - 1 - i, signed as the weight of slot i
         self._omega = np.diag(np.sign(self.slot_weights.sum(axis=1)))[:, ::-1]
 
@@ -473,47 +483,108 @@ class SpFamily(Family):
 
     # charts -----------------------------------------------------------------
 
-    def _fill_chart(self, z, c):
-        n = self.n
-        one = self._one[:z.shape[1]]
-        super()._fill_chart(z, c)                   # [[A], [J U]]
-        z[..., self._mrows, self._mcols] = c[..., self._midx]
-        low, ju = z[..., :n, :n] - one, z[..., n:, :n]
-        # J S of the Sp(2) corner: S = x [[U10, U11/2], [U11/2, 0]]
-        x = low[..., 1, 0]
-        js = (_dual(np.multiply, x, ju[..., n - 2, 0]),
-              _dual(np.multiply, 0.5 * x, ju[..., n - 2, 1]))
-        ju += _dual(_small_matmul, ju, low)
-        ju[..., -1, 0] -= js[0]
-        ju[..., -1, 1] -= js[1]
-        ju[..., -2, 0] -= js[1]
-        # A^-1 = sum_k (-L)^k, L = A - I nilpotent of order n, by Horner
-        inv = one - low
-        for _ in range(n - 2):
-            inv = one - _dual(_small_matmul, low, inv)
-        z[..., n:, n:] = np.swapaxes(inv, -1, -2)[..., ::-1, ::-1]
+    @cached_property
+    def _chart_tables(self) -> tuple:
+        """``(index, seed, passes)``: the buffer column of each of the
+        chart's s^2 entries (a zero column past the passes' for the entries
+        that are 0), the ``_chart`` stack of the constant 1 and the unit
+        derivatives of the coordinates, and the chart's compiled passes."""
+        n, s = self.n, self.slots
+        p, one = _Passes(), {0: 1.0}
+        at = {(r, c): p.input((r, c)) for r, c in
+              zip(self._rows.tolist(), self._cols.tolist())}
+
+        def u(r, c):
+            # U[r, c] = U[c, r], held in the rows of J U
+            return at[s - 1 - max(r, c), min(r, c)]
+        inv = _unit_lower_inverse(p, lambda i, j: at[i, j], n)
+        inv.update(((i, i), one) for i in range(n))
+        # U A - S on the Sp(2) corner, S = x [[U10, U11/2], [U11/2, 0]]:
+        # like terms merge, so x U10 cancels U01 A10 exactly
+        x = at[1, 0]
+        corner = {(0, 0): (u(1, 0), -1.0), (0, 1): (u(1, 1), -0.5),
+                  (1, 0): (u(1, 1), -0.5)}
+        entries = dict(at)
+        entries.update(((i, i), one) for i in range(n))
+        for r in range(n):
+            for c in range(n):
+                terms = _product(u(r, c), one)
+                for k in range(c + 1, n):
+                    _product(u(r, k), at[k, c], 1.0, terms)
+                if (r, c) in corner:
+                    _product(x, *corner[r, c], terms)
+                entries[s - 1 - r, c] = p.column(terms)
+        # J A^-T J
+        entries.update(((s - 1 - j, s - 1 - i), f)
+                       for (i, j), f in inv.items())
+        p.compile([p.read(f) for f in entries.values()])
+        index = np.full((s, s), p.width)
+        index[tuple(np.array(list(entries)).T)] = p.out
+        seed = np.eye(1 + self.chart_dim, dtype=complex)[:, :, None]
+        return _read_only(index.ravel(), seed) + (p,)
+
+    def _chart(self, coords, jac: bool):
+        """``Family._chart`` from the compiled passes: the point and, with
+        ``jac``, the unit vectors e_k go into one buffer, whose passes take
+        the product rule. Rows go through in blocks of at most
+        ``_BLOCK_VALUES`` buffer values; each block's entries are gathered
+        and copied, transposed, into their rows of z."""
+        index, seed, p = self._chart_tables
+        c = np.atleast_2d(np.asarray(coords, dtype=complex))
+        nb, dim = c.shape
+        width = 1 + dim if jac else 1
+        z = np.empty((nb, width, self.slots ** 2), dtype=complex)
+        step = max(1, _BLOCK_VALUES // (width * (p.width + 1)))
+        for start in range(0, nb, step):
+            rows = c[start:start + step].T
+            buf = np.empty((p.width + 1, width, rows.shape[1]), dtype=complex)
+            buf[:1 + dim] = seed[:, :width]
+            buf[1:1 + dim, 0] = rows
+            buf[-1] = 0.0
+            p.run(buf)
+            z[start:start + step] = buf[index].T
+        return z.reshape((nb, width, self.slots, self.slots))
+
+    @cached_property
+    def _readout_passes(self) -> "_Passes":
+        """The compiled passes of ``coords_from_zeta_split``, whose inputs
+        are entries (r, c) of zeta."""
+        n, s = self.n, self.slots
+        p, one = _Passes(), {0: 1.0}
+
+        def inv(i, j):
+            # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J
+            return one if i == j else p.input((s - 1 - j) * s + s - 1 - i)
+        a = _unit_lower_inverse(p, inv, n)
+
+        def jp(r, c):
+            # P[r, c] from J P = C A^-1
+            terms = {}
+            for k in range(c, n):
+                _product(p.input((s - 1 - r) * s + k), inv(k, c), 1.0, terms)
+            return terms
+        # U = P + S A^-1 on the Sp(2) corner: U10 = P01 + x P11 / 2 and
+        # U00 = P00 + x P01, x = A10. A is read from D, not from the A block:
+        # a rounded zeta is not exactly symplectic, and the trailing rows
+        # [C, D] carry the potential
+        x = a[1, 0]
+        u = {(r, c): jp(r, c) for r in range(n) for c in range(r + 1)}
+        u[1, 0] = _product(x, p.column(u[1, 1]), 0.5, jp(0, 1))
+        _product(x, p.column(jp(0, 1)), 1.0, u[0, 0])
+        out = [p.read(a[r, c] if r < n else p.column(u[s - 1 - r, c]))
+               for r, c in zip(self._rows.tolist(), self._cols.tolist())]
+        return p.compile(out)
 
     def coords_from_zeta_split(self, zeta):
-        # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C A^-1;
-        # U = P + S A^-1 on the Sp(2) corner. A and A^-1 are both read from
-        # D: a rounded zeta is not exactly symplectic, and the trailing rows
-        # [C, D] carry the potential, so a chart rebuilt around the A block
-        # instead misses them (Phi by up to 1e-7 near the cell boundary)
-        n = self.n
-        zeta = np.asarray(zeta)
-        a_inv = np.swapaxes(zeta[..., n:, n:], -1, -2)[..., ::-1, ::-1]
-        # A from A^-1 A = I, row by row: A[i, :i] = -A^-1[i, :i] A[:i, :i]
-        a = a_inv.copy()
-        for i in range(1, n):
-            a[..., i, :i] = -(a_inv[..., i:i + 1, :i]
-                              @ a[..., :i, :i])[..., 0, :]
-        jp = zeta[..., n:, :n] @ a_inv
-        x = a[..., 1, 0]
-        h = 0.5 * x * jp[..., n - 2, 1]
-        u10 = jp[..., n - 1, 1] + h
-        jp[..., n - 1, 0] += x * (u10 - h)
-        jp[..., n - 1, 1] = jp[..., n - 2, 0] = u10
-        return np.concatenate([a, jp], axis=-2)[..., self._rows, self._cols]
+        p = self._readout_passes
+        zeta = np.asarray(zeta, dtype=complex)
+        flat = zeta.reshape(-1, self.slots ** 2)
+        buf = np.empty((p.width, 1, len(flat)), dtype=complex)
+        buf[0] = 1.0
+        buf[1:1 + len(p.inputs), 0] = flat[:, p.inputs].T
+        p.run(buf)
+        coords = np.ascontiguousarray(buf[p.out, 0].T)
+        return coords.reshape(zeta.shape[:-2] + (len(p.out),))
 
     # torus ---------------------------------------------------------------------
 
@@ -677,14 +748,147 @@ def _dual(mul, x, y):
     return out
 
 
-def _small_matmul(x, y):
-    """x @ y for stacks of small matrices, one broadcast product per inner
-    index: np.matmul makes one call per matrix, which costs several times as
-    much at these sizes."""
-    out = x[..., :, :1] * y[..., :1, :]
-    for k in range(1, x.shape[-1]):
-        out += x[..., :, k:k + 1] * y[..., k:k + 1, :]
-    return out
+def _product(x, y, scale=1.0, terms=None) -> dict:
+    """``terms`` plus scale x y, multiplied out: x and y are linear forms
+    {column: coefficient}, the terms {(a, b): coefficient} products of two
+    columns, a <= b; a product already present adds to its coefficient."""
+    terms = {} if terms is None else terms
+    for a, p in x.items():
+        for b, q in y.items():
+            key = (a, b) if a <= b else (b, a)
+            terms[key] = terms.get(key, 0.0) + scale * p * q
+    return terms
+
+
+def _unit_lower_inverse(p, m, n) -> dict:
+    """The strict lower entries (i, j) of the inverse of the unit lower
+    triangular n x n matrix with strict lower entries m(i, j), as columns of
+    ``p``, level by level as in forward substitution: inv[i, j] = -m(i, j)
+    - sum_k m(i, k) inv[k, j], j < k < i."""
+    inv = {}
+    for lvl in range(1, n):
+        for j in range(n - lvl):
+            i = j + lvl
+            terms = _product({0: 1.0}, m(i, j), -1.0)
+            for k in range(j + 1, i):
+                _product(m(i, k), inv[k, j], -1.0, terms)
+            inv[i, j] = p.column(terms)
+    return inv
+
+
+class _Passes:
+    """Polynomials in a row of inputs, compiled to passes of two-factor
+    products that run on all rows at once.
+
+    Values are linear forms {column: coefficient}. Column 0 holds the
+    constant 1 and the inputs follow it; every other column holds a sum of
+    products of two columns (``_product``) and is one pass deeper than the
+    deepest column it reads (``column``). A polynomial of high degree, such
+    as an entry of a triangular inverse, is so built level by level from
+    columns of lower depth and never multiplied out into monomials.
+
+    ``compile`` lays the columns out pass by pass. A pass gathers the two
+    factors of each of its terms, multiplies them and scales them by their
+    coefficients. It then adds each column's terms in the order they were
+    made, one slice per term rank, so its columns sort by descending term
+    count. No reduction decides that order, so every row rounds the same way
+    in a batch of any size. ``run`` evaluates on a buffer (columns, j, N),
+    rows last: values at [:, 0] and, for j > 1, derivatives at [:, 1:] by
+    the product rule.
+    """
+
+    def __init__(self):
+        self._keys = {}       # input key -> its column
+        self._terms = [None]  # per column: [((a, b), coefficient), ...]
+        self._depth = [0]
+        self._made = {}       # the column made for each sum of terms
+
+    def _new(self, terms, depth) -> int:
+        self._terms.append(terms)
+        self._depth.append(depth)
+        return len(self._terms) - 1
+
+    def input(self, key) -> dict:
+        """The input named ``key``, given a column on first use."""
+        if key not in self._keys:
+            self._keys[key] = self._new(None, 0)
+        return {self._keys[key]: 1.0}
+
+    def column(self, terms) -> dict:
+        """A sum of terms as a linear form: linear terms as they are, others
+        in a column of their own."""
+        terms = tuple((k, v) for k, v in terms.items() if v)
+        if all(a == 0 for (a, _), _ in terms):
+            return {b: v for (_, b), v in terms}
+        return {self._make(terms): 1.0}
+
+    def read(self, form) -> int:
+        """The column that holds a linear form, made unless it is one."""
+        if len(form) == 1 and 1.0 in form.values():
+            return next(iter(form))
+        return self._make(tuple(((0, c), v) for c, v in form.items()))
+
+    def _make(self, terms) -> int:
+        """The column of a sum of terms, made once for equal sums. The terms
+        before its first deepest one are summed first, in a column of their
+        own, so that no pass adds more terms than it must; the sum is the
+        same, left to right."""
+        if terms not in self._made:
+            depth = [max(self._depth[a], self._depth[b])
+                     for (a, b), _ in terms]
+            cut = depth.index(max(depth))
+            head = self.column(dict(terms[:cut])) if cut > 1 else {}
+            summed = terms
+            if len(head) == 1 and 1.0 in head.values():
+                summed = (((0, *head), 1.0),) + terms[cut:]
+            self._made[terms] = self._new(summed, 1 + max(depth))
+        return self._made[terms]
+
+    def compile(self, outputs) -> "_Passes":
+        """Lay the columns out pass by pass; ``outputs`` are the columns read
+        at the end (``out``)."""
+        at = {0: 0}
+        at.update((c, 1 + i) for i, c in enumerate(self._keys.values()))
+        width, passes = len(at), []
+        for depth in range(1, max(self._depth) + 1):
+            cols = sorted((c for c, d in enumerate(self._depth) if d == depth),
+                          key=lambda c: -len(self._terms[c]))
+            left, right, coef, adds = [], [], [], []
+            for rank in range(len(self._terms[cols[0]])):
+                group = [c for c in cols if len(self._terms[c]) > rank]
+                if rank:
+                    start = width + len(left)
+                    adds.append((slice(width, width + len(group)),
+                                 slice(start, start + len(group))))
+                for (a, b), v in (self._terms[c][rank] for c in group):
+                    left.append(at[a])
+                    right.append(at[b])
+                    coef.append(v)
+            at.update((c, width + i) for i, c in enumerate(cols))
+            coef = np.array(coef, dtype=complex)[:, None, None]
+            passes.append(_read_only(np.array(left + right), coef)
+                          + (slice(width, width + len(left)), tuple(adds)))
+            width += len(left)
+        self.inputs, = _read_only(np.array(list(self._keys)))
+        self.out, = _read_only(np.array([at[c] for c in outputs]))
+        self.width, self.passes = width, tuple(passes)
+        return self
+
+    def run(self, buf):
+        """Fill the columns of ``buf`` beyond its inputs, in place."""
+        for factors, coef, terms, adds in self.passes:
+            xy = buf[factors]
+            x, y = xy[:len(coef)], xy[len(coef):]
+            out = buf[terms]
+            np.multiply(x, y[:, :1], out=out)
+            if buf.shape[1] > 1:
+                out[:, 1:] += x[:, :1] * y[:, 1:]
+            out *= coef
+            for dst, src in adds:
+                buf[dst] += buf[src]
+        # a coefficient -1 makes -0.0 of a zero term: every zero result
+        # comes out +0.0, as x - x does, whatever signs its terms had
+        buf[1 + len(self.inputs):] += 0.0
 
 
 def _wall_blocks(walls, size: int) -> list:

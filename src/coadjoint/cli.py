@@ -146,6 +146,15 @@ def _check(name, value, tol):
             "pass": bool(value < tol)}
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` converter: a finite number, 0 or more."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _tol(args, default: float) -> float:
     """``--tol`` when given, 0 included; else the check's default."""
     return default if args.tol is None else args.tol
@@ -500,7 +509,7 @@ FLAGS = {
                          "joined by ';'"), tuple(GRID_COLUMNS)),
     "--seed": (dict(type=int, default=0),
                ("decompose", *GRID_COLUMNS, "verify")),
-    "--tol": (dict(type=float),
+    "--tol": (dict(type=_tolerance),
               ("decompose", "dress", "metric", "pairing", "verify")),
     "--order": (dict(type=int, default=128,
                      help="quadrature rule size for pairing integrals"),

@@ -9,6 +9,7 @@ from numbers import Integral
 import numpy as np
 
 from coadjoint import decompose, kahler, orbit
+from coadjoint._families import _dual
 from coadjoint._linalg import (CELL_TOL, _below_mask, _rq, complex_laplacian,
                                gauss_legendre)
 from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa: F401
@@ -374,6 +375,83 @@ def fd_chart_jacobian(fam, coords):
     d = z[nb:].reshape((nb, 2, dim) + z.shape[1:]) \
         / (2.0 * h[..., None, None])
     return z[:nb], d[:, 0] - d[:, 1]
+
+
+def sp_chart_oracle(fam, coords, jac=False):
+    """``SpFamily._chart`` as stacked products: [[A], [J U]] written into
+    the identity, J U A by ``_small_matmul`` less the J S corner, and A^-1
+    by Horner; the oracle of the compiled passes, (N, 1 + dim, s, s) with
+    ``jac``, else (N, 1, s, s)."""
+    c = np.atleast_2d(np.asarray(coords, dtype=complex))[:, None]
+    if jac:
+        e = np.eye(c.shape[-1])
+        c = np.concatenate([c, np.broadcast_to(e, (len(c),) + e.shape)], 1)
+    z = np.zeros(c.shape[:2] + (fam.slots,) * 2, dtype=complex)
+    z[:, 0] = np.eye(fam.slots)
+    _sp_fill_chart(fam, z, c)
+    return z
+
+
+def _sp_fill_chart(fam, z, c):
+    n, s = fam.n, fam.slots
+    # U[c, r] = U[r, c]: the entries of J U below its anti-diagonal
+    mirror = [(k, s - 1 - c, s - 1 - r)
+              for k, (r, c) in enumerate(zip(fam._rows, fam._cols))
+              if r >= n and r + c < s - 1]
+    midx, mrows, mcols = np.array(mirror).T
+    one = np.zeros((z.shape[1], n, n), dtype=complex)
+    one[0] = np.eye(n)
+    z[..., fam._rows, fam._cols] = c                # [[A], [J U]]
+    z[..., mrows, mcols] = c[..., midx]
+    low, ju = z[..., :n, :n] - one, z[..., n:, :n]
+    # J S of the Sp(2) corner: S = x [[U10, U11/2], [U11/2, 0]]
+    x = low[..., 1, 0]
+    js = (_dual(np.multiply, x, ju[..., n - 2, 0]),
+          _dual(np.multiply, 0.5 * x, ju[..., n - 2, 1]))
+    ju += _dual(_small_matmul, ju, low)
+    ju[..., -1, 0] -= js[0]
+    ju[..., -1, 1] -= js[1]
+    ju[..., -2, 0] -= js[1]
+    # A^-1 = sum_k (-L)^k, L = A - I nilpotent of order n, by Horner
+    inv = one - low
+    for _ in range(n - 2):
+        inv = one - _dual(_small_matmul, low, inv)
+    z[..., n:, n:] = np.swapaxes(inv, -1, -2)[..., ::-1, ::-1]
+
+
+def _small_matmul(x, y):
+    """x @ y for stacks of small matrices, one broadcast product per inner
+    index: np.matmul makes one call per matrix, which costs several times as
+    much at these sizes."""
+    out = x[..., :, :1] * y[..., :1, :]
+    for k in range(1, x.shape[-1]):
+        out += x[..., :, k:k + 1] * y[..., k:k + 1, :]
+    return out
+
+
+def sp_coords_oracle(fam, zeta):
+    """``SpFamily.coords_from_zeta_split`` by a row-by-row inverse and
+    stacked products; the oracle of the compiled read-out."""
+    # zeta = [[A, 0], [C, D]] with A^-1 = J D^T J, so J P = C A^-1;
+    # U = P + S A^-1 on the Sp(2) corner. A and A^-1 are both read from
+    # D: a rounded zeta is not exactly symplectic, and the trailing rows
+    # [C, D] carry the potential, so a chart rebuilt around the A block
+    # instead misses them (Phi by up to 1e-7 near the cell boundary)
+    n = fam.n
+    zeta = np.asarray(zeta)
+    a_inv = np.swapaxes(zeta[..., n:, n:], -1, -2)[..., ::-1, ::-1]
+    # A from A^-1 A = I, row by row: A[i, :i] = -A^-1[i, :i] A[:i, :i]
+    a = a_inv.copy()
+    for i in range(1, n):
+        a[..., i, :i] = -(a_inv[..., i:i + 1, :i]
+                          @ a[..., :i, :i])[..., 0, :]
+    jp = zeta[..., n:, :n] @ a_inv
+    x = a[..., 1, 0]
+    h = 0.5 * x * jp[..., n - 2, 1]
+    u10 = jp[..., n - 1, 1] + h
+    jp[..., n - 1, 0] += x * (u10 - h)
+    jp[..., n - 1, 1] = jp[..., n - 2, 0] = u10
+    return np.concatenate([a, jp], axis=-2)[..., fam._rows, fam._cols]
 
 
 def fd_metric(spec, point, chart, step=1e-4):

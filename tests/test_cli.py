@@ -111,6 +111,21 @@ def test_decompose_honours_zero_tolerance(capsys):
         assert not rep["residuals"][name]["pass"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5"])
+def test_tolerance_must_be_finite_and_not_negative(capsys, tol):
+    # --tol nan wrote "tol":NaN, which is not JSON, and --tol -1 failed every
+    # check (exit 1): both are usage errors now. The joined form hands the
+    # converter every value, -inf included
+    code = main(["decompose", "--group", "su", "--n", "3", "--weights", "1,2",
+                 "--seed", "7", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == ("argument --tol: must be a finite number >= 0, "
+                              f"got {tol!r}")
+
+
 def test_verify_honours_tolerance(capsys):
     code, out = run(capsys, "verify", "--group", "su", "--n", "3",
                     "--weights", "1,2", "--seed", "7", "--points", "5",
