@@ -85,6 +85,7 @@ class Family:
     _antidiagonal_gap: int | None = None
 
     slot_weights: np.ndarray  # (slots, rankdim), read-only
+    weight_phase: complex = -1j   # mu0 = phase * diag(eps @ c), split basis
     positive_roots: list  # list[RootInfo], aligned with chart coordinates
 
     def __init__(self, slot_weights=None):
@@ -127,6 +128,19 @@ class Family:
 
     def initial_coords(self, weights):
         return np.asarray(weights, dtype=float) @ self.dual_weights
+
+    def split_diagonal(self, c):
+        """``weight_matrix(c)`` in the split basis, where it is diagonal:
+        phase * (eps @ c), read off the slot weights.
+
+        Each slot weight has at most one nonzero entry, +1 or -1, so each
+        value is one exact product, signed zeros as ``weight_matrix`` has
+        them.
+        """
+        c = np.asarray(c, dtype=float)
+        j = np.abs(self.slot_weights).argmax(axis=1)
+        sign = self.slot_weights[np.arange(self.slots), j]
+        return self.weight_phase * (sign * c[j])
 
     def spectrum(self, m) -> np.ndarray:
         """Eigenvalues of a working-basis matrix."""
@@ -451,6 +465,7 @@ class SpFamily(Family):
     """
 
     family = "sp"
+    weight_phase = 1j
     _antidiagonal_gap = 0
 
     def __init__(self, n: int):
@@ -467,12 +482,8 @@ class SpFamily(Family):
 
     # matrices -------------------------------------------------------------
 
-    def _split_diag(self, c):
-        c = np.asarray(c, dtype=float)
-        return np.concatenate([c, -c[::-1]])
-
     def weight_matrix(self, c):
-        return 1j * np.diag(self._split_diag(c))
+        return np.diag(self.split_diagonal(c))
 
     def root_matrix(self, a):
         return self.weight_matrix(a)

@@ -7,9 +7,11 @@ family:
 * ``_rq``: z = u k with u upper triangular and k unitary, from one
   Householder QR of the index-reversed transpose of z. No Gram matrix z z*
   is formed, so the condition number is not squared. ``iwasawa_nak`` reads
-  the Iwasawa N, A and K factors from it. ``Family.log_a`` needs only the
-  trailing ``rank`` entries of the A-diagonal, which the R factor of the
-  trailing ``rank`` rows of z alone gives.
+  the Iwasawa N, A and K factors from it; ``iwasawa_ak`` reads A and K
+  alone, all that dressing needs, so only ``iwasawa_nak`` forms n.
+  ``Family.log_a`` needs only the trailing ``rank`` entries of the
+  A-diagonal, which the R factor of the trailing ``rank`` rows of z alone
+  gives.
 * ``ul_decompose``: g = n d zeta (n, zeta unit upper, lower triangular, d
   diagonal: Gauss-Bruhat on the open cell) of a stack, with its cell mask.
   ``_doolittle`` leaves n packed, for the reads that need only d and zeta.
@@ -53,7 +55,7 @@ def _rq(z, r_only: bool = False):
     # mode "raw" returns R transposed, with the same diagonal
     out = np.linalg.qr(zt, mode="raw" if r_only else "reduced")
     diag = np.diagonal(out[0 if r_only else 1], axis1=-2, axis2=-1)[..., ::-1]
-    if not np.all(np.isfinite(diag) & (diag != 0)):
+    if not (np.isfinite(diag).all() and diag.all()):
         raise NumericalBreakdown("z is singular to working precision or not "
                                  "finite")
     if r_only:
@@ -71,8 +73,22 @@ def iwasawa_nak(z: np.ndarray):
     """
     u, k = _rq(z)
     delta = np.diagonal(u, axis1=-2, axis2=-1)
+    return (u / delta[..., None, :],) + _unphased(delta, k)
+
+
+def iwasawa_ak(z: np.ndarray):
+    """``(d, k)`` of ``iwasawa_nak``, bit for bit, without forming n.
+
+    What dressing reads: k for mu = k* mu0 k and d for the potential.
+    """
+    u, k = _rq(z)
+    return _unphased(np.diagonal(u, axis1=-2, axis2=-1), k)
+
+
+def _unphased(delta, k) -> tuple:
+    """(|delta|, k with the phases of delta, the diagonal of u, moved in)."""
     d = np.abs(delta)
-    return u / delta[..., None, :], d, (delta / d)[..., :, None] * k
+    return d, (delta / d)[..., :, None] * k
 
 
 def ul_decompose(g):

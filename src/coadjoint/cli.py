@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import cohomology, decompose, kahler, orbit
+from ._linalg import iwasawa_nak
 from .checks import (haar_batch, haar_width, iwasawa_residuals, normal_coords,
                      random_chart, spectral_mismatch)
 from .errors import (AllWeightsZero, DegeneracyViolation,
@@ -228,8 +229,7 @@ def cmd_decompose(args, spec, report):
 
 def _dress_columns(spec, point, pts) -> dict:
     # one factorization gives mu (from k) and phi (from the A-diagonal)
-    _, d, k = orbit._orbit_nak(spec, point, pts)
-    mu = orbit.coadjoint_action(point, k)
+    mu, d = orbit._dress(spec, point, pts)
     if (spec.family, spec.n) == ("su", 3):
         gm = orbit.gell_mann_coordinates(mu)
         cols = {f"mu_{a + 1}": gm[:, a] for a in range(8)}
@@ -377,10 +377,12 @@ def cmd_verify(args, spec, report):
         checks.append(_check(name, worst, _tol(args, default)))
 
     coords = normal_coords(spec, rng.standard_normal((npts, dim2)), point)
-    # one factorization serves the residuals and the dressed points
-    fac = decompose.iwasawa_batch(spec, coords)
-    res_mb, res_un = iwasawa_residuals(spec, coords, fac)
-    mu = orbit.coadjoint_action(point, fac.k)
+    # one factorization serves the residuals and the dressed points, which
+    # take the split-basis k as dress does
+    n, d, k = iwasawa_nak(spec.adapter.chart_split(coords))
+    res_mb, res_un = iwasawa_residuals(
+        spec, coords, decompose._working_factors(spec, n, d, k))
+    mu = orbit._action(point, k)
     check("iwasawa_multiply_back", res_mb, 1e-10)
     check("compactness_kk*", res_un, 1e-10)
     check("isospectrality", spectral_mismatch(np.linalg.eigvals(mu), ref),

@@ -4,12 +4,15 @@ The chart Z of an orbit is parameterized by one holomorphic coordinate per
 positive root. ``iwasawa_batch`` factors the chart representatives of a
 batch (N, chart_dim) of coordinates as z = n a k with one stacked
 Householder QR (``_linalg._rq``), with no Gram matrix z z*; ``iwasawa`` is
-its one-row case. ``gauss_bruhat_batch`` factors a stack of complexified
-group elements as g = n d zeta on the open cell with one stacked Doolittle
-elimination (``_linalg.ul_decompose``), ``gauss_bruhat`` is its one-row
-case and ``bruhat_chart`` unpacks only d and zeta. All of them work in the
-split basis, where the Borel subgroup is upper triangular, and map back
-with ``working_from_split``: the identity for SU and Sp, a unitary for SO.
+its one-row case. They, and ``dressing_matrix`` through ``iwasawa``, are
+the only paths that form n: dressing reads a and k alone
+(``orbit.dress_batch``). ``gauss_bruhat_batch`` factors a stack of
+complexified group elements as g = n d zeta on the open cell with one
+stacked Doolittle elimination (``_linalg.ul_decompose``), ``gauss_bruhat``
+is its one-row case and ``bruhat_chart`` unpacks only d and zeta. All of
+them work in the split basis, where the Borel subgroup is upper
+triangular, and map back with ``working_from_split``: the identity for SU
+and Sp, a unitary for SO.
 """
 
 from __future__ import annotations
@@ -85,14 +88,6 @@ def chart_batch(spec: GroupSpec, coords) -> np.ndarray:
     return coords
 
 
-def _nak(spec: GroupSpec, coords):
-    """(n, d, k) of a ``chart_batch`` in the working realization, d the
-    A-diagonal: factored in the split basis, n and k mapped back."""
-    fam = spec.adapter
-    n, d, k = iwasawa_nak(fam.chart_split(coords))
-    return fam.working_from_split(n), d, fam.working_from_split(k)
-
-
 def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
     """Iwasawa factors of the chart representatives at a batch of coordinates.
 
@@ -101,12 +96,20 @@ def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
     basis of C^2n. SO(3)/SO(4): factors in the vector basis, with A in its
     cosh/sinh rotation-block form.
     """
+    z = spec.adapter.chart_split(chart_batch(spec, coords))
+    return _working_factors(spec, *iwasawa_nak(z))
+
+
+def _working_factors(spec: GroupSpec, n, d, k) -> IwasawaFactors:
+    """The ``iwasawa_batch`` factors of the split-basis ``iwasawa_nak``
+    output (n, d, k), mapped to the working realization."""
     fam = spec.adapter
-    n, d, k = _nak(spec, chart_batch(spec, coords))
+    to_w = fam.working_from_split
     # the trailing entries are the accurate ones far out (``Family.log_a``)
     log_d = fam.log_a_from_tail(d[:, -fam.rank:])
-    a = fam.working_from_split(d[..., None] * np.eye(fam.slots))
-    return IwasawaFactors(n=n, a=a, k=k, a_parameters=fam.a_parameters(log_d),
+    a = to_w(d[..., None] * np.eye(fam.slots))
+    return IwasawaFactors(n=to_w(n), a=a, k=to_w(k),
+                          a_parameters=fam.a_parameters(log_d),
                           log_a_split=log_d)
 
 

@@ -53,6 +53,15 @@ class GroupSpec:
         return get_family(self.family, self.n)
 
 
+def same_group(spec: GroupSpec, *parts) -> None:
+    """Raise ValueError naming both groups unless each part (an initial or
+    chart point) belongs to ``spec``; identity is checked first."""
+    for part in parts:
+        if part.spec is not spec and part.spec != spec:
+            raise ValueError(f"{type(part).__name__} of {part.spec.name} "
+                             f"given to a {spec.name} call")
+
+
 def build_group(family: str, n: int) -> GroupSpec:
     """Validate (family, n) and return the group descriptor.
 
@@ -336,6 +345,17 @@ class InitialPoint:
         m = self.spec.adapter.initial_matrix(self.weights)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def split_diagonal(self):
+        """mu0 in the split basis, where it is diagonal on every family: one
+        entry per slot, read off the slot weights (``Family.split_diagonal``).
+
+        What dressing multiplies by; built once per point and read-only.
+        """
+        d = self.spec.adapter.split_diagonal(self.coords)
+        d.setflags(write=False)
+        return d
 
     @property
     def matrix_native(self):

@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import cell_miss, wirtinger_hessian
 from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_point
 from .errors import NumericalBreakdown
-from .groups import GroupSpec, InitialPoint
+from .groups import GroupSpec, InitialPoint, same_group
 from .orbit import OrbitPoint, required_zero_mask
 from .quaternion import QuaternionMatrix
 
@@ -39,8 +39,10 @@ def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     weights. A row vector times c is one dot per row, so every row equals
     the one-point ``potential`` bit for bit, whatever batch it is in; a
     matrix product (gemm, gemv) rounds differently with the batch size.
-    Raises ValueError unless ``coords`` has shape (N, chart_dim).
+    Raises ValueError unless ``coords`` has shape (N, chart_dim), and for a
+    point of another group.
     """
+    same_group(spec, point)
     fam = spec.adapter
     z = fam.chart_split(chart_batch(spec, coords))
     return _fold(spec, point, fam.log_a(z))
@@ -53,7 +55,11 @@ def _fold(spec: GroupSpec, point: InitialPoint, log_a) -> np.ndarray:
 
 
 def potential(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> float:
-    """Kahler potential Phi = sum_k <mu0, alpha_k> ln r_k^2 at the point."""
+    """Kahler potential Phi = sum_k <mu0, alpha_k> ln r_k^2 at the point.
+
+    Raises ValueError for a point or chart of another group.
+    """
+    same_group(spec, chart)
     return float(potential_batch(spec, point, chart.array()[None])[0])
 
 
@@ -87,8 +93,9 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     precision. A row that overflows in the kernel (Sp near |z| ~ 1e300)
     comes back nan, as off-cell rows of ``cocycle_shift_batch`` do;
     ``metric`` raises there. Raises ValueError unless ``coords`` has shape
-    (N, chart_dim).
+    (N, chart_dim), and for a point of another group.
     """
+    same_group(spec, point)
     fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
     z, a = fam.chart_jacobian(chart_batch(spec, coords))
@@ -100,8 +107,10 @@ def metric(spec: GroupSpec, point: InitialPoint,
            chart: ChartPoint) -> KahlerTensor:
     """The one-point ``metric_batch``, with the active coordinate labels.
 
-    Raises NumericalBreakdown where the metric is not finite.
+    Raises NumericalBreakdown where the metric is not finite, ValueError
+    for a point or chart of another group.
     """
+    same_group(spec, point, chart)
     active = np.flatnonzero(~required_zero_mask(spec, point))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = metric_batch(spec, point, chart.array()[None])[0]
@@ -125,6 +134,7 @@ def kks_pairing(point: OrbitPoint, x, y) -> float:
 
 def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
     """(z g, coords_g, shift, in_cell) of ``cocycle_shift_batch``."""
+    same_group(spec, point)
     fam = spec.adapter
     if isinstance(g, QuaternionMatrix):
         g = g.embed("split")
@@ -153,7 +163,8 @@ def cocycle_shift_batch(spec: GroupSpec, point: InitialPoint, coords,
     emitted d-factor; this orientation is what makes
     Phi(z_g) = Phi(z) + shift hold identically) and the (N,) mask of the
     rows whose product stays in the cell of this chart. Off-cell rows of
-    ``coords_g`` and ``shift`` are nan.
+    ``coords_g`` and ``shift`` are nan. Raises ValueError for a point of
+    another group.
     """
     return _cocycle(spec, point, coords, g)[1:]
 
@@ -163,8 +174,10 @@ def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
     """Transformed chart point z_g and the potential shift under g.
 
     The one-row ``cocycle_shift_batch``. Raises OutsideCell when the product
-    leaves the cell of this chart.
+    leaves the cell of this chart, ValueError for a point or chart of
+    another group.
     """
+    same_group(spec, chart)
     zg, coords_g, shift, in_cell = _cocycle(spec, point, chart.array()[None],
                                             g)
     if not in_cell[0]:

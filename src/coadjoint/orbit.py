@@ -1,10 +1,13 @@
 """Generalized stereographic projection: dressing, transitions, fibrations.
 
 ``dress_batch`` conjugates an initial point by the compact Iwasawa factors
-of a batch of chart representatives, mu = k* mu0 k (``coadjoint_action``),
-landing on the (co)adjoint orbit; the batch is one ``iwasawa_batch`` call
-and ``dress`` is its one-row case. Every family dresses through the same
-complex kernel, Sp in the split basis of C^2n. For SU(3), the eight
+of a batch of chart representatives, mu = k* mu0 k, landing on the
+(co)adjoint orbit; ``dress`` is its one-row case and the CLI dress grid and
+``verify`` share its kernel. Every family dresses through it in the split
+basis: one ``_linalg.iwasawa_ak`` call gives a and k and never forms n,
+and mu0 acts as the diagonal it is there (``InitialPoint.split_diagonal``),
+one scaling of the columns of k* and one stacked product, then on SO one
+map to the vector basis. For SU(3), the eight
 Gell-Mann coordinates and their closed forms are provided, over a whole
 stack at once or at one point;
 chart transitions are computed numerically through the Gauss-Bruhat
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cell_miss
-from .decompose import ChartPoint, _nak, bruhat_chart, chart_batch, \
-    chart_matrix, chart_point
+from ._linalg import cell_miss, iwasawa_ak
+from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_matrix, \
+    chart_point
 from .errors import DegeneracyViolation, MaximalDegenerate, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
-    parabolic_roots, reject_zero_orbit, weyl_group
+    parabolic_roots, reject_zero_orbit, same_group, weyl_group
 
 GELL_MANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -87,43 +90,64 @@ def dress_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """mu = k(z)* mu0 k(z) at a batch (N, chart_dim) of chart coordinates.
 
     Returns the (N, s, s) complex stack in the working basis. Raises
-    AllWeightsZero for the zero orbit and DegeneracyViolation when a row
-    leaves the orbit chart (a required-zero coordinate is nonzero).
+    AllWeightsZero for the zero orbit, DegeneracyViolation when a row
+    leaves the orbit chart (a required-zero coordinate is nonzero) and
+    ValueError for a point of another group.
     """
-    return coadjoint_action(point, _orbit_nak(spec, point, coords)[2])
+    return _dress(spec, point, coords)[0]
 
 
-def _orbit_nak(spec: GroupSpec, point: InitialPoint, coords) -> tuple:
-    """``_nak`` of a batch of orbit-chart coordinates, raising as
-    ``dress_batch`` does."""
+def _dress(spec: GroupSpec, point: InitialPoint, coords) -> tuple:
+    """(mu, d) of ``dress_batch``: mu and the A-diagonal of its factorization.
+
+    One chart build and one ``iwasawa_ak``, in the split basis; n is never
+    formed. Raises as ``dress_batch`` does.
+    """
+    same_group(spec, point)
     reject_zero_orbit(point)
     coords = chart_batch(spec, coords)
-    mask = required_zero_mask(spec, point)
-    if mask.any():
+    if point.walls:           # a generic orbit has no required zeros
+        mask = required_zero_mask(spec, point)
         bad = np.flatnonzero(mask & np.any(np.abs(coords) > 0, axis=0))
         if bad.size:
             labels = [spec.adapter.positive_roots[i].label for i in bad]
             raise DegeneracyViolation(f"coordinates along {labels} must "
                                       "vanish on this degenerate orbit")
-    return _nak(spec, coords)
+    d, k = iwasawa_ak(spec.adapter.chart_split(coords))
+    return _action(point, k), d
+
+
+def _action(point: InitialPoint, k) -> np.ndarray:
+    """k* mu0 k in the working basis for a stack of split-basis ``k``.
+
+    mu0 is the diagonal ``point.split_diagonal`` there: one scaling of the
+    columns of k*, one stacked product and, on SO, one working map.
+    """
+    kh = np.conj(np.swapaxes(k, -1, -2))
+    return point.spec.adapter.working_from_split(
+        (kh * point.split_diagonal) @ k)
 
 
 def coadjoint_action(point: InitialPoint, k) -> np.ndarray:
-    """mu = k* mu0 k for a stack (N, s, s) of unitary ``k``.
+    """mu = k* mu0 k for a stack (N, s, s) of unitary ``k``, working basis.
 
     With ``k`` the compact factors of an ``iwasawa_batch`` this is
-    ``dress_batch`` of the same coordinates, without a second factorization.
+    ``dress_batch`` of the same coordinates, without a second
+    factorization: bit for bit on SU and Sp, whose split basis is the
+    working basis, to rounding on SO, whose k goes through the split basis
+    and back.
     """
-    return np.conj(np.swapaxes(k, -1, -2)) @ point.matrix @ k
+    return _action(point, point.spec.adapter.split_from_working(k))
 
 
 def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint:
     """mu = k(z)* mu0 k(z): the one-row ``dress_batch``.
 
     For SU(3) the Gell-Mann coordinates come with it. Raises as
-    ``dress_batch`` does.
+    ``dress_batch`` does, and ValueError for a chart of another group.
     """
-    mu = dress_batch(spec, point, chart.array()[None])[0]
+    same_group(spec, chart)
+    mu = _dress(spec, point, chart.array()[None])[0][0]
     mu_coords = ()
     if (spec.family, spec.n) == ("su", 3):
         mu_coords = tuple(gell_mann_coordinates(mu))
@@ -245,8 +269,10 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     ``w`` is a WeylElement of this group or a word (tuple of simple
     reflections), resolved on its multiplication table as the new tag is.
     Computed by the Gauss-Bruhat factorization of z(coords) w, a one-row
-    ``bruhat_chart``; raises PoleOnChart where the target cell misses it.
+    ``bruhat_chart``; raises PoleOnChart where the target cell misses it,
+    ValueError for a chart or Weyl element of another group.
     """
+    same_group(spec, chart)
     wg = weyl_group(spec)
     el = wg.element_by_word(w.word if isinstance(w, WeylElement) else w)
     if isinstance(w, WeylElement) and not (w is el or np.array_equal(

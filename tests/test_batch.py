@@ -2,6 +2,7 @@
 one-row calls bit for bit."""
 
 import contextlib
+import gc
 import io
 import json
 
@@ -16,8 +17,8 @@ from coadjoint import cli
 from coadjoint.cli import _grid_csv, _grid_points, _parse_grid, main
 from coadjoint.decompose import gauss_bruhat_batch, iwasawa_batch
 from coadjoint.kahler import cocycle_shift_batch
-from coadjoint.orbit import (GELL_MANN, dress_batch, gell_mann_coordinates,
-                             required_zero_mask)
+from coadjoint.orbit import (GELL_MANN, coadjoint_action, dress_batch,
+                             gell_mann_coordinates, required_zero_mask)
 from helpers import (gell_mann_trace, grid_rows, haar_so, haar_sp, haar_su,
                      per_point_covariance, per_point_verify_residuals,
                      random_chart, row_grid_csv)
@@ -130,6 +131,70 @@ def test_empty_batches_keep_their_shape(family, n):
         assert getattr(fac, name).shape == (0, s, s)
     assert fac.a_parameters.shape == (0, spec.rank)
     assert fac.log_a_split.shape[0] == 0
+
+
+# worst |mu - k* mu0 k| / max|mu0| on SO, whose mu0 acts in the split basis
+# (1.04e-15 measured for coadjoint_action, whose k goes there and back)
+SO_ACTION_BOUND = 2e-15
+
+
+def _through_zero(spec, point, rows=30, seed=8):
+    """Chart rows at magnitudes 1e-3 to 1e3, the first four at z = 0 with
+    each sign of zero in each part."""
+    rng = np.random.default_rng(seed)
+    dim = spec.adapter.chart_dim
+    scale = 10.0 ** rng.integers(-3, 4, (rows, 1))
+    z = scale * (rng.standard_normal((rows, dim))
+                 + 1j * rng.standard_normal((rows, dim)))
+    zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    z[:4] = np.array(zeros)[:, None]
+    z[:, required_zero_mask(spec, point)] = 0.0
+    return z
+
+
+def _assert_dense(spec, point, mu, k):
+    """mu equals k* mu0 k with mu0 as a dense matrix: to the bit on SU and
+    Sp, but for the sign of an exact zero, which the dense product takes from
+    how its BLAS kernel sums zeros; within SO_ACTION_BOUND on SO."""
+    dense = np.conj(np.swapaxes(k, -1, -2)) @ point.matrix @ k
+    if spec.family == "so":
+        assert np.max(np.abs(mu - dense)) <= \
+            SO_ACTION_BOUND * np.max(np.abs(point.matrix))
+    else:
+        assert np.array_equal(mu, dense)
+
+
+@pytest.mark.parametrize("family,n", [("su", n) for n in range(2, 7)]
+                         + [("sp", n) for n in range(2, 5)]
+                         + [("so", 3), ("so", 4)])
+def test_coadjoint_action_equals_the_dense_product(family, n):
+    # mu0 acts as the diagonal it is in the split basis, one scaling of the
+    # columns of k* instead of a product with mu0
+    spec = build_group(family, n)
+    walls = (1.0,) + (0.0,) * (spec.rank - 1)
+    for weights in (tuple(float(k + 1) for k in range(spec.rank)), walls):
+        point = initial_point(spec, weights)
+        coords = _through_zero(spec, point)
+        k = iwasawa_batch(spec, coords).k
+        _assert_dense(spec, point, coadjoint_action(point, k), k)
+        _assert_dense(spec, point, dress_batch(spec, point, coords), k)
+
+
+def test_split_diagonal_is_the_points_own_after_id_reuse():
+    # points built and dropped in turn reuse each other's ids; a diagonal
+    # cached by id() gave an SO(4) point the diagonal of an SU point
+    for _ in range(3):
+        for family, n, weights in (("su", 3, (1.0, 2.0)),
+                                   ("so", 4, (1.0, 2.0)),
+                                   ("sp", 2, (2.0, 1.0))):
+            spec = build_group(family, n)
+            point = initial_point(spec, weights)
+            assert not point.split_diagonal.flags.writeable
+            coords = _through_zero(spec, point, rows=6)
+            k = iwasawa_batch(spec, coords).k
+            _assert_dense(spec, point, dress_batch(spec, point, coords), k)
+            del point
+            gc.collect()
 
 
 def test_one_bad_row_fails_the_batch():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coadjoint import (NumericalBreakdown, build_group, chart_matrix,
-                       chart_point, dress, initial_point, iwasawa,
+                       chart_point, dress, dress_batch, initial_point, iwasawa,
                        iwasawa_batch, metric, potential, potential_batch)
 from coadjoint._linalg import _rq, iwasawa_nak
 from coadjoint.checks import haar_batch, haar_width, iwasawa_residuals
@@ -43,6 +43,18 @@ def test_factors_dressing_and_metric_far_out(family, n, scale):
         assert spectral_mismatch(mu, ref) <= 1e-10
         ev = metric(spec, ip, chart).eigenvalues()
         assert ev.min() >= -1e-12 * ev.max()
+
+
+@pytest.mark.parametrize("family,n,scale", CASES)
+def test_dressed_mu_stays_anti_hermitian_far_out(family, n, scale):
+    spec = build_group(family, n)
+    ip = initial_point(spec, tuple(range(1, spec.rank + 1)))
+    rng = np.random.default_rng(13)
+    coords = np.array([random_chart(spec, rng, scale=scale).array()
+                       for _ in range(20)])
+    mu = dress_batch(spec, ip, coords)
+    skew = np.max(np.abs(mu + np.conj(np.swapaxes(mu, -1, -2))))
+    assert skew <= 1e-15 * np.max(np.abs(ip.matrix))
 
 
 def test_su3_potential_closed_form_far_out():

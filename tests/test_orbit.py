@@ -1,14 +1,16 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
                        OutsideCell, PoleOnChart, build_group, chart_point,
-                       chart_transition, cocycle_shift, dress, fibration,
-                       initial_point, su3_closed_form,
-                       su3_closed_form_batch, su3_transition_closed,
-                       weyl_group)
+                       chart_transition, cocycle_shift, cocycle_shift_batch,
+                       dress, dress_batch, fibration, initial_point, metric,
+                       metric_batch, potential, potential_batch,
+                       su3_closed_form, su3_closed_form_batch,
+                       su3_transition_closed, weyl_group)
 from helpers import (full_readout, haar_so, haar_sp, haar_su, random_chart,
                      spectral_mismatch, su3_closed_form_scalar)
 
@@ -216,6 +218,44 @@ def test_transition_rejects_weyl_elements_of_another_group():
         pt = chart_point(spec, np.full(spec.adapter.chart_dim, 0.3 + 0.1j))
         with pytest.raises(ValueError):
             chart_transition(spec, weyl_group(other).element_by_word(word), pt)
+
+
+# every entry point that takes a group with an initial point or a chart
+# point, called as (spec, point, chart); the batches take the chart's row
+ENTRY_POINTS = {
+    "dress": dress,
+    "dress_batch": lambda s, p, c: dress_batch(s, p, c.array()[None]),
+    "potential": potential,
+    "potential_batch": lambda s, p, c: potential_batch(s, p, c.array()[None]),
+    "metric": metric,
+    "metric_batch": lambda s, p, c: metric_batch(s, p, c.array()[None]),
+    "cocycle_shift": lambda s, p, c: cocycle_shift(
+        s, p, c, np.eye(s.adapter.slots)),
+    "cocycle_shift_batch": lambda s, p, c: cocycle_shift_batch(
+        s, p, c.array()[None], np.eye(s.adapter.slots)),
+    "chart_transition": lambda s, p, c: chart_transition(s, (0,), c),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_rejects_a_point_or_chart_of_another_group(entry):
+    # an SO(3) point dressed on SU(3) gave a mu on no orbit, an Sp(2) point
+    # gave SU(3) potentials and metrics, and SO(3) calls read an SU(2) chart
+    # (both have one coordinate) as their own
+    call = ENTRY_POINTS[entry]
+    so3 = build_group("so", 3)
+    own = chart_point(SU3, (0.3 + 0.1j, 0.2, -0.5j))
+    call(SU3, initial_point(SU3, (1.0, 2.0)), own)
+    if entry != "chart_transition":
+        for other in (initial_point(so3, (1.0,)),
+                      initial_point(build_group("sp", 2), (1.0, 2.0))):
+            name = re.escape(other.spec.name)
+            with pytest.raises(ValueError, match=rf"{name}.*SU\(3\)"):
+                call(SU3, other, own)
+    if not entry.endswith("_batch"):
+        su2_chart = chart_point(build_group("su", 2), (0.3 + 0.1j,))
+        with pytest.raises(ValueError, match=r"SU\(2\).*SO\(3\)"):
+            call(so3, initial_point(so3, (1.0,)), su2_chart)
 
 
 def test_transition_takes_its_own_weyl_elements():
