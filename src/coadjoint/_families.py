@@ -143,8 +143,15 @@ class Family:
         return self.weight_phase * (sign * c[j])
 
     def spectrum(self, m) -> np.ndarray:
-        """Eigenvalues of a working-basis matrix."""
-        return np.linalg.eigvals(np.asarray(m, dtype=complex))
+        """Eigenvalues of an anti-hermitian working-basis matrix or stack.
+
+        mu0 and every dressed point are anti-hermitian in the working basis,
+        so i m is hermitian and the spectrum is -i times its real
+        eigenvalues. The hermitian solver reads only the lower triangle of
+        i m: whether m is anti-hermitian is for the caller to check
+        (``checks.anti_hermitian_residual``).
+        """
+        return -1j * np.linalg.eigvalsh(1j * np.asarray(m, dtype=complex))
 
     # --- charts -----------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Residual checks and seeded random inputs shared by the CLI and the tests.
 
 The residuals take one point or a whole batch: ``iwasawa_residuals`` gives
-one value per row of an ``iwasawa_batch``, ``spectral_mismatch`` the worst
-row of a stack of spectra. Random inputs come one at a time from a
-generator (``random_chart``, ``haar_su``) or as batches read off a block of
-standard normals (``normal_coords``, ``haar_batch``), which is the same
-stream drawn in bulk.
+one value per row of an ``iwasawa_batch``, ``anti_hermitian_residual`` one
+per matrix of a stack, ``spectral_mismatch`` the worst row of a stack of
+spectra. Random inputs come one at a time from a generator
+(``random_chart``, ``haar_su``) or as batches read off a block of standard
+normals (``normal_coords``, ``haar_batch``), which is the same stream drawn
+in bulk.
 """
 
 from __future__ import annotations
@@ -20,13 +21,21 @@ def spectral_mismatch(a, b) -> float:
     """Max multiset distance of two spectra (sorted by imaginary part).
 
     ``a`` may be a stack (N, s) of spectra, each compared with ``b``; the
-    worst row counts (0 for an empty stack).
+    worst row counts (0 for an empty stack). Spectra from
+    ``Family.spectrum`` come from the lower triangle of each matrix, so a
+    report pairs this with ``anti_hermitian_residual``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     a = np.take_along_axis(a, np.lexsort((a.real, a.imag), axis=-1), axis=-1)
     b = b[np.lexsort((b.real, b.imag))]
     return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def anti_hermitian_residual(m) -> np.ndarray:
+    """max |m + m*| of one matrix, or one value per matrix of a stack."""
+    m = np.asarray(m)
+    return np.max(np.abs(m + np.conj(np.swapaxes(m, -1, -2))), axis=(-2, -1))
 
 
 def haar_width(spec) -> int:

@@ -53,6 +53,8 @@ class OrbitPoint:
     chart: tuple = ()
 
     def spectrum(self) -> np.ndarray:
+        """Eigenvalues of mu by the hermitian solver of ``Family.spectrum``,
+        which reads the lower triangle of i mu only."""
         return self.spec.adapter.spectrum(self.mu_matrix)
 
 

@@ -12,7 +12,8 @@ import pytest
 from coadjoint import (DegeneracyViolation, NumericalBreakdown, OutsideCell,
                        build_group, chart_point, cocycle_shift, dress,
                        gauss_bruhat, initial_point, iwasawa)
-from coadjoint.checks import haar_batch, haar_width
+from coadjoint.checks import (haar_batch, haar_width, normal_coords,
+                              spectral_mismatch)
 from coadjoint import cli
 from coadjoint.cli import _grid_csv, _grid_points, _parse_grid, main
 from coadjoint.decompose import gauss_bruhat_batch, iwasawa_batch
@@ -576,3 +577,35 @@ def test_sp_covariance_holds_near_the_cell_boundary():
     got = {c["name"]: c["residual"]
            for c in json.loads(out.getvalue())["results"]}
     assert got["potential_covariance"] < 1e-9
+
+
+def _dressed(family, n, scale, rows=12):
+    spec = build_group(family, n)
+    point = initial_point(spec, tuple(float(k + 1) for k in range(spec.rank)))
+    coords = scale * normal_coords(
+        spec, np.random.default_rng(3).standard_normal(
+            (rows, 2 * spec.adapter.chart_dim)))
+    return spec, point, dress_batch(spec, point, coords)
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_spectrum_of_a_stack_equals_one_matrix_calls(family, n):
+    # rows from 1e-2 to 1e4 in one stack, mu0 among them
+    scale = 10.0 ** (np.arange(14) % 7 - 2)[:, None]
+    spec, point, mu = _dressed(family, n, scale, rows=14)
+    stack = np.concatenate([mu, np.asarray(point.matrix, dtype=complex)[None]])
+    got = spec.adapter.spectrum(stack)
+    assert got.shape == stack.shape[:-1]
+    for i, m in enumerate(stack):
+        assert np.array_equal(got[i].view(np.int64),
+                              spec.adapter.spectrum(m).view(np.int64)), i
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("family,n", GROUPS)
+def test_spectrum_matches_the_general_eigensolver(family, n, scale):
+    spec, point, mu = _dressed(family, n, scale)
+    tol = 1e-13 * np.max(np.abs(point.matrix))
+    got = spec.adapter.spectrum(mu)
+    for i, m in enumerate(mu):
+        assert spectral_mismatch(got[i], np.linalg.eigvals(m)) <= tol, i

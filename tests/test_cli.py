@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coadjoint import orbit
 from coadjoint.cli import main
 
 
@@ -643,3 +644,47 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch):
     order = list(range(len(SEQUENCE))) + list(range(len(SEQUENCE)))[::-1]
     for i in order:
         assert _in_process(SEQUENCE[i]) == fresh[i], SEQUENCE[i]
+
+
+def _skew_upper_entry(monkeypatch):
+    """Every dressed mu gets 1e-6 added to its entry (0, 1). The lower
+    triangle of i mu, which is all the spectrum reads, stays as it was."""
+    action = orbit._action
+
+    def skewed(point, k):
+        mu = action(point, k).copy()
+        mu[..., 0, 1] += 1e-6
+        return mu
+
+    monkeypatch.setattr(orbit, "_action", skewed)
+
+
+SKEWED = [("sp", "2", "1,1", "0.3,0.1;-0.7,0.2;1.5,-0.4;0.2,0.9"),
+          ("so", "4", "1,1", "0.3,0.1;-0.7,0.2"),
+          ("su", "4", "1,0,1", "0.3,0.1;0,0;-0.7,0.2;0,0;1.5,-0.4;0,0")]
+
+
+@pytest.mark.parametrize("family,n,weights,z", SKEWED)
+def test_non_anti_hermitian_points_fail_verify_and_dress(
+        monkeypatch, capsys, family, n, weights, z):
+    _skew_upper_entry(monkeypatch)
+    group = ["--group", family, "--n", n, "--weights", weights]
+    code, out = run(capsys, "verify", *group, "--seed", "7",
+                    "--points", "10", "--order", "16")
+    checks = {c["name"]: c for c in json.loads(out)["results"]}
+    assert code == 1
+    assert checks["isospectrality"]["pass"]
+    assert [name for name, c in checks.items() if not c["pass"]] \
+        == ["anti_hermitian"]
+    assert checks["anti_hermitian"]["residual"] >= 1e-6
+
+    code, out = run(capsys, "dress", *group, f"--z={z}")
+    residuals = json.loads(out)["residuals"]
+    assert code == 1
+    assert residuals["isospectrality"]["pass"]
+    assert [name for name, c in residuals.items() if not c["pass"]] \
+        == ["anti_hermitian"]
+    # --tol is honoured
+    code, out = run(capsys, "dress", *group, f"--z={z}", "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["residuals"]["anti_hermitian"]["tol"] == 1e-5
