@@ -1,7 +1,7 @@
 """Per-family Lie data: root systems, split bases, charts, Weyl generators.
 
-Each compact family (SU(n), Sp(n), SO(3), SO(4)) is described by an adapter
-that fixes, in one place, the conventions the numerical layer relies on:
+Each group SU(n), Sp(n), SO(3), SO(4) is a ``Family``: the group type, which
+fixes in one place the conventions the numerical layer relies on:
 
 * weight coordinates: elements of the dual Cartan are vectors c in R^rankdim;
   ``weight_matrix`` maps them to matrices, roots have integer coordinate
@@ -71,8 +71,8 @@ def _root(vec) -> RootInfo:
 
 
 class Family:
-    """Base adapter; concrete families set their sizes in __init__, then call
-    ``Family.__init__`` with their slot weights."""
+    """A group, equal to any of its family and n. Subclasses set their sizes in
+    __init__, then call ``Family.__init__`` with their slot weights."""
 
     family: str
     n: int
@@ -109,6 +109,26 @@ class Family:
         the simple roots. SU, whose roots span a hyperplane, overrides this."""
         simple = np.array([info.vec for info in self.simple_roots])
         return _read_only(np.linalg.inv(simple).T)[0]
+
+    @property
+    def name(self) -> str:
+        pretty = {"su": "SU", "sp": "Sp", "so": "SO"}[self.family]
+        return f"{pretty}({self.n})"
+
+    def __repr__(self):
+        return f"build_group({self.family!r}, {self.n})"
+
+    @property
+    def adapter(self) -> Family:
+        """The group itself, kept for callers from when the group was a
+        separate handle: the tests and ``perfbench/workloads.py``."""
+        return self
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.n == self.n
+
+    def __hash__(self):
+        return hash((self.family, self.n))
 
     # --- coordinates <-> matrices ---------------------------------------
 

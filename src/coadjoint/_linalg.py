@@ -228,7 +228,7 @@ def _folded(z, a, c) -> tuple:
     w = _below_mask(s) @ c
     i, kk = divmod(np.flatnonzero(np.any(w.reshape(s * s, -1), axis=1)), s)
     at = i * (m * s) + kk + s * np.arange(m)[:, None]
-    return np.take(p.reshape(nb, -1), at, axis=1), w[i * s + kk]
+    return np.take(p.reshape(nb, s * m * s), at, axis=1), w[i * s + kk]
 
 
 def wirtinger_hessian(z, a, c) -> np.ndarray:

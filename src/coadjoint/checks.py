@@ -40,9 +40,8 @@ def anti_hermitian_residual(m) -> np.ndarray:
 
 def haar_width(spec) -> int:
     """Standard normals ``haar_batch`` reads per group element."""
-    fam = spec.adapter
     # Sp: two complex n x n blocks, (2n)^2 normals
-    return (2 if fam.family == "su" else 1) * fam.slots ** 2
+    return (2 if spec.family == "su" else 1) * spec.slots ** 2
 
 
 def haar_batch(spec, normals) -> np.ndarray:
@@ -55,13 +54,12 @@ def haar_batch(spec, normals) -> np.ndarray:
     Gaussian, which stays in that image, read back in the split basis.
     SO(n): QR of a real Gaussian with det Q = +1.
     """
-    fam = spec.adapter
-    m = fam.slots // 2 if fam.family == "sp" else fam.slots
+    m = spec.slots // 2 if spec.family == "sp" else spec.slots
     g = np.asarray(normals, dtype=float).reshape(
         len(normals), haar_width(spec) // m ** 2, m, m)
-    if fam.family == "su":
+    if spec.family == "su":
         return _haar_su(g[:, 0] + 1j * g[:, 1])
-    if fam.family == "sp":
+    if spec.family == "sp":
         q, r = np.linalg.qr(_quaternionic(g[:, 0] + 1j * g[:, 1],
                                           g[:, 2] + 1j * g[:, 3]))
         dr = np.diagonal(r, axis1=-2, axis2=-1)
@@ -109,7 +107,7 @@ def normal_coords(spec, normals, point=None, scale=1.0) -> np.ndarray:
     ``random_chart`` draws them. With ``point`` given, the coordinates
     that vanish on its orbit are set to 0.
     """
-    dim = spec.adapter.chart_dim
+    dim = spec.chart_dim
     normals = np.asarray(normals, dtype=float)
     z = scale * (normals[..., :dim] + 1j * normals[..., dim:])
     if point is not None:
@@ -119,7 +117,7 @@ def normal_coords(spec, normals, point=None, scale=1.0) -> np.ndarray:
 
 def random_chart(spec, rng, scale=1.0, point=None):
     """Random chart point; respects degeneracy of ``point`` when given."""
-    normals = rng.standard_normal(2 * spec.adapter.chart_dim)
+    normals = rng.standard_normal(2 * spec.chart_dim)
     return chart_point(spec, normal_coords(spec, normals, point, scale))
 
 
@@ -130,7 +128,7 @@ def iwasawa_residuals(spec, coords, fac) -> tuple:
     ``iwasawa``, or a batch (N, chart_dim) with ``fac`` from
     ``iwasawa_batch``; a batch gets one residual per row.
     """
-    z = spec.adapter.chart_working(coords)
+    z = spec.chart_working(coords)
     kk = fac.k @ np.conj(np.swapaxes(fac.k, -1, -2))
     return (np.max(np.abs(fac.multiply_back() - z), axis=(-2, -1)),
             np.max(np.abs(kk - np.eye(kk.shape[-1])), axis=(-2, -1)))

@@ -118,7 +118,7 @@ class TwoCycle:
 
     def embedding(self, t) -> ChartPoint:
         """Chart point with the cycle coordinate set to t, others zero."""
-        coords = np.zeros(self.spec.adapter.chart_dim, dtype=complex)
+        coords = np.zeros(self.spec.chart_dim, dtype=complex)
         coords[self.coord_index] = t
         return chart_point(self.spec, coords)
 
@@ -133,20 +133,19 @@ class BasisTwoForm:
     normalization: str = "i/(2*pi)"
 
     def potential(self, coords) -> np.ndarray:
-        return self.spec.adapter.chart_potentials(coords)[:, self.index]
+        return self.spec.chart_potentials(coords)[:, self.index]
 
 
 def basis_cycles(spec: GroupSpec) -> list:
     """One two-cycle per simple root, along its chart coordinate k."""
     return [TwoCycle(spec=spec, index=k, root_label=info.label, coord_index=k)
-            for k, info in enumerate(spec.adapter.simple_roots)]
+            for k, info in enumerate(spec.simple_roots)]
 
 
 def basis_two_forms(spec: GroupSpec) -> list:
-    fam = spec.adapter
     return [BasisTwoForm(spec=spec, index=j,
                          label=f"(i/2pi) ddbar ln d_{j + 1}^2")
-            for j in range(fam.rank)]
+            for j in range(spec.rank)]
 
 
 @lru_cache(maxsize=256)
@@ -156,7 +155,6 @@ def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
     Depends on neither weights nor seed: computed once per process for each
     group, cycle and order, and read-only.
     """
-    fam = spec.adapter
     xs, ws = gauss_legendre(order)
     theta = (xs + 1.0) * (np.pi / 2.0)
     wth = ws * (np.pi / 2.0)
@@ -164,10 +162,10 @@ def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
     # the radial coordinate is 1/r and the potential function is unchanged
     rho = np.where(theta <= np.pi / 2.0,
                    np.tan(theta / 2.0), np.tan((np.pi - theta) / 2.0))
-    z = fam.cycle_chart(i, rho)
+    z = spec.cycle_chart(i, rho)
     # the cycle chart is exp(t x_i), so dz/dt = z x_i
-    lap = complex_laplacian(z, z @ fam.cycle_generators()[i],
-                            fam.minor_weights.T)
+    lap = complex_laplacian(z, z @ spec.cycle_generators()[i],
+                            spec.minor_weights.T)
     jac = rho * (1.0 + rho ** 2) / 2.0
     # omega_j = lap_j d^2 t / pi with d^2 t = jac dtheta dphi; lap_j does
     # not depend on phi, so the phi integral is exactly 2 pi

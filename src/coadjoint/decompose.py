@@ -35,15 +35,14 @@ class ChartPoint:
     chart: tuple = ()
 
     def __post_init__(self):
-        fam = self.spec.adapter
         c = self.coords       # a numeric vector in one call, else entry by entry
         vec = type(c) is np.ndarray and c.ndim == 1 and c.dtype.kind in "biufc"
         coords = tuple(c.astype(complex, copy=False).tolist() if vec
                        else (complex(z) for z in c))
-        if len(coords) != fam.chart_dim:
-            raise ValueError(
-                f"{self.spec.name} charts have {fam.chart_dim} coordinates, "
-                f"got {len(coords)}")
+        if len(coords) != self.spec.chart_dim:
+            raise ValueError(f"{self.spec.name} charts have "
+                             f"{self.spec.chart_dim} coordinates, "
+                             f"got {len(coords)}")
         object.__setattr__(self, "coords", coords)
 
     def array(self) -> np.ndarray:
@@ -56,7 +55,7 @@ def chart_point(spec: GroupSpec, coords, chart=()) -> ChartPoint:
 
 def chart_matrix(spec: GroupSpec, point: ChartPoint):
     """The chart representative z in the family's working realization."""
-    return spec.adapter.chart_working(point.array())
+    return spec.chart_working(point.array())
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,23 @@ class IwasawaFactors:
 def chart_batch(spec: GroupSpec, coords) -> np.ndarray:
     """``coords`` as a complex (N, chart_dim) batch; ValueError otherwise."""
     coords = np.asarray(coords, dtype=complex)
-    dim = spec.adapter.chart_dim
+    dim = spec.chart_dim
     if coords.ndim != 2 or coords.shape[1] != dim:
         raise ValueError(f"{spec.name} chart batches have shape (N, {dim}), "
                          f"got {coords.shape}")
     return coords
+
+
+def element_batch(spec: GroupSpec, g, *leads) -> np.ndarray:
+    """``g`` as complex group elements (*lead, s, s), ``lead`` one of
+    ``leads`` and (None,) any row count; else ValueError naming the group."""
+    g, s = np.asarray(g, dtype=complex), spec.slots
+    if g.shape[-2:] != (s, s) or not any(
+            x in (g.shape[:-2], (None,) * (g.ndim - 2)) for x in leads):
+        want = " or ".join(str(x + (s, s)) for x in leads)
+        raise ValueError(f"{spec.name} elements have shape "
+                         f"{want.replace('None', 'N')}, got {g.shape}")
+    return g
 
 
 def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
@@ -96,20 +107,19 @@ def iwasawa_batch(spec: GroupSpec, coords) -> IwasawaFactors:
     basis of C^2n. SO(3)/SO(4): factors in the vector basis, with A in its
     cosh/sinh rotation-block form.
     """
-    z = spec.adapter.chart_split(chart_batch(spec, coords))
+    z = spec.chart_split(chart_batch(spec, coords))
     return _working_factors(spec, *iwasawa_nak(z))
 
 
 def _working_factors(spec: GroupSpec, n, d, k) -> IwasawaFactors:
     """The ``iwasawa_batch`` factors of the split-basis ``iwasawa_nak``
     output (n, d, k), mapped to the working realization."""
-    fam = spec.adapter
-    to_w = fam.working_from_split
+    to_w = spec.working_from_split
     # the trailing entries are the accurate ones far out (``Family.log_a``)
-    log_d = fam.log_a_from_tail(d[:, -fam.rank:])
-    a = to_w(d[..., None] * np.eye(fam.slots))
+    log_d = spec.log_a_from_tail(d[:, -spec.rank:])
+    a = to_w(d[..., None] * np.eye(spec.slots))
     return IwasawaFactors(n=to_w(n), a=a, k=to_w(k),
-                          a_parameters=fam.a_parameters(log_d),
+                          a_parameters=spec.a_parameters(log_d),
                           log_a_split=log_d)
 
 
@@ -157,15 +167,15 @@ def gauss_bruhat_batch(spec: GroupSpec, g) -> tuple:
     (``d_split`` an (N, s) array), ``in_cell`` the (N,) bool mask of the rows
     whose required principal minors do not vanish. Off-cell rows need a
     chart switch; their factors are nan. The whole stack is one
-    ``ul_decompose`` call.
+    ``ul_decompose`` call; a ``g`` of another shape raises ValueError.
     """
-    fam = spec.adapter
-    n, d, zeta, in_cell = ul_decompose(fam.split_from_working(g))
+    g = element_batch(spec, g, (None,))
+    n, d, zeta, in_cell = ul_decompose(spec.split_from_working(g))
     _nan_off_cell(in_cell, n, d, zeta)
     dm = np.zeros_like(n)
     idx = np.arange(d.shape[-1])
     dm[:, idx, idx] = d
-    to_w = fam.working_from_split
+    to_w = spec.working_from_split
     return BruhatFactors(n=to_w(n), d=to_w(dm), zeta=to_w(zeta),
                          d_split=d), in_cell
 
@@ -178,10 +188,9 @@ def bruhat_chart(spec: GroupSpec, g) -> tuple:
     factors: what chart transitions and cocycle shifts need, without n
     (left packed in ``_doolittle``) or the working-basis factors.
     """
-    fam = spec.adapter
-    _, d, zeta, in_cell = _doolittle(fam.split_from_working(g))
+    _, d, zeta, in_cell = _doolittle(spec.split_from_working(g))
     _nan_off_cell(in_cell, d, zeta)
-    return fam.coords_from_zeta_split(zeta), d, in_cell
+    return spec.coords_from_zeta_split(zeta), d, in_cell
 
 
 def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:
@@ -189,12 +198,12 @@ def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:
     ``gauss_bruhat_batch``.
 
     Raises OutsideCell when a required principal minor vanishes, signalling
-    that a chart switch is needed.
+    that a chart switch is needed, and ValueError unless ``g`` is (s, s).
     """
-    g = np.asarray(g, dtype=complex)
+    g = element_batch(spec, g, ())
     fac, in_cell = gauss_bruhat_batch(spec, g[None])
     if not in_cell[0]:
-        raise cell_miss(spec.adapter.split_from_working(g))
+        raise cell_miss(spec.split_from_working(g))
     return BruhatFactors(n=fac.n[0], d=fac.d[0], zeta=fac.zeta[0],
                          d_split=tuple(fac.d_split[0]))
 
@@ -208,15 +217,14 @@ def torus_coordinates(spec: GroupSpec, d) -> np.ndarray:
     rotation blocks; for Sp the first n split diagonal entries. Raises
     ValueError for a matrix that is not diagonal in the split basis.
     """
-    fam = spec.adapter
     d = np.asarray(d, dtype=complex)
     if d.ndim == 1:
-        return fam.torus_coords(d)
-    ds = fam.split_from_working(d)
+        return spec.torus_coords(d)
+    ds = spec.split_from_working(d)
     off = ds - np.diag(np.diagonal(ds))
     if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(ds))):
         raise ValueError("matrix is not in the (complexified) torus")
-    return fam.torus_coords(np.diagonal(ds))
+    return spec.torus_coords(np.diagonal(ds))
 
 
 def torus_character(spec: GroupSpec, d, weights) -> complex:

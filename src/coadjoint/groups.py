@@ -1,5 +1,6 @@
 """Groups, root data, Weyl groups, Poincare polynomials, orbit classification.
 
+A group is its ``Family`` (``build_group``), exported as ``GroupSpec``.
 Weyl words resolve on the multiplication table that the closure records.
 
 Walls. The simple roots on which mu0 sits are decided once, in
@@ -28,29 +29,11 @@ from numbers import Integral
 
 import numpy as np
 
-from ._families import Family, get_family
+from ._families import Family as GroupSpec, get_family
 from ._linalg import _read_only
-from .errors import AllWeightsZero, UnsupportedGroup
+from .errors import AllWeightsZero
 
 WALL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A compact classical group SU(n), Sp(n), or SO(n) (n in {3,4})."""
-
-    family: str
-    n: int
-    rank: int
-
-    @property
-    def name(self) -> str:
-        pretty = {"su": "SU", "sp": "Sp", "so": "SO"}[self.family]
-        return f"{pretty}({self.n})"
-
-    @property
-    def adapter(self) -> Family:
-        return get_family(self.family, self.n)
 
 
 def same_group(spec: GroupSpec, *parts) -> None:
@@ -63,12 +46,13 @@ def same_group(spec: GroupSpec, *parts) -> None:
 
 
 def build_group(family: str, n: int) -> GroupSpec:
-    """Validate (family, n) and return the group descriptor.
+    """Validate (family, n) and return the group: its cached ``Family``.
 
+    The group's cached tables live as long as something holds it, where a
+    separate handle's could be dropped after 32 other groups and rebuilt.
     Raises UnsupportedGroup for SO(n) outside {3, 4} or any n < 2.
     """
-    fam = get_family(family, int(n))
-    return GroupSpec(fam.family, fam.n, fam.rank)
+    return get_family(family, int(n))
 
 
 @dataclass(frozen=True)
@@ -101,28 +85,27 @@ def root_datum(spec: GroupSpec) -> RootDatum:
     The lowering vector X_{-beta} is the chart's generator dz/dz_beta at the
     origin, scaled so that its first nonzero entry (row-major) is 1.
     """
-    fam = spec.adapter
     plus, minus, cartan, pos_m = [], [], [], []
-    for info, x in zip(fam.positive_roots, fam.lowering_generators):
-        pos_m.append(fam.root_matrix(info.as_array()))
+    for info, x in zip(spec.positive_roots, spec.lowering_generators):
+        pos_m.append(spec.root_matrix(info.as_array()))
         xm = x / x.flat[np.flatnonzero(x)[0]]
-        xp = fam.working_from_split(xm.conj().T)
-        xm = fam.working_from_split(xm)
+        xp = spec.working_from_split(xm.conj().T)
+        xm = spec.working_from_split(xm)
         plus.append(xp)
         minus.append(xm)
         cartan.append(xp @ xm - xm @ xp)
     return RootDatum(
         spec=spec,
-        simple_roots=tuple(pos_m[: fam.rank]),
-        simple_root_labels=tuple(i.label for i in fam.simple_roots),
+        simple_roots=tuple(pos_m[: spec.rank]),
+        simple_root_labels=tuple(i.label for i in spec.simple_roots),
         positive_roots=tuple(pos_m),
-        positive_root_labels=tuple(i.label for i in fam.positive_roots),
-        simple_root_vectors=tuple(i.as_array() for i in fam.simple_roots),
-        positive_root_vectors=tuple(i.as_array() for i in fam.positive_roots),
+        positive_root_labels=tuple(i.label for i in spec.positive_roots),
+        simple_root_vectors=tuple(i.as_array() for i in spec.simple_roots),
+        positive_root_vectors=tuple(i.as_array() for i in spec.positive_roots),
         root_vectors_plus=tuple(plus),
         root_vectors_minus=tuple(minus),
         cartan_vectors=tuple(cartan),
-        bilinear_form_scale=fam.pairing_scale,
+        bilinear_form_scale=spec.pairing_scale,
     )
 
 
@@ -186,12 +169,11 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
     1 - 2 alpha alpha^T / (alpha . alpha), composed exactly. Elements are
     sorted by length, then word: the first reduced word in lexicographic order.
     """
-    fam = spec.adapter
-    ident = WeylElement(word=(), matrix=np.eye(fam.slots, dtype=complex),
-                        action=np.eye(fam.rankdim, dtype=int), length=0)
+    ident = WeylElement(word=(), matrix=np.eye(spec.slots, dtype=complex),
+                        action=np.eye(spec.rankdim, dtype=int), length=0)
     gens = []
-    for k, (info, gm) in enumerate(zip(fam.simple_roots,
-                                       fam.weyl_generators())):
+    for k, (info, gm) in enumerate(zip(spec.simple_roots,
+                                       spec.weyl_generators())):
         a = np.asarray(info.vec).astype(int)
         act = ident.action - 2 * np.outer(a, a) // (a @ a)
         gens.append(WeylElement(word=(k,), matrix=gm, action=act, length=1))
@@ -248,7 +230,7 @@ def parabolic_roots(spec: GroupSpec, gens) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _parabolic(spec: GroupSpec, gens) -> np.ndarray:
-    coeff = spec.adapter.simple_root_coefficients
+    coeff = spec.simple_root_coefficients
     outside = [] if gens is None else sorted(set(range(spec.rank)) - set(gens))
     return _read_only(~coeff[:, outside].any(axis=1))[0]
 
@@ -291,7 +273,7 @@ def poincare_quotient(spec: GroupSpec, gens, sub) -> tuple:
 
 @lru_cache(maxsize=256)
 def _poincare(spec: GroupSpec, gens) -> tuple:
-    coeff = spec.adapter.simple_root_coefficients[_parabolic(spec, gens)]
+    coeff = spec.simple_root_coefficients[_parabolic(spec, gens)]
     m = np.bincount(coeff.sum(axis=1), minlength=2).tolist() + [0]
     p = (1,)
     for h in range(1, len(m) - 1):
@@ -319,11 +301,9 @@ class InitialPoint:
     walls: tuple = field(default=(), init=False)   # simple roots on mu0
 
     def __post_init__(self):
-        fam = self.spec.adapter
-        if len(self.weights) != fam.rank:
-            raise ValueError(
-                f"{self.spec.name} needs {fam.rank} weights, "
-                f"got {len(self.weights)}")
+        if len(self.weights) != self.spec.rank:
+            raise ValueError(f"{self.spec.name} needs {self.spec.rank} "
+                             f"weights, got {len(self.weights)}")
         w = np.asarray(self.weights, dtype=float)
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
@@ -331,7 +311,7 @@ class InitialPoint:
             raise ValueError("weights must be nonnegative "
                              "(closed positive Weyl chamber)")
         object.__setattr__(self, "coords",
-                           tuple(fam.initial_coords(self.weights)))
+                           tuple(self.spec.initial_coords(self.weights)))
         # the one wall decision: zero, or small against the largest weight
         walls = np.nonzero((w == 0) | (w < WALL_TOL * w.max()))[0]
         object.__setattr__(self, "walls", tuple(int(k) for k in walls))
@@ -342,7 +322,7 @@ class InitialPoint:
 
         Built once per point and read-only.
         """
-        m = self.spec.adapter.initial_matrix(self.weights)
+        m = self.spec.initial_matrix(self.weights)
         m.setflags(write=False)
         return m
 
@@ -353,7 +333,7 @@ class InitialPoint:
 
         What dressing multiplies by; built once per point and read-only.
         """
-        d = self.spec.adapter.split_diagonal(self.coords)
+        d = self.spec.split_diagonal(self.coords)
         d.setflags(write=False)
         return d
 
@@ -369,7 +349,7 @@ def initial_point(spec: GroupSpec, weights) -> InitialPoint:
 
 def reject_zero_orbit(point: InitialPoint) -> None:
     """Raise AllWeightsZero when all weights are walls; the orbit is a point."""
-    if len(point.walls) == point.spec.adapter.rank:
+    if len(point.walls) == point.spec.rank:
         raise AllWeightsZero("all weights vanish; the orbit is a point")
 
 
@@ -398,14 +378,13 @@ def classify_initial_point(spec: GroupSpec, point: InitialPoint) -> OrbitClass:
     (no intermediate subgroup, hence no bundle structure) is decided by
     ``orbit.fibration``, which raises MaximalDegenerate in that case.
     """
-    fam = spec.adapter
     reject_zero_orbit(point)
     # one complex chart coordinate per positive root off the walls
     nonzero = int(np.count_nonzero(~parabolic_roots(spec, point.walls)))
     kind = OrbitKind.GENERIC if not point.walls else OrbitKind.DEGENERATE
     return OrbitClass(
         kind=kind,
-        vanishing_walls=tuple(fam.simple_roots[k].label for k in point.walls),
+        vanishing_walls=tuple(spec.simple_roots[k].label for k in point.walls),
         real_dimension=2 * nonzero,
-        stabilizer=fam.stabilizer_description(point.walls),
+        stabilizer=spec.stabilizer_description(point.walls),
     )

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cell_miss, wirtinger_hessian
-from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_point
+from .decompose import (ChartPoint, bruhat_chart, chart_batch, chart_point,
+                        element_batch)
 from .errors import NumericalBreakdown
 from .groups import GroupSpec, InitialPoint, same_group
 from .orbit import OrbitPoint, required_zero_mask
@@ -43,14 +44,13 @@ def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     point of another group.
     """
     same_group(spec, point)
-    fam = spec.adapter
-    z = fam.chart_split(chart_batch(spec, coords))
-    return _fold(spec, point, fam.log_a(z))
+    z = spec.chart_split(chart_batch(spec, coords))
+    return _fold(spec, point, spec.log_a(z))
 
 
 def _fold(spec: GroupSpec, point: InitialPoint, log_a) -> np.ndarray:
     """Phi = log a . c of ``potential_batch`` from the (N, slots) log a."""
-    c = spec.adapter.potential_weights.T @ np.asarray(point.weights)
+    c = spec.potential_weights.T @ np.asarray(point.weights)
     return np.matmul(log_a[:, None, :], c)[:, 0]
 
 
@@ -96,10 +96,9 @@ def metric_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     (N, chart_dim), and for a point of another group.
     """
     same_group(spec, point)
-    fam = spec.adapter
     active = np.flatnonzero(~required_zero_mask(spec, point))
-    z, a = fam.chart_jacobian(chart_batch(spec, coords))
-    c = np.asarray(point.weights) @ fam.minor_weights
+    z, a = spec.chart_jacobian(chart_batch(spec, coords))
+    c = np.asarray(point.weights) @ spec.minor_weights
     return wirtinger_hessian(z, a[:, active], c)
 
 
@@ -117,7 +116,7 @@ def metric(spec: GroupSpec, point: InitialPoint,
     if not np.isfinite(g).all():
         raise NumericalBreakdown("the metric is not finite at this point: "
                                  "the chart or its factorization overflows")
-    labels = tuple(spec.adapter.positive_roots[i].label for i in active)
+    labels = tuple(spec.positive_roots[i].label for i in active)
     return KahlerTensor(g=g, active_indices=tuple(int(i) for i in active),
                         active_labels=labels, base_point=chart)
 
@@ -135,15 +134,16 @@ def kks_pairing(point: OrbitPoint, x, y) -> float:
 def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
     """(z g, coords_g, shift, in_cell) of ``cocycle_shift_batch``."""
     same_group(spec, point)
-    fam = spec.adapter
     if isinstance(g, QuaternionMatrix):
         g = g.embed("split")
-    zg = fam.chart_working(chart_batch(spec, coords)) @ g
+    coords = chart_batch(spec, coords)
+    g = element_batch(spec, g, (), (len(coords),))
+    zg = spec.chart_working(coords) @ g
     coords_g, d, in_cell = bruhat_chart(spec, zg)
-    c = -(np.asarray(point.weights) @ fam.potential_weights)
+    c = -(np.asarray(point.weights) @ spec.potential_weights)
     # the trailing pivots are the first Doolittle steps on the reversed
     # matrix, the accurate ones; they fix log |d| as they fix log a
-    log_d = fam.log_a_from_tail(np.abs(d[:, -fam.rank:]))
+    log_d = spec.log_a_from_tail(np.abs(d[:, -spec.rank:]))
     # a row vector times c is one dot per row, bitwise the one-row shift;
     # log |d| @ c rounds differently
     shift = np.matmul(log_d[:, None, :], c)[:, 0]
@@ -164,7 +164,7 @@ def cocycle_shift_batch(spec: GroupSpec, point: InitialPoint, coords,
     Phi(z_g) = Phi(z) + shift hold identically) and the (N,) mask of the
     rows whose product stays in the cell of this chart. Off-cell rows of
     ``coords_g`` and ``shift`` are nan. Raises ValueError for a point of
-    another group.
+    another group, and unless ``g`` is (s, s) or (N, s, s).
     """
     return _cocycle(spec, point, coords, g)[1:]
 
@@ -175,13 +175,13 @@ def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
 
     The one-row ``cocycle_shift_batch``. Raises OutsideCell when the product
     leaves the cell of this chart, ValueError for a point or chart of
-    another group.
+    another group or a ``g`` that is not (s, s).
     """
     same_group(spec, chart)
     zg, coords_g, shift, in_cell = _cocycle(spec, point, chart.array()[None],
                                             g)
     if not in_cell[0]:
-        raise cell_miss(spec.adapter.split_from_working(zg[0]))
+        raise cell_miss(spec.split_from_working(zg[0]))
     return chart_point(spec, coords_g[0], chart.chart), float(shift[0])
 
 
@@ -191,10 +191,9 @@ def integrality_check(spec: GroupSpec, point: InitialPoint):
     Returns (flags, ratios); ratios are computed on weight coordinates,
     where the chamber form is the euclidean dot product.
     """
-    fam = spec.adapter
     c = np.asarray(point.coords)
     ratios, flags = [], []
-    for info in fam.simple_roots:
+    for info in spec.simple_roots:
         a = info.as_array()
         ratio = 2.0 * float(c @ a) / float(a @ a)
         ratios.append(ratio)

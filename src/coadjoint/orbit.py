@@ -55,7 +55,7 @@ class OrbitPoint:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of mu by the hermitian solver of ``Family.spectrum``,
         which reads the lower triangle of i mu only."""
-        return self.spec.adapter.spectrum(self.mu_matrix)
+        return self.spec.spectrum(self.mu_matrix)
 
 
 def required_zero_mask(spec: GroupSpec, point: InitialPoint) -> np.ndarray:
@@ -112,10 +112,10 @@ def _dress(spec: GroupSpec, point: InitialPoint, coords) -> tuple:
         mask = required_zero_mask(spec, point)
         bad = np.flatnonzero(mask & np.any(np.abs(coords) > 0, axis=0))
         if bad.size:
-            labels = [spec.adapter.positive_roots[i].label for i in bad]
+            labels = [spec.positive_roots[i].label for i in bad]
             raise DegeneracyViolation(f"coordinates along {labels} must "
                                       "vanish on this degenerate orbit")
-    d, k = iwasawa_ak(spec.adapter.chart_split(coords))
+    d, k = iwasawa_ak(spec.chart_split(coords))
     return _action(point, k), d
 
 
@@ -126,7 +126,7 @@ def _action(point: InitialPoint, k) -> np.ndarray:
     columns of k*, one stacked product and, on SO, one working map.
     """
     kh = np.conj(np.swapaxes(k, -1, -2))
-    return point.spec.adapter.working_from_split(
+    return point.spec.working_from_split(
         (kh * point.split_diagonal) @ k)
 
 
@@ -139,7 +139,7 @@ def coadjoint_action(point: InitialPoint, k) -> np.ndarray:
     working basis, to rounding on SO, whose k goes through the split basis
     and back.
     """
-    return _action(point, point.spec.adapter.split_from_working(k))
+    return _action(point, point.spec.split_from_working(k))
 
 
 def dress(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> OrbitPoint:
@@ -283,7 +283,7 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     m = chart_matrix(spec, chart) @ el.matrix
     coords, _, in_cell = bruhat_chart(spec, m[None])
     if not in_cell[0]:
-        exc = cell_miss(spec.adapter.split_from_working(m))
+        exc = cell_miss(spec.split_from_working(m))
         raise PoleOnChart(f"transition by word {el.word} undefined "
                           f"at this point: {exc}") from exc
     new_word = wg.element_by_word(tuple(chart.chart) + el.word).word
@@ -322,14 +322,13 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     subgroups that are not standard parabolics (they occur for some
     degenerate Sp orbits) are not searched.
     """
-    fam = spec.adapter
     cls = classify_initial_point(spec, point)
     stab = frozenset(point.walls)
-    missing = sorted(set(range(fam.rank)) - stab)
+    missing = sorted(set(range(spec.rank)) - stab)
     if not missing:
         raise MaximalDegenerate("stabilizer equals the group")
     drop = missing[0] if spec.family == "sp" else missing[-1]
-    k_gens = frozenset(set(range(fam.rank)) - {drop})
+    k_gens = frozenset(set(range(spec.rank)) - {drop})
     if k_gens == stab:
         raise MaximalDegenerate(
             f"no standard parabolic sits strictly between the stabilizer "
@@ -337,7 +336,7 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     # one chart coordinate per positive root, of G and of each parabolic
     n_stab, n_k = (int(np.count_nonzero(parabolic_roots(spec, gens)))
                    for gens in (stab, k_gens))
-    base_dim = 2 * (fam.chart_dim - n_k)
+    base_dim = 2 * (spec.chart_dim - n_k)
     fiber_dim = 2 * (n_k - n_stab)
     total = SpaceDescriptor(_orbit_label(spec, cls), cls.real_dimension)
     base = SpaceDescriptor(_base_label(spec, drop, base_dim), base_dim)

@@ -271,6 +271,23 @@ def test_pairing_command(capsys):
     assert rep["residuals"]["identity"]["pass"]
 
 
+def test_pairing_that_misses_its_tolerance_exits_1(capsys):
+    # the report is the passing one with the identity check failed: main
+    # sets the pass flag and the exit code from the residuals
+    argv = ["pairing", "--group", "su", "--n", "3", "--weights", "1,2"]
+    code, out = run(capsys, *argv, "--tol", "0")
+    assert code == 1
+    assert '"pass":false' in out
+    ok_code, ok_out = run(capsys, *argv)
+    assert ok_code == 0
+    want = json.loads(ok_out)
+    want["config"]["tol"] = 0.0
+    want["residuals"]["identity"].update({"pass": False, "tol": 0.0})
+    want["pass"] = False
+    assert out == json.dumps(want, sort_keys=True,
+                             separators=(",", ":")) + "\n"
+
+
 def test_betti_command(capsys):
     code, out = run(capsys, "betti", "--group", "su", "--n", "4",
                     "--weights", "1,1,1")

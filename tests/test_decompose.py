@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from coadjoint import (OutsideCell, ZeroTorusEntry, build_group, chart_matrix,
-                       chart_point, dress, dressing_matrix, gauss_bruhat,
+                       chart_point, cocycle_shift, cocycle_shift_batch, dress,
+                       dressing_matrix, gauss_bruhat, gauss_bruhat_batch,
                        initial_point, iwasawa, torus_character, weyl_group)
 from coadjoint._linalg import quaternion_iwasawa, quaternion_ul
 from coadjoint.decompose import bruhat_chart
@@ -329,3 +332,41 @@ def test_quaternion_ul_multiply_back(n):
             assert not np.any(np.diagonal(m.z2))
     with pytest.raises(OutsideCell):
         quaternion_ul(QuaternionMatrix(np.eye(n)[::-1]))
+
+
+def _shape_error(spec, shape):
+    """pytest.raises for a ValueError naming the group and ``shape``."""
+    want = re.escape(f"{spec.name} elements have shape {shape}, got")
+    return pytest.raises(ValueError, match=want)
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+def test_gauss_bruhat_inputs_are_checked_against_the_group(family, n):
+    # an SU(3) call factored a 4 x 4 matrix as SU(3) factors, the batch
+    # raised IndexError on one matrix and the cocycle shift a reshape error
+    spec = build_group(family, n)
+    s, rows = spec.slots, 3
+    eye = np.eye(s, dtype=complex)
+    point = initial_point(spec, tuple(float(k + 1) for k in range(spec.rank)))
+    coords = np.zeros((rows, spec.chart_dim), dtype=complex)
+    chart = chart_point(spec, coords[0])
+    with _shape_error(spec, f"({s}, {s})"):
+        gauss_bruhat(spec, np.eye(s + 1))
+    with _shape_error(spec, f"({s}, {s})"):
+        gauss_bruhat(spec, eye[None])
+    for bad in (eye, np.eye(s + 1)[None], eye[None, None]):
+        with _shape_error(spec, f"(N, {s}, {s})"):
+            gauss_bruhat_batch(spec, bad)
+    for bad in (eye[:, :-1], np.stack([eye] * 2), eye[None, None]):
+        with _shape_error(spec, f"({s}, {s}) or (1, {s}, {s})"):
+            cocycle_shift(spec, point, chart, bad)
+    for bad in (eye[:, :-1], np.stack([eye] * (rows + 1)), eye[None]):
+        with _shape_error(spec, f"({s}, {s}) or ({rows}, {s}, {s})"):
+            cocycle_shift_batch(spec, point, coords, bad)
+    # the shapes each call takes
+    assert np.allclose(gauss_bruhat(spec, eye).d_split, 1.0)
+    assert gauss_bruhat_batch(spec, np.stack([eye] * rows))[1].all()
+    assert cocycle_shift(spec, point, chart, eye[None]) == \
+        cocycle_shift(spec, point, chart, eye)
+    for g in (eye, np.stack([eye] * rows)):
+        assert cocycle_shift_batch(spec, point, coords, g)[2].all()

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import coadjoint
 from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        build_group, classify_initial_point, initial_point,
                        poincare_polynomial, root_datum, weyl_group)
+from coadjoint._families import Family, get_family
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import (CHART_GROUPS, composed_element, cycle_generator,
@@ -19,6 +21,18 @@ def test_build_group_ranks():
     assert build_group("su", 2).rank == 1
     assert build_group("so", 3).rank == 1
     assert build_group("so", 4).rank == 2
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_a_group_is_its_family_object(family, n):
+    spec = build_group(family, n)
+    assert spec is get_family(family, n)
+    assert spec.adapter is spec
+    assert isinstance(spec, coadjoint.GroupSpec)
+
+
+def test_group_spec_is_the_family_type():
+    assert coadjoint.GroupSpec is Family
 
 
 @pytest.mark.parametrize("family,n", [("so", 5), ("so", 2), ("su", 1), ("sp", 1)])

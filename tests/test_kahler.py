@@ -8,11 +8,11 @@ from coadjoint import (NumericalBreakdown, OutsideCell, basis_two_forms, build_g
                        cocycle_shift, dress, initial_point, integrality_check,
                        kks_pairing, metric, metric_batch, potential,
                        potential_batch, weyl_group)
-from coadjoint._linalg import wirtinger_hessian
+from coadjoint._linalg import complex_laplacian, wirtinger_hessian
 from coadjoint.checks import normal_coords
 from coadjoint.orbit import required_zero_mask
-from helpers import (KKS_METRIC_RATIO, fd_chart_jacobian, fd_metric,
-                     fd_wirtinger_hessian, haar_sp, haar_su,
+from helpers import (CHART_GROUPS, KKS_METRIC_RATIO, fd_chart_jacobian,
+                     fd_metric, fd_wirtinger_hessian, haar_sp, haar_su,
                      pair_tensor_hessian, random_chart)
 
 SU3 = build_group("su", 3)
@@ -657,3 +657,18 @@ def test_su60_potential_stays_small_in_memory():
         tracemalloc.stop()
     assert np.isfinite(phi).all()
     assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_metric_kernels_of_an_empty_batch(family, n, wall):
+    # both raised numpy's "cannot reshape array of size 0" on 0 rows
+    spec = build_group(family, n)
+    weights = [0.0 if wall and k % 2 else k + 1.0 for k in range(spec.rank)]
+    point = initial_point(spec, weights)
+    m = int(np.count_nonzero(~required_zero_mask(spec, point)))
+    g = metric_batch(spec, point, np.zeros((0, spec.chart_dim)))
+    assert g.shape == (0, m, m)
+    z = np.zeros((0, spec.slots, spec.slots), dtype=complex)
+    lap = complex_laplacian(z, z, spec.minor_weights.T * weights)
+    assert lap.shape == (0, spec.rank)

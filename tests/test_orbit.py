@@ -11,6 +11,7 @@ from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
                        metric_batch, potential, potential_batch,
                        su3_closed_form, su3_closed_form_batch,
                        su3_transition_closed, weyl_group)
+from coadjoint._families import get_family
 from helpers import (full_readout, haar_so, haar_sp, haar_su, random_chart,
                      spectral_mismatch, su3_closed_form_scalar)
 
@@ -256,6 +257,33 @@ def test_entry_point_rejects_a_point_or_chart_of_another_group(entry):
         su2_chart = chart_point(build_group("su", 2), (0.3 + 0.1j,))
         with pytest.raises(ValueError, match=r"SU\(2\).*SO\(3\)"):
             call(so3, initial_point(so3, (1.0,)), su2_chart)
+
+
+def test_groups_of_one_family_and_n_are_equal_however_built():
+    earlier = build_group("su", 3)
+    point = initial_point(earlier, (1.0, 2.0))
+    chart = chart_point(earlier, (0.3 + 0.1j, 0.2, -0.5j))
+    # 40 other groups turn over the cache of family objects
+    for n in range(4, 36):
+        build_group("su", n)
+    for n in range(2, 10):
+        build_group("sp", n)
+    fresh = build_group("su", 3)
+    assert fresh is get_family("su", 3) and fresh is not earlier
+    assert fresh == earlier and hash(fresh) == hash(earlier)
+    for call in ENTRY_POINTS.values():
+        call(fresh, point, chart)
+    assert np.array_equal(dress(fresh, point, chart).mu_matrix,
+                          dress(earlier, point, chart).mu_matrix)
+    # another family or another n is another group
+    sp3, su4 = build_group("sp", 3), build_group("su", 4)
+    assert fresh != sp3 and fresh != su4 and sp3 != build_group("sp", 2)
+    for other in (initial_point(sp3, (1.0, 2.0, 3.0)),
+                  initial_point(su4, (1.0, 2.0, 3.0))):
+        name = re.escape(other.spec.name)
+        with pytest.raises(ValueError, match=rf"InitialPoint of {name} "
+                                             r"given to a SU\(3\)"):
+            dress(fresh, other, chart)
 
 
 def test_transition_takes_its_own_weyl_elements():
