@@ -4,10 +4,11 @@ Each group SU(n), Sp(n), SO(3), SO(4) is a ``Family``: the group type, which
 fixes in one place the conventions the numerical layer relies on:
 
 * weight coordinates: elements of the dual Cartan are vectors c in R^rankdim;
-  ``weight_matrix`` maps them to matrices, roots have integer coordinate
-  vectors and their own ``root_matrix`` map. The chamber pairing is the
-  euclidean dot product of the coordinate vectors, which matches the
-  per-family trace form on the stored matrices.
+  each is defined by its split-basis diagonal (``split_diagonal``), which
+  ``weight_matrix`` maps to the working basis, and roots have integer
+  coordinate vectors and map alike (``root_matrix``). The chamber pairing
+  is the euclidean dot product of the coordinate vectors, which matches
+  the per-family trace form on the stored matrices.
 * a "split" matrix realization in which the Borel subgroup is upper
   triangular, charts Z are lower unitriangular and holomorphic in their
   coordinates, and the Iwasawa A-part is a positive diagonal. For SU this
@@ -133,29 +134,28 @@ class Family:
     # --- coordinates <-> matrices ---------------------------------------
 
     def weight_matrix(self, c):
-        raise NotImplementedError
+        """``split_diagonal(c)`` in the working basis."""
+        return self.working_from_split(np.diag(self.split_diagonal(c)))
 
     def root_matrix(self, a):
-        raise NotImplementedError
+        return self.weight_matrix(a)
 
     def weight_coords(self, m):
-        """Inverse of weight_matrix."""
-        raise NotImplementedError
-
-    def initial_matrix(self, weights):
-        """The initial point mu0 = sum_k xi_k h_k as a working-basis matrix."""
-        return self.weight_matrix(self.initial_coords(weights))
+        """Inverse of weight_matrix: c_i off the first split slot of weight
+        +-e_i."""
+        slot = np.abs(self.slot_weights).argmax(axis=0)
+        d = np.diagonal(self.split_from_working(m))[slot]
+        sign = self.slot_weights[slot, np.arange(self.rankdim)]
+        return d.imag * (sign * self.weight_phase.imag)
 
     def initial_coords(self, weights):
         return np.asarray(weights, dtype=float) @ self.dual_weights
 
     def split_diagonal(self, c):
-        """``weight_matrix(c)`` in the split basis, where it is diagonal:
-        phase * (eps @ c), read off the slot weights.
-
-        Each slot weight has at most one nonzero entry, +1 or -1, so each
-        value is one exact product, signed zeros as ``weight_matrix`` has
-        them.
+        """The point of weight coordinates ``c`` in the split basis, where it
+        is diagonal: phase * (eps @ c), read off the slot weights. mu0's one
+        definition, and its exact spectrum: each slot weight has at most one
+        nonzero entry, +1 or -1, so each value is one exact product.
         """
         c = np.asarray(c, dtype=float)
         j = np.abs(self.slot_weights).argmax(axis=1)
@@ -323,9 +323,17 @@ class Family:
         return _read_only(0.5 * np.diff(self.potential_weights, axis=1,
                                         prepend=0.0))[0]
 
+    def fold(self, log_a, weights) -> np.ndarray:
+        """sum_k weights_k Phi_k, (N,) or (N, l) for weights (rank,) or
+        (rank, l), from an (N, slots) log-diagonal: one row-vector product
+        per row with c = potential_weights.T @ weights, so a row does not
+        depend on its batch, as it would in one gemm over the batch."""
+        c = self.potential_weights.T @ np.asarray(weights, dtype=float)
+        return np.matmul(np.asarray(log_a)[:, None, :], c)[:, 0]
+
     def potentials(self, z_split) -> np.ndarray:
         """All rank basis potentials Phi_k at a batch of split matrices."""
-        return self.log_a(z_split) @ self.potential_weights.T
+        return self.fold(self.log_a(z_split), np.eye(self.rank))
 
     def chart_potentials(self, coords) -> np.ndarray:
         """All rank basis potentials at a batch (N, dim) of chart coordinates."""
@@ -393,14 +401,8 @@ class SUFamily(Family):
 
     # matrices ------------------------------------------------------------
 
-    def weight_matrix(self, c):
-        return -1j * np.diag(np.asarray(c, dtype=float))
-
     def root_matrix(self, a):
         return 1j * np.diag(np.asarray(a, dtype=float))
-
-    def weight_coords(self, m):
-        return np.real(1j * np.diagonal(np.asarray(m)))
 
     # charts ---------------------------------------------------------------
 
@@ -506,18 +508,6 @@ class SpFamily(Family):
         super().__init__()
         # Omega pairs slot i with s - 1 - i, signed as the weight of slot i
         self._omega = np.diag(np.sign(self.slot_weights.sum(axis=1)))[:, ::-1]
-
-    # matrices -------------------------------------------------------------
-
-    def weight_matrix(self, c):
-        return np.diag(self.split_diagonal(c))
-
-    def root_matrix(self, a):
-        return self.weight_matrix(a)
-
-    def weight_coords(self, m):
-        d = np.diagonal(np.asarray(m))
-        return np.imag(d[: self.n])
 
     # charts -----------------------------------------------------------------
 
@@ -705,19 +695,13 @@ class SOFamily(Family):
     # matrices ----------------------------------------------------------------
 
     def weight_matrix(self, c):
+        # the rotation blocks, exact: T diag(d) T* misses them in the last bits
         c = np.asarray(c, dtype=float)
         m = np.zeros((self.n, self.n), dtype=complex)
         for k in range(self.rank):
             m[2 * k, 2 * k + 1] = c[k]
             m[2 * k + 1, 2 * k] = -c[k]
         return m
-
-    def root_matrix(self, a):
-        return self.weight_matrix(a)
-
-    def weight_coords(self, m):
-        m = np.asarray(m)
-        return np.real(np.array([m[2 * k, 2 * k + 1] for k in range(self.rank)]))
 
     # charts ---------------------------------------------------------------------
 

@@ -153,7 +153,7 @@ def cell_miss(g) -> OutsideCell:
     Names the first pivot of ``ul_decompose`` below tolerance.
     """
     g = np.asarray(g, dtype=complex)
-    piv = ul_decompose(g[None])[1][0, ::-1]
+    piv = _doolittle(g[None])[1][0, ::-1]
     k = int(np.argmax(np.abs(piv)
                       < CELL_TOL * max(float(np.max(np.abs(g))), 1e-300)))
     return OutsideCell(f"Bruhat pivot {k} has magnitude {abs(piv[k]):.3e}; "

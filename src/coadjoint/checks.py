@@ -21,9 +21,9 @@ def spectral_mismatch(a, b) -> float:
     """Max multiset distance of two spectra (sorted by imaginary part).
 
     ``a`` may be a stack (N, s) of spectra, each compared with ``b``; the
-    worst row counts (0 for an empty stack). Spectra from
-    ``Family.spectrum`` come from the lower triangle of each matrix, so a
-    report pairs this with ``anti_hermitian_residual``.
+    worst row counts (0 for an empty stack). Reports pass mu0's split
+    diagonal as ``b``; ``Family.spectrum`` reads each lower triangle only,
+    so a report pairs this with ``anti_hermitian_residual``.
     """
     a = np.asarray(a)
     b = np.asarray(b)

@@ -241,8 +241,8 @@ def _dress_columns(spec, point, pts) -> dict:
         for r, c in zip(*np.triu_indices(h.shape[-1])):
             cols[f"h_{r + 1}{c + 1}_re"] = h[:, r, c].real
             cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
-    cols["phi"] = kahler._fold(
-        spec, point, spec.log_a_from_tail(d[:, -spec.rank:]))
+    cols["phi"] = spec.fold(spec.log_a_from_tail(d[:, -spec.rank:]),
+                            point.weights)
     return cols
 
 
@@ -282,8 +282,7 @@ def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
     chart = _get_chart(args, spec, point)
     op = orbit.dress(spec, point, chart)
-    spectrum = spectral_mismatch(op.spectrum(),
-                                 spec.spectrum(point.matrix))
+    spectrum = spectral_mismatch(op.spectrum(), point.split_diagonal)
     res = {"z": [_c(v) for v in chart.coords],
            "mu_matrix": _matrix(op.mu_matrix)}
     if op.coords:
@@ -370,7 +369,7 @@ def cmd_verify(args, spec, report):
     reject_zero_orbit(point)
     rng = np.random.default_rng(args.seed)
     checks = []
-    ref = spec.spectrum(point.matrix)
+    ref = point.split_diagonal
     dim2 = 2 * spec.chart_dim
 
     def check(name, residuals, default):

@@ -318,11 +318,11 @@ class InitialPoint:
 
     @cached_property
     def matrix(self):
-        """mu0 in the working realization (anti-hermitian, correct form).
+        """mu0 in the working basis: ``weight_matrix`` of its coordinates.
 
         Built once per point and read-only.
         """
-        m = self.spec.initial_matrix(self.weights)
+        m = self.spec.weight_matrix(self.coords)
         m.setflags(write=False)
         return m
 

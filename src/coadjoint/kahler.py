@@ -36,22 +36,14 @@ KKS_FORM_SCALE = {"su": 1.0, "so": 0.5, "sp": 0.5}
 def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
     """Phi at a batch (N, chart_dim) of chart coordinates.
 
-    Phi = log a . c with the weights folded into c = potential_weights.T @
-    weights. A row vector times c is one dot per row, so every row equals
-    the one-point ``potential`` bit for bit, whatever batch it is in; a
-    matrix product (gemm, gemv) rounds differently with the batch size.
-    Raises ValueError unless ``coords`` has shape (N, chart_dim), and for a
-    point of another group.
+    Phi = log a . c with the weights folded in (``Family.fold``), so every
+    row equals the one-point ``potential`` bit for bit, whatever batch it is
+    in. Raises ValueError unless ``coords`` has shape (N, chart_dim), and
+    for a point of another group.
     """
     same_group(spec, point)
     z = spec.chart_split(chart_batch(spec, coords))
-    return _fold(spec, point, spec.log_a(z))
-
-
-def _fold(spec: GroupSpec, point: InitialPoint, log_a) -> np.ndarray:
-    """Phi = log a . c of ``potential_batch`` from the (N, slots) log a."""
-    c = spec.potential_weights.T @ np.asarray(point.weights)
-    return np.matmul(log_a[:, None, :], c)[:, 0]
+    return spec.fold(spec.log_a(z), point.weights)
 
 
 def potential(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> float:
@@ -140,13 +132,10 @@ def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
     g = element_batch(spec, g, (), (len(coords),))
     zg = spec.chart_working(coords) @ g
     coords_g, d, in_cell = bruhat_chart(spec, zg)
-    c = -(np.asarray(point.weights) @ spec.potential_weights)
     # the trailing pivots are the first Doolittle steps on the reversed
     # matrix, the accurate ones; they fix log |d| as they fix log a
     log_d = spec.log_a_from_tail(np.abs(d[:, -spec.rank:]))
-    # a row vector times c is one dot per row, bitwise the one-row shift;
-    # log |d| @ c rounds differently
-    shift = np.matmul(log_d[:, None, :], c)[:, 0]
+    shift = spec.fold(log_d, -np.asarray(point.weights))
     return zg, coords_g, shift, in_cell
 
 

@@ -535,3 +535,72 @@ def test_find_needs_the_exact_action(family, n):
 def test_slot_weights_match_the_oracle(family, n):
     fam = build_group(family, n).adapter
     assert np.array_equal(fam.slot_weights, slot_weights(fam))
+
+
+# mu0: its split diagonal is its one definition, and its exact spectrum
+
+
+def _generic_and_wall_points(spec):
+    rng = np.random.default_rng(7 * spec.slots + len(spec.family))
+    generic = rng.uniform(0.5, 3.0, spec.rank)
+    wall = generic.copy()
+    wall[1::2] = 0.0
+    return [initial_point(spec, w) for w in (generic, wall)]
+
+
+def _rotation_blocks(c, n):
+    # the SO(n) weight matrix: one rotation block per coordinate
+    m = np.zeros((n, n), dtype=complex)
+    for k, x in enumerate(c):
+        m[2 * k, 2 * k + 1], m[2 * k + 1, 2 * k] = x, -x
+    return m
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_weight_matrix_is_the_split_diagonal_in_the_working_basis(family, n):
+    spec = build_group(family, n)
+    for point in _generic_and_wall_points(spec):
+        c = np.array(point.coords)
+        m = spec.weight_matrix(c)
+        assert np.array_equal(m, point.matrix)
+        if family == "su":
+            expected = -1j * np.diag(c)
+        elif family == "sp":
+            expected = np.diag(spec.split_diagonal(c))
+        else:
+            expected = _rotation_blocks(c, n)
+        assert np.array_equal(m, expected)
+        # the diagonal to the bit, signed zeros included
+        assert np.array_equal(np.diagonal(m).copy().view(np.int64),
+                              np.diagonal(expected).copy().view(np.int64))
+        back = spec.weight_coords(m)
+        if family == "so":
+            assert np.max(np.abs(back - c)) <= 1e-15 * np.max(np.abs(c))
+        else:
+            assert np.array_equal(back, c)
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_root_matrix_on_every_positive_root(family, n):
+    spec = build_group(family, n)
+    for info in spec.positive_roots:
+        a = info.as_array()
+        expected = (1j * np.diag(a) if family == "su"
+                    else spec.weight_matrix(a))
+        assert np.array_equal(spec.root_matrix(a), expected)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50,
+                                   1e100, 1e140])
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_mu0_spectrum_is_its_split_diagonal(family, n, scale):
+    # reports compare dressed spectra with the split diagonal; in this
+    # range of weights the eigensolver returns it exactly, so a report
+    # reads what it read when it eigensolved mu0
+    spec = build_group(family, n)
+    for point in _generic_and_wall_points(spec):
+        point = initial_point(spec, np.array(point.weights) * scale)
+        got = spec.spectrum(point.matrix)
+        want = point.split_diagonal
+        assert not want.real.any()
+        assert np.array_equal(np.sort(got.imag), np.sort(want.imag))

@@ -598,6 +598,22 @@ def test_potential_batch_rows_equal_one_point_bitwise(family, n):
                           one[::7].view(np.int64))
 
 
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_chart_potentials_rows_equal_one_row_bitwise(family, n):
+    # log a @ potential_weights.T rounded with the batch size (a gemm)
+    spec = build_group(family, n)
+    rng = np.random.default_rng(0)
+    pts = normal_coords(spec, rng.standard_normal((500, 2 * spec.chart_dim)),
+                        scale=3.0)
+    one = np.concatenate([spec.chart_potentials(row[None]) for row in pts])
+    assert one.shape == (500, spec.rank)
+    bits = one.view(np.int64)
+    assert np.array_equal(spec.chart_potentials(pts).view(np.int64), bits)
+    for start in range(0, 500, 37):
+        part = spec.chart_potentials(pts[start:start + 37])
+        assert np.array_equal(part.view(np.int64), bits[start:start + 37])
+
+
 @pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
 @pytest.mark.parametrize("kernel", [potential_batch, metric_batch])
 def test_batch_kernels_reject_wrong_coordinate_count(family, n, kernel):
