@@ -217,7 +217,8 @@ class Family:
         entry linear in c is then its own derivative, and a product of two
         takes the product rule (``_dual``).
         """
-        c = np.atleast_2d(np.asarray(coords, dtype=complex))[:, None]
+        c = np.asarray(coords, dtype=complex)
+        c = (c if c.ndim > 1 else c.reshape(1, -1))[:, None]
         if jac:
             e = np.eye(c.shape[-1])
             c = np.concatenate([c, np.broadcast_to(e, (len(c),) + e.shape)], 1)
@@ -558,7 +559,8 @@ class SpFamily(Family):
         ``_BLOCK_VALUES`` buffer values; each block's entries are gathered
         and copied, transposed, into their rows of z."""
         index, seed, p = self._chart_tables
-        c = np.atleast_2d(np.asarray(coords, dtype=complex))
+        c = np.asarray(coords, dtype=complex)
+        c = c if c.ndim > 1 else c.reshape(1, -1)
         nb, dim = c.shape
         width = 1 + dim if jac else 1
         z = np.empty((nb, width, self.slots ** 2), dtype=complex)

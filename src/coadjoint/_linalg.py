@@ -51,17 +51,18 @@ def _rq(z, r_only: bool = False):
     when a returned diagonal entry of u is exactly zero (z singular to
     working precision) or not finite.
     """
-    zt = np.swapaxes(np.asarray(z, dtype=complex)[..., ::-1, :], -1, -2)
+    zt = np.asarray(z, dtype=complex)[..., ::-1, :].swapaxes(-1, -2)
     # mode "raw" returns R transposed, with the same diagonal
     out = np.linalg.qr(zt, mode="raw" if r_only else "reduced")
-    diag = np.diagonal(out[0 if r_only else 1], axis1=-2, axis2=-1)[..., ::-1]
-    if not (np.isfinite(diag).all() and diag.all()):
+    diag = out[0 if r_only else 1].diagonal(0, -2, -1)[..., ::-1]
+    # ndarray.all without its Python layer
+    if not np.logical_and.reduce(np.isfinite(diag) & (diag != 0), None):
         raise NumericalBreakdown("z is singular to working precision or not "
                                  "finite")
     if r_only:
         return np.abs(diag)
-    return (np.swapaxes(out[1], -1, -2)[..., ::-1, ::-1],
-            np.swapaxes(out[0], -1, -2)[..., ::-1, :])
+    return (out[1].swapaxes(-1, -2)[..., ::-1, ::-1],
+            out[0].swapaxes(-1, -2)[..., ::-1, :])
 
 
 def iwasawa_nak(z: np.ndarray):
@@ -72,7 +73,7 @@ def iwasawa_nak(z: np.ndarray):
     ``_rq``'s u move into k. Raises NumericalBreakdown where ``_rq`` does.
     """
     u, k = _rq(z)
-    delta = np.diagonal(u, axis1=-2, axis2=-1)
+    delta = u.diagonal(0, -2, -1)
     return (u / delta[..., None, :],) + _unphased(delta, k)
 
 
@@ -82,7 +83,7 @@ def iwasawa_ak(z: np.ndarray):
     What dressing reads: k for mu = k* mu0 k and d for the potential.
     """
     u, k = _rq(z)
-    return _unphased(np.diagonal(u, axis1=-2, axis2=-1), k)
+    return _unphased(u.diagonal(0, -2, -1), k)
 
 
 def _unphased(delta, k) -> tuple:

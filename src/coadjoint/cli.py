@@ -282,6 +282,8 @@ def cmd_dress(args, spec, report):
     point = _get_point(args, spec)
     chart = _get_chart(args, spec, point)
     op = orbit.dress(spec, point, chart)
+    if not np.isfinite(op.mu_matrix).all():
+        raise NumericalBreakdown("the dressed point is not finite")
     spectrum = spectral_mismatch(op.spectrum(), point.split_diagonal)
     res = {"z": [_c(v) for v in chart.coords],
            "mu_matrix": _matrix(op.mu_matrix)}

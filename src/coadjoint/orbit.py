@@ -24,7 +24,8 @@ import numpy as np
 from ._linalg import cell_miss, iwasawa_ak
 from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_matrix, \
     chart_point
-from .errors import DegeneracyViolation, MaximalDegenerate, PoleOnChart
+from .errors import DegeneracyViolation, MaximalDegenerate, \
+    NumericalBreakdown, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
     parabolic_roots, reject_zero_orbit, same_group, weyl_group
 
@@ -125,7 +126,7 @@ def _action(point: InitialPoint, k) -> np.ndarray:
     mu0 is the diagonal ``point.split_diagonal`` there: one scaling of the
     columns of k*, one stacked product and, on SO, one working map.
     """
-    kh = np.conj(np.swapaxes(k, -1, -2))
+    kh = k.swapaxes(-1, -2).conj()
     return point.spec.working_from_split(
         (kh * point.split_diagonal) @ k)
 
@@ -218,10 +219,14 @@ def _su3_mu(weights, re, im) -> np.ndarray:
 
 def _square(x):
     """x ** 2 through C ``pow``, as a Python float squares: numpy squares an
-    array as x * x, which rounds differently on about 0.1% of inputs."""
-    if np.ndim(x):
-        return np.array([v ** 2 for v in x.tolist()])
-    return float(x) ** 2
+    array as x * x, which rounds differently on about 0.1% of inputs.
+    Raises NumericalBreakdown where a square overflows."""
+    try:
+        if np.ndim(x):
+            return np.array([v ** 2 for v in x.tolist()])
+        return float(x) ** 2
+    except OverflowError:
+        raise NumericalBreakdown("the closed form overflows") from None
 
 
 def _re_cmul(a, b):

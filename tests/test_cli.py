@@ -594,6 +594,20 @@ def test_far_metric_breakdown_exits_3(capsys, group, n, z):
     assert "nan" in out.splitlines()[1]
 
 
+@pytest.mark.parametrize("z", ["1e150,-1e150;1e150,-1e150;1e150,-1e150",
+                               "1e300,0;1e300,0;1e300,0"])
+def test_far_su3_dress_breakdown_exits_3(capsys, z):
+    # the closed form's squares overflowed into a traceback (exit 1); the
+    # dressed point at 1e300 is nan, and its spectrum raised numpy's
+    # LinAlgError, a usage error (exit 2)
+    code = main(["dress", "--group", "su", "--n", "3", "--weights", "1,1",
+                 f"--z={z}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NumericalBreakdown"
+
+
 def test_far_so4_metric_exits_0(capsys):
     # central differences overflowed here and the report exited 3; the
     # closed-form Jacobian gives diag(0, g_22(0)): g_11 = (1 + |z1|^2)^-2

@@ -3,8 +3,8 @@ import pytest
 
 from coadjoint._families import get_family
 from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
-    complex_laplacian, gauss_legendre, iwasawa_nak, ul_decompose, \
-    wirtinger_hessian
+    complex_laplacian, gauss_legendre, iwasawa_ak, iwasawa_nak, \
+    ul_decompose, wirtinger_hessian
 from coadjoint.errors import NumericalBreakdown, OutsideCell
 from helpers import CHART_GROUPS, cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
     pair_tensor_hessian, udu_factor, ul_decompose_unpacked
@@ -36,6 +36,39 @@ def test_iwasawa_nak_matches_udu_oracle():
     assert np.max(np.abs(n - n_ref)) < 1e-12
     k_ref = np.linalg.solve(n_ref, z) / d_ref[..., :, None]
     assert np.max(np.abs(k - k_ref)) < 1e-12
+
+
+def _outcome(factor, z):
+    """(d, k) of ``factor`` as bytes, dtype, shape and strides, or the
+    breakdown it raises."""
+    try:
+        return [(a.dtype, a.shape, a.strides, a.tobytes())
+                for a in factor(z)[-2:]]
+    except NumericalBreakdown:
+        return "NumericalBreakdown"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_iwasawa_ak_is_iwasawa_nak_without_n(family, n, scale):
+    # dressing reads (d, k) from iwasawa_ak: those of iwasawa_nak, on each
+    # row and on the stack, -0.0 parts included; far out some rows break
+    # down, and then both do
+    fam = get_family(family, n)
+    rng = np.random.default_rng(31)
+    coords = scale * (rng.standard_normal((40, fam.chart_dim))
+                      + 1j * rng.standard_normal((40, fam.chart_dim)))
+    coords.real[rng.random(coords.shape) < 0.2] = -0.0
+    coords.imag[rng.random(coords.shape) < 0.2] = -0.0
+    z = fam.chart_split(coords)
+    for stack in [z] + [row[None] for row in z]:
+        assert _outcome(iwasawa_ak, stack) == _outcome(iwasawa_nak, stack)
+    coords[7, -1] = np.nan
+    for factor in (iwasawa_ak, iwasawa_nak):
+        with pytest.raises(NumericalBreakdown):
+            factor(fam.chart_split(coords[7:8]))
+        with pytest.raises(NumericalBreakdown):
+            factor(fam.chart_split(coords))
 
 
 @pytest.mark.parametrize("m", [
