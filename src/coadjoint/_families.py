@@ -230,12 +230,22 @@ class Family:
     def _fill_chart(self, z, c):
         z[..., self._rows, self._cols] = c
 
+    @cached_property
+    def zeta_entries(self) -> tuple:
+        """(flat index, row) of the zeta entries the read-out reads."""
+        return _read_only(self._rows * self.slots + self._cols, self._rows)
+
+    def coords_from_zeta_entries(self, values):
+        return values
+
     def coords_from_zeta_split(self, zeta):
         """Chart coordinates of a split-basis lower-unitriangular element.
 
         ``zeta`` may be a stack (..., s, s); the coordinates come last.
         """
-        return np.asarray(zeta)[..., self._rows, self._cols]
+        zeta = np.asarray(zeta)
+        flat = zeta.reshape(zeta.shape[:-2] + (self.slots ** 2,))
+        return self.coords_from_zeta_entries(flat[..., self.zeta_entries[0]])
 
     def split_from_working(self, g):
         return np.asarray(g, dtype=complex)
@@ -515,13 +525,14 @@ class SpFamily(Family):
     @cached_property
     def _chart_tables(self) -> tuple:
         """``(index, seed, passes)``: the buffer column of each of the
-        chart's s^2 entries (a zero column past the passes' for the entries
-        that are 0), the ``_chart`` stack of the constant 1 and the unit
-        derivatives of the coordinates, and the chart's compiled passes."""
+        chart's s^2 entries, the ``_chart`` stack of the constant 1, the
+        unit derivatives of the coordinates and the constant 0 (an input no
+        pass reads, which the 0 entries read), and the compiled passes."""
         n, s = self.n, self.slots
         p, one = _Passes(), {0: 1.0}
         at = {(r, c): p.input((r, c)) for r, c in
               zip(self._rows.tolist(), self._cols.tolist())}
+        p.input((s, s))          # the constant 0, keyed past the matrix
 
         def u(r, c):
             # U[r, c] = U[c, r], held in the rows of J U
@@ -547,9 +558,9 @@ class SpFamily(Family):
         entries.update(((s - 1 - j, s - 1 - i), f)
                        for (i, j), f in inv.items())
         p.compile([p.read(f) for f in entries.values()])
-        index = np.full((s, s), p.width)
+        index = np.full((s, s), 1 + self.chart_dim)
         index[tuple(np.array(list(entries)).T)] = p.out
-        seed = np.eye(1 + self.chart_dim, dtype=complex)[:, :, None]
+        seed = np.eye(2 + self.chart_dim, 1 + self.chart_dim, dtype=complex)
         return _read_only(index.ravel(), seed) + (p,)
 
     def _chart(self, coords, jac: bool):
@@ -564,13 +575,12 @@ class SpFamily(Family):
         nb, dim = c.shape
         width = 1 + dim if jac else 1
         z = np.empty((nb, width, self.slots ** 2), dtype=complex)
-        step = max(1, _BLOCK_VALUES // (width * (p.width + 1)))
+        step = max(1, _BLOCK_VALUES // (width * p.width))
         for start in range(0, nb, step):
             rows = c[start:start + step].T
-            buf = np.empty((p.width + 1, width, rows.shape[1]), dtype=complex)
-            buf[:1 + dim] = seed[:, :width]
+            buf = np.empty((p.width, width, rows.shape[1]), dtype=complex)
+            buf[:2 + dim] = seed[:, :width, None]
             buf[1:1 + dim, 0] = rows
-            buf[-1] = 0.0
             p.run(buf)
             z[start:start + step] = buf[index].T
         return z.reshape((nb, width, self.slots, self.slots))
@@ -605,16 +615,20 @@ class SpFamily(Family):
                for r, c in zip(self._rows.tolist(), self._cols.tolist())]
         return p.compile(out)
 
-    def coords_from_zeta_split(self, zeta):
+    @cached_property
+    def zeta_entries(self) -> tuple:
+        at = self._readout_passes.inputs
+        return _read_only(at, at // self.slots)
+
+    def coords_from_zeta_entries(self, values):
         p = self._readout_passes
-        zeta = np.asarray(zeta, dtype=complex)
-        flat = zeta.reshape(-1, self.slots ** 2)
+        flat = values.reshape(-1, len(p.inputs))
         buf = np.empty((p.width, 1, len(flat)), dtype=complex)
         buf[0] = 1.0
-        buf[1:1 + len(p.inputs), 0] = flat[:, p.inputs].T
+        buf[1:1 + len(p.inputs), 0] = flat.T
         p.run(buf)
         coords = np.ascontiguousarray(buf[p.out, 0].T)
-        return coords.reshape(zeta.shape[:-2] + (len(p.out),))
+        return coords.reshape(values.shape[:-1] + (len(p.out),))
 
     # torus ---------------------------------------------------------------------
 
@@ -727,11 +741,8 @@ class SOFamily(Family):
         z[..., 3, 1] = -z2
         z[..., 3, 0] = _dual(np.multiply, -z1, z2)
 
-    def coords_from_zeta_split(self, zeta):
-        zeta = np.asarray(zeta)
-        if self.n == 3:
-            return zeta[..., 1:2, 0] / np.sqrt(2.0)
-        return zeta[..., 1:3, 0]
+    def coords_from_zeta_entries(self, values):
+        return values / np.sqrt(2.0) if self.n == 3 else values
 
     # torus -------------------------------------------------------------------
 

@@ -14,7 +14,8 @@ family:
   gives.
 * ``ul_decompose``: g = n d zeta (n, zeta unit upper, lower triangular, d
   diagonal: Gauss-Bruhat on the open cell) of a stack, with its cell mask.
-  ``_doolittle`` leaves n packed, for the reads that need only d and zeta.
+  ``_doolittle`` skips the steps whose column is zero throughout the stack
+  and divides out only the entries of zeta its caller reads.
 
 ``wirtinger_hessian`` differentiates a weighted sum of log det of the
 trailing minors of z z* twice in closed form, from the same factor u, the
@@ -36,6 +37,7 @@ from .errors import NumericalBreakdown, OutsideCell
 from .quaternion import Quaternion, QuaternionMatrix
 
 CELL_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _rq(z, r_only: bool = False):
@@ -48,15 +50,16 @@ def _rq(z, r_only: bool = False):
     trailing m rows of an s x s stack, whose (s, m) QR gives the trailing m
     moduli, bit for bit those of the full QR (Householder QR works column
     by column, and these columns come first). Raises NumericalBreakdown
-    when a returned diagonal entry of u is exactly zero (z singular to
-    working precision) or not finite.
+    when a returned diagonal entry of u is not finite or, in modulus, below
+    the smallest normal float, whose phase overflows (z is singular).
     """
     zt = np.asarray(z, dtype=complex)[..., ::-1, :].swapaxes(-1, -2)
     # mode "raw" returns R transposed, with the same diagonal
     out = np.linalg.qr(zt, mode="raw" if r_only else "reduced")
     diag = out[0 if r_only else 1].diagonal(0, -2, -1)[..., ::-1]
     # ndarray.all without its Python layer
-    if not np.logical_and.reduce(np.isfinite(diag) & (diag != 0), None):
+    if not np.logical_and.reduce(np.isfinite(diag) & (abs(diag) >= _TINY),
+                                 None):
         raise NumericalBreakdown("z is singular to working precision or not "
                                  "finite")
     if r_only:
@@ -97,40 +100,60 @@ def ul_decompose(g):
 
     ``g`` is (N, s, s); returns ``(n, d, zeta, in_cell)`` with ``n`` unit
     upper triangular, ``zeta`` unit lower triangular, ``d`` (N, s) and the
-    (N,) mask ``in_cell``: ``_doolittle`` with n unpacked. A row is outside
+    (N,) mask ``in_cell``: ``_doolittle`` read in full. A row is outside
     the cell when a pivot (a ratio of trailing principal minors) has
     |pivot| < CELL_TOL * max|g|; its factors are then meaningless. A nan entry
     does not flag its row, an infinite one makes every finite pivot fail.
     ``cell_miss`` names the failing pivot of one row.
     """
-    w, d, zeta, in_cell = _doolittle(g)
-    _, upper, eye = _triangles(w.shape[-1])
-    return np.where(upper, w[:, ::-1, ::-1], eye), d, zeta, in_cell
+    s = np.shape(g)[-1]
+    lower, upper, eye = _triangles(s)
+    at = np.arange(s * s)
+    w, d, zeta, in_cell = _doolittle(g, at, at // s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = np.where(upper, w / d[:, None, :], eye)
+    return n, d, np.where(lower, zeta.reshape(w.shape), eye), in_cell
 
 
-def _doolittle(g) -> tuple:
-    """``(w, d, zeta, in_cell)`` of ``ul_decompose``, n left packed in w:
-    Doolittle without pivoting on the index-reversed matrices, one step per
-    column for the whole stack, in place, the multipliers in the column."""
+def _doolittle(g, at, rows) -> tuple:
+    """``(w, d, zeta, in_cell)``: Doolittle without pivoting from the last
+    pivot up, on a copy of the stack. w ends with n d above its diagonal, d
+    on it and d zeta below it; ``zeta`` is zeta at the flat indices ``at``,
+    in rows ``rows``. A step whose column is zero in every row would change
+    only signs of zeros and is skipped; where 0 / pivot or 0 * row would be
+    nan instead, the stack is eliminated again without skips."""
     a = np.asarray(g, dtype=complex)
     nb, s = a.shape[0], a.shape[-1]
-    w = a[:, ::-1, ::-1].copy()
-    flat = w.reshape(nb, s * s)
-    scale = np.maximum(np.abs(flat).max(axis=1), 1e-300)
+    tol = CELL_TOL * np.maximum.reduce(np.abs(a.reshape(nb, s * s)), axis=1,
+                                       initial=1e-300)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(s - 1):
-            col = w[:, k + 1:, k]
-            col /= w[:, k, k, None]
-            w[:, k + 1:, k + 1:] -= col[:, :, None] * w[:, k, None, k + 1:]
-        # steps after k leave row k and column k alone: the diagonal holds
-        # the pivots, the strict upper triangle the unscaled rows of U
-        dd = flat[:, ::s + 1]
-        lower, _, eye = _triangles(s)
-        zeta = np.where(lower, (w / dd[:, :, None])[:, ::-1, ::-1], eye)
-    in_cell = ~(np.abs(dd) < CELL_TOL * scale[:, None]).any(axis=1)
-    # contiguous, as np.where's output is: numpy's elementwise loops for
-    # strided input may round differently (np.log of a reversed view does)
-    return w, np.ascontiguousarray(dd[:, ::-1]), zeta, in_cell
+        for skip in (True, False):
+            w, skipped = a.copy(), []
+            for k in range(s - 1, 0, -1):
+                col = w[:, :k, k]
+                if skip and not np.count_nonzero(col):
+                    skipped.append(k)
+                    continue
+                w[:, :k, :k] -= ((col / w[:, k, k, None])[:, :, None]
+                                 * w[:, k, None, :k])
+            # contiguous: numpy's elementwise loops for strided input may
+            # round differently (np.log of a reversed view does)
+            flat = w.reshape(nb, s * s)
+            d = flat[:, ::s + 1].copy()
+            if not skipped:
+                break
+            # skipping was exact where no skipped pivot is 0 or nan (0 / 0
+            # is nan) and the rows left of the pivots are finite (0 * inf
+            # is nan): a quick test of every entry, then one of those alone
+            fine = np.isfinite(w)
+            if (np.count_nonzero(d) == d.size
+                    and np.logical_and.reduce(fine, None)
+                    or np.logical_and.reduce(abs(d[:, skipped]) > 0, None)
+                    and np.logical_and.reduce(fine[:, _triangles(s)[0]], None)):
+                break
+        zeta = np.take(flat, at, axis=1) / np.take(d, rows, axis=1)
+    # a nan pivot flags no row: fmin passes over it
+    return w, d, zeta, ~(np.fmin.reduce(np.abs(d), axis=1) < tol)
 
 
 @lru_cache(maxsize=16)
@@ -154,7 +177,7 @@ def cell_miss(g) -> OutsideCell:
     Names the first pivot of ``ul_decompose`` below tolerance.
     """
     g = np.asarray(g, dtype=complex)
-    piv = _doolittle(g[None])[1][0, ::-1]
+    piv = _doolittle(g[None], (), ())[1][0, ::-1]
     k = int(np.argmax(np.abs(piv)
                       < CELL_TOL * max(float(np.max(np.abs(g))), 1e-300)))
     return OutsideCell(f"Bruhat pivot {k} has magnitude {abs(piv[k]):.3e}; "

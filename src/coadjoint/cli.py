@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import threading
+import warnings
 from functools import lru_cache, partial
 
 import numpy as np
@@ -607,5 +608,19 @@ def main(argv=None) -> int:
     return code
 
 
+def script() -> int:
+    """``main`` as a script: warnings print after an exit of 0 or 1 only,
+    so that an exit of 2 or 3 writes its one JSON line alone to stderr."""
+    code, held = 1, []
+    try:
+        with warnings.catch_warnings(record=True) as held:
+            code = main()
+    finally:
+        for w in held if code < 2 else ():
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                 w.file, w.line)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

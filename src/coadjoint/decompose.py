@@ -9,10 +9,10 @@ the only paths that form n: dressing reads a and k alone
 (``orbit.dress_batch``). ``gauss_bruhat_batch`` factors a stack of
 complexified group elements as g = n d zeta on the open cell with one
 stacked Doolittle elimination (``_linalg.ul_decompose``), ``gauss_bruhat``
-is its one-row case and ``bruhat_chart`` unpacks only d and zeta. All of
-them work in the split basis, where the Borel subgroup is upper
-triangular, and map back with ``working_from_split``: the identity for SU
-and Sp, a unitary for SO.
+is its one-row case and ``bruhat_chart`` reads only d and the entries of
+zeta its family's read-out needs. All of them work in the split basis,
+where the Borel subgroup is upper triangular, and map back with
+``working_from_split``: the identity for SU and Sp, a unitary for SO.
 """
 
 from __future__ import annotations
@@ -185,12 +185,13 @@ def bruhat_chart(spec: GroupSpec, g) -> tuple:
 
     Returns ``(coords, d_split, in_cell)`` as ``gauss_bruhat_batch`` would
     give them (nan on off-cell rows), read straight off the split-basis
-    factors: what chart transitions and cocycle shifts need, without n
-    (left packed in ``_doolittle``) or the working-basis factors.
+    elimination: what chart transitions and cocycle shifts need, without n,
+    the working-basis factors or the zeta entries no coordinate reads.
     """
-    _, d, zeta, in_cell = _doolittle(spec.split_from_working(g))
+    _, d, zeta, in_cell = _doolittle(spec.split_from_working(g),
+                                     *spec.zeta_entries)
     _nan_off_cell(in_cell, d, zeta)
-    return spec.coords_from_zeta_split(zeta), d, in_cell
+    return spec.coords_from_zeta_entries(zeta), d, in_cell
 
 
 def gauss_bruhat(spec: GroupSpec, g) -> BruhatFactors:

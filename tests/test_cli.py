@@ -608,6 +608,51 @@ def test_far_su3_dress_breakdown_exits_3(capsys, z):
     assert json.loads(captured.err)["error"] == "NumericalBreakdown"
 
 
+def test_far_su3_dress_grid_breakdown_exits_3(capsys):
+    # the first Iwasawa pivot here is subnormal: the grid wrote a row of nan
+    # mu and exited 0
+    code = main(["dress", "--group", "su", "--n", "3", "--weights", "1,1",
+                 "--grid=1e300,0;1e300,0;1e300,0", "--out", "csv"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NumericalBreakdown"
+
+
+FAR_DRESS = [["su", "3", "--z=1e300,0;1e300,0;1e300,0"],
+             ["su", "3", "--grid=1e300,0;1e300,0;1e300,0"],
+             ["sp", "2", "--z=1e300,0;1e300,0;1e300,0;1e300,0"]]
+
+
+def _script(argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "coadjoint.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("group,n,z", FAR_DRESS)
+def test_script_breakdown_writes_one_json_line_to_stderr(group, n, z):
+    # numpy's overflow warnings printed ahead of the JSON error
+    proc = _script(["dress", "--group", group, "--n", n, "--weights", "1,1",
+                    z])
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NumericalBreakdown"
+
+
+def test_script_success_still_prints_warnings():
+    # held back while the report runs, printed once it exits 0
+    proc = _script(["metric", "--group", "sp", "--n", "2", "--weights", "1,2",
+                    "--grid=1e300,0;0,0;0,0;1e-310:1e-300:2,0", "--out",
+                    "csv"])
+    assert proc.returncode == 0 and "nan" in proc.stdout
+    assert "RuntimeWarning" in proc.stderr
+
+
 def test_far_so4_metric_exits_0(capsys):
     # central differences overflowed here and the report exited 3; the
     # closed-form Jacobian gives diag(0, g_22(0)): g_11 = (1 + |z1|^2)^-2

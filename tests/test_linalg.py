@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from coadjoint import build_group, decompose, weyl_group
 from coadjoint._families import get_family
-from coadjoint._linalg import _below_mask, _triangles, cell_miss, \
+from coadjoint._linalg import CELL_TOL, _below_mask, _triangles, cell_miss, \
     complex_laplacian, gauss_legendre, iwasawa_ak, iwasawa_nak, \
     ul_decompose, wirtinger_hessian
+from coadjoint.decompose import bruhat_chart, gauss_bruhat_batch
 from coadjoint.errors import NumericalBreakdown, OutsideCell
-from helpers import CHART_GROUPS, cholesky_upper, doolittle_ul, fd_wirtinger_hessian, \
-    pair_tensor_hessian, udu_factor, ul_decompose_unpacked
+from helpers import CHART_GROUPS, bruhat_chart_full, cholesky_upper, doolittle_ul, \
+    fd_wirtinger_hessian, pair_tensor_hessian, udu_factor, ul_decompose_unpacked
 
 
 def _gram_batch(rng, batch, s):
@@ -243,3 +245,94 @@ def test_cached_family_tables_are_read_only(family, n):
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# the elimination skips the steps whose column is zero in every row: its
+# factors, charts and cell misses are those of the full elimination
+
+
+def _cell_miss_oracle(g):
+    """The ``cell_miss`` message read off ``ul_decompose_unpacked``."""
+    piv = ul_decompose_unpacked(g[None])[1][0, ::-1]
+    tol = CELL_TOL * max(float(np.max(np.abs(g))), 1e-300)
+    k = int(np.argmax(np.abs(piv) < tol))
+    return (f"Bruhat pivot {k} has magnitude {abs(piv[k]):.3e}; "
+            "the element misses this cell")
+
+
+def _skipping_stacks(spec, rng):
+    """(name, split-basis stack) pairs whose elimination skips steps."""
+    s, dim = spec.slots, spec.chart_dim
+    eye = np.eye(s, dtype=complex)
+    lifts = spec.split_from_working(
+        np.array([el.matrix for el in weyl_group(spec).elements]))
+    sparse = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+    sparse[rng.random((4, dim)) < 0.6] = 0.0
+    sparse[0] = 0.0
+    far = sparse * 10.0 ** rng.integers(0, 151, size=(4, 1))
+    zero_pivots = np.repeat(eye[None], 2 * s, axis=0)
+    for i in range(2 * s):
+        k = i % s
+        zero_pivots[i, k, k] = 0.0 if i < s else np.nan
+        zero_pivots[i, k, :k] = 1.0 + 2j    # the row left of the pivot
+    pole = np.full((1, dim), 0.5 + 0.5j)
+    pole[0, 0] = 0.0                    # s_0 inverts the first coordinate
+    non_finite = np.repeat(eye[None], 2 * (s - 1), axis=0)
+    for k in range(1, s):
+        non_finite[2 * k - 2, k, 0] = np.inf    # the row left of pivot k
+        non_finite[2 * k - 1, k, k - 1] = np.nan
+    signed = np.repeat(eye[None], 40, axis=0)
+    pick = rng.random(signed.shape) < 0.4
+    values = np.array([complex(-0.0, 0.0), complex(0.0, -0.0),
+                       complex(-0.0, -0.0), 1.0, -1.0, 2.5 - 0.5j, 0.3j])
+    signed[pick] = values[rng.integers(0, len(values), pick.sum())]
+    return [("identity", np.repeat(eye[None], 3, axis=0)),
+            ("signed permutations", lifts),
+            ("charts times lifts",
+             (spec.chart_split(sparse)[:, None] @ lifts).reshape(-1, s, s)),
+            ("far charts times lifts",
+             (spec.chart_split(far)[:, None] @ lifts).reshape(-1, s, s)),
+            ("zero and nan pivots over zero columns", zero_pivots),
+            ("a pole times lifts", spec.chart_split(pole) @ lifts),
+            ("non-finite rows", non_finite),
+            ("given signed zeros", signed),
+            ("empty", np.zeros((0, s, s), dtype=complex))]
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 5),
+                                      ("sp", 2), ("sp", 3), ("so", 3),
+                                      ("so", 4)])
+def test_skipped_steps_equal_the_full_elimination_bit_for_bit(family, n,
+                                                               monkeypatch):
+    # each stack is eliminated whole and row by row: a step is skipped only
+    # where its column is zero in every row of the stack. A skipped step
+    # keeps a -0.0 part given directly (not made by a product) where the full
+    # elimination subtracts a signed zero from it: on those stacks the bytes
+    # agree once every zero is made +0.0
+    spec = build_group(family, n)
+    stacks = _skipping_stacks(spec, np.random.default_rng(700 + 10 * n))
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(decompose, "ul_decompose", ul_decompose_unpacked)
+        oracle = [gauss_bruhat_batch(spec, spec.working_from_split(g))
+                  for _, g in stacks]
+    for (name, g), (want_fac, want_cell) in zip(stacks, oracle):
+        with np.errstate(all="ignore"):
+            g_w = spec.working_from_split(g)
+            fac, in_cell = gauss_bruhat_batch(spec, g_w)
+            parts = [((fac.n, fac.d, fac.zeta, fac.d_split, in_cell),
+                      (want_fac.n, want_fac.d, want_fac.zeta,
+                       want_fac.d_split, want_cell))]
+            for rows in [slice(None)] + [slice(i, i + 1)
+                                         for i in range(len(g))]:
+                parts += [(ul_decompose(g[rows]), ul_decompose_unpacked(g[rows])),
+                          (bruhat_chart(spec, g_w[rows]),
+                           bruhat_chart_full(spec, g_w[rows]))]
+        signs_only = name == "given signed zeros"
+        for got, want in parts:
+            for a, b in zip(got, want):
+                if signs_only:
+                    a, b = a + 0.0, b + 0.0
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape, name
+        for i in np.flatnonzero(~in_cell):
+            assert str(cell_miss(g[i])) == _cell_miss_oracle(g[i]), name

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from coadjoint import (AllWeightsZero, DegeneracyViolation, MaximalDegenerate,
-                       OutsideCell, PoleOnChart, build_group, chart_point,
+                       NumericalBreakdown, OutsideCell, PoleOnChart,
+                       build_group, chart_point,
                        chart_transition, cocycle_shift, cocycle_shift_batch,
                        dress, dress_batch, fibration, initial_point, metric,
                        metric_batch, potential, potential_batch,
@@ -355,6 +356,54 @@ def test_transitions_and_shifts_equal_the_full_readout(family, n,
     assert expected[-1][0].startswith("PoleOnChart: transition by word (0,)")
     for (a, b), (c, d) in zip(got, expected):
         assert _same_bits(a, c) and _same_bits(b, d)
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("su", 5), ("sp", 2),
+                                      ("sp", 3), ("so", 3), ("so", 4)])
+def test_cocycle_batch_rows_equal_one_row_shifts_where_columns_vanish(family,
+                                                                      n):
+    # alone, a row whose z g has zero columns skips their elimination
+    # steps; in a stack with dense rows it does not. Each row of the batch
+    # is the one-row shift bit for bit, off-cell rows as OutsideCell
+    spec = build_group(family, n)
+    dim, rank = spec.chart_dim, spec.rank
+    rng = np.random.default_rng(3100 + 10 * rank + dim)
+    point = initial_point(spec, range(1, rank + 1))
+    lifts = [el.matrix for el in weyl_group(spec).elements][:12]
+    haar = {"su": haar_su, "sp": lambda k, r: haar_sp(k, r).embed("split"),
+            "so": haar_so}[family]
+    coords, g = [], []
+    for k, lift in enumerate(lifts):
+        sparse = np.zeros(dim, dtype=complex)
+        sparse[k % dim] = 0.7 - 0.2j
+        dense = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        coords += [np.zeros(dim), sparse, dense, dense]
+        g += [lift, lift, lift, haar(n, rng)]
+    coords, g = np.array(coords), np.array(g)
+    coords_g, shift, in_cell = cocycle_shift_batch(spec, point, coords, g)
+    assert in_cell.any() and not in_cell.all()
+    for i in range(len(coords)):
+        chart = chart_point(spec, coords[i])
+        if not in_cell[i]:
+            with pytest.raises(OutsideCell):
+                cocycle_shift(spec, point, chart, g[i])
+            continue
+        one, one_shift = cocycle_shift(spec, point, chart, g[i])
+        assert np.array(one.coords).tobytes() == coords_g[i].tobytes()
+        assert np.float64(one_shift).tobytes() == shift[i].tobytes()
+
+
+@pytest.mark.parametrize("call", ["dress", "dress_batch"])
+def test_far_su3_dress_raises_on_a_subnormal_pivot(call):
+    # the first Iwasawa pivot at |z| = 1e300 is 8.3e-317: subnormal, so its
+    # phase delta / |delta| overflowed into a nan mu that no check caught
+    point = initial_point(SU3, (1, 1))
+    coords = np.full(3, 1e300 + 0j)
+    with pytest.raises(NumericalBreakdown):
+        if call == "dress":
+            dress(SU3, point, chart_point(SU3, coords))
+        else:
+            dress_batch(SU3, point, np.array([np.zeros(3), coords]))
 
 
 @pytest.mark.parametrize("coords", [(1, 2, 3), (-0.0, 0.0, -0.0j),
