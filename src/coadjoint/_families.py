@@ -243,8 +243,7 @@ class Family:
 
         ``zeta`` may be a stack (..., s, s); the coordinates come last.
         """
-        zeta = np.asarray(zeta)
-        flat = zeta.reshape(zeta.shape[:-2] + (self.slots ** 2,))
+        flat = np.reshape(zeta, np.shape(zeta)[:-2] + (self.slots ** 2,))
         return self.coords_from_zeta_entries(flat[..., self.zeta_entries[0]])
 
     def split_from_working(self, g):

@@ -128,11 +128,11 @@ def _doolittle(g, at, rows) -> tuple:
                                        initial=1e-300)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for skip in (True, False):
-            w, skipped = a.copy(), []
+            w, lo = a.copy(), s         # lo: the last step skipped
             for k in range(s - 1, 0, -1):
                 col = w[:, :k, k]
                 if skip and not np.count_nonzero(col):
-                    skipped.append(k)
+                    lo = k
                     continue
                 w[:, :k, :k] -= ((col / w[:, k, k, None])[:, :, None]
                                  * w[:, k, None, :k])
@@ -140,16 +140,11 @@ def _doolittle(g, at, rows) -> tuple:
             # round differently (np.log of a reversed view does)
             flat = w.reshape(nb, s * s)
             d = flat[:, ::s + 1].copy()
-            if not skipped:
-                break
-            # skipping was exact where no skipped pivot is 0 or nan (0 / 0
-            # is nan) and the rows left of the pivots are finite (0 * inf
-            # is nan): a quick test of every entry, then one of those alone
-            fine = np.isfinite(w)
-            if (np.count_nonzero(d) == d.size
-                    and np.logical_and.reduce(fine, None)
-                    or np.logical_and.reduce(abs(d[:, skipped]) > 0, None)
-                    and np.logical_and.reduce(fine[:, _triangles(s)[0]], None)):
+            # a skip was exact unless its pivot is 0 or nan or its row is not
+            # finite; a zero pivot at a step not skipped leaves every later
+            # column non-finite, so no later step is skipped: rows lo on tell
+            if lo == s or (np.count_nonzero(d[:, lo:]) == nb * (s - lo) and
+                           np.logical_and.reduce(np.isfinite(w[:, lo:]), None)):
                 break
         zeta = np.take(flat, at, axis=1) / np.take(d, rows, axis=1)
     # a nan pivot flags no row: fmin passes over it

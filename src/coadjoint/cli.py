@@ -611,14 +611,10 @@ def main(argv=None) -> int:
 def script() -> int:
     """``main`` as a script: warnings print after an exit of 0 or 1 only,
     so that an exit of 2 or 3 writes its one JSON line alone to stderr."""
-    code, held = 1, []
-    try:
-        with warnings.catch_warnings(record=True) as held:
-            code = main()
-    finally:
-        for w in held if code < 2 else ():
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
-                                 w.file, w.line)
+    with warnings.catch_warnings(record=True) as held:
+        code = main()
+    for w in held if code < 2 else ():
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return code
 
 
