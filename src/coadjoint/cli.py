@@ -537,17 +537,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple:
+    """The two-level parser and its subparser for each command, which
+    carries ``command`` and every config default: its namespace alone is
+    the two-level parser's."""
     p = _Parser(
         prog="coadjoint",
         description="Coadjoint orbits of compact classical groups: "
                     "decompositions, dressing, Kahler data, cohomology.")
     # a command's report lists every config key, read by it or not
-    p.set_defaults(**{flag[2:]: kw.get("default")
-                      for flag, (kw, _) in FLAGS.items()})
+    defaults = {flag[2:]: kw.get("default") for flag, (kw, _) in FLAGS.items()}
+    p.set_defaults(**defaults)
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
     for name in COMMANDS:
         # no prefix match: --out must not read as --output-file
-        q = sub.add_parser(name, allow_abbrev=False)
+        q = commands[name] = sub.add_parser(name, allow_abbrev=False)
+        q.set_defaults(command=name, **defaults)
         q.add_argument("--group", required=True, choices=["su", "sp", "so"])
         q.add_argument("--n", required=True, type=int)
         q.add_argument("--weights", required=True,
@@ -559,18 +568,34 @@ def build_parser() -> argparse.ArgumentParser:
                 (point if flag in ("--z", "--grid") else q).add_argument(
                     flag, **kw)
         q.add_argument("--output-file", default=None)
-    return p
+    return p, commands
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
+def _parsers() -> tuple:
+    """``_build()``, once per process: parsing leaves the parsers unchanged."""
+    return _build()
+
+
+def _parse(argv) -> tuple:
+    """The two-level parser's ``parse_known_args``. It hands an argv that
+    opens with a command to that command's parser whole, so that parser
+    runs alone; any other argv (none, an unknown command, a flag first)
+    goes through the two-level parser, for its usage messages and help."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_known_args(argv[1:])
+    return parser.parse_known_args(argv)
 
 
 def main(argv=None) -> int:
+    """Run one request, ``argv`` or the process's arguments; return its
+    exit code. One command's parser parses it (``_parse``). The parsers
+    and the tables of groups, walls and polynomials that a report reads
+    are kept per process (README, *Command line*)."""
     try:
-        args, unread = _parser().parse_known_args(argv)
+        args, unread = _parse(argv)
         if unread:
             raise ValueError(f"{unread[0].split('=', 1)[0]} is not read by "
                              f"{args.command}")

@@ -35,10 +35,10 @@ import numpy as np
 
 from ._linalg import complex_laplacian, gauss_legendre
 from .decompose import ChartPoint, chart_point
-from .errors import MaximalDegenerate, QuadratureNotConverged
+from .errors import QuadratureNotConverged
 from .groups import (GroupSpec, InitialPoint, poincare_quotient,
                      reject_zero_orbit)
-from .orbit import FibrationDescription, fibration
+from .orbit import FibrationDescription, _fibration
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,18 @@ def leray_hirsch(spec: GroupSpec, point: InitialPoint) -> LerayHirschResult:
     """Leray-Hirsch check through the canonical fibration of the orbit.
 
     Maximally degenerate orbits admit no fibration; the check is then
-    vacuously true (with a note), as for SU(2).
+    vacuously true (with a note), as for SU(2). The result depends only on
+    the group and the walls: it is formed once per group and wall set.
     """
-    try:
-        fib = fibration(spec, point)
-    except MaximalDegenerate:
-        b = betti(spec, point).b
+    reject_zero_orbit(point)
+    return _leray_hirsch(spec, point.walls)
+
+
+@lru_cache(maxsize=256)
+def _leray_hirsch(spec: GroupSpec, walls: tuple) -> LerayHirschResult:
+    fib = _fibration(spec, walls)
+    if isinstance(fib, str):        # maximally degenerate
+        b = poincare_quotient(spec, None, walls)
         return LerayHirschResult(ok=True, total=b, base=b, fiber=(1,),
                                  note="maximally degenerate: no fibration, "
                                       "check is vacuous")

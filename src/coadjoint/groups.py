@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import isfinite
 from numbers import Integral
 
 import numpy as np
@@ -304,17 +305,20 @@ class InitialPoint:
         if len(self.weights) != self.spec.rank:
             raise ValueError(f"{self.spec.name} needs {self.spec.rank} "
                              f"weights, got {len(self.weights)}")
-        w = np.asarray(self.weights, dtype=float)
-        if not np.isfinite(w).all():
+        # numpy's conversion (None reads as nan); the checks on the few
+        # weights run on Python floats, which skips numpy's reductions
+        w = np.asarray(self.weights, dtype=float).tolist()
+        if not all(map(isfinite, w)):
             raise ValueError("weights must be finite")
-        if (w < 0).any():
+        if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative "
                              "(closed positive Weyl chamber)")
         object.__setattr__(self, "coords",
                            tuple(self.spec.initial_coords(self.weights)))
         # the one wall decision: zero, or small against the largest weight
-        walls = np.nonzero((w == 0) | (w < WALL_TOL * w.max()))[0]
-        object.__setattr__(self, "walls", tuple(int(k) for k in walls))
+        cut = WALL_TOL * max(w)
+        object.__setattr__(self, "walls", tuple(
+            k for k, x in enumerate(w) if x == 0 or x < cut))
 
     @cached_property
     def matrix(self):
@@ -376,15 +380,22 @@ def classify_initial_point(spec: GroupSpec, point: InitialPoint) -> OrbitClass:
 
     Emits GENERIC or DEGENERATE; whether a degenerate orbit is maximally so
     (no intermediate subgroup, hence no bundle structure) is decided by
-    ``orbit.fibration``, which raises MaximalDegenerate in that case.
+    ``orbit.fibration``, which raises MaximalDegenerate in that case. The
+    class depends only on the group and the walls: it is formed once per
+    group and wall set, and every later point on those walls reads it.
     """
     reject_zero_orbit(point)
+    return _classify(spec, point.walls)
+
+
+@lru_cache(maxsize=256)
+def _classify(spec: GroupSpec, walls: tuple) -> OrbitClass:
     # one complex chart coordinate per positive root off the walls
-    nonzero = int(np.count_nonzero(~parabolic_roots(spec, point.walls)))
-    kind = OrbitKind.GENERIC if not point.walls else OrbitKind.DEGENERATE
+    nonzero = int(np.count_nonzero(~parabolic_roots(spec, walls)))
+    kind = OrbitKind.GENERIC if not walls else OrbitKind.DEGENERATE
     return OrbitClass(
         kind=kind,
-        vanishing_walls=tuple(spec.simple_roots[k].label for k in point.walls),
+        vanishing_walls=tuple(spec.simple_roots[k].label for k in walls),
         real_dimension=2 * nonzero,
-        stabilizer=spec.stabilizer_description(point.walls),
+        stabilizer=spec.stabilizer_description(walls),
     )

@@ -18,6 +18,7 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_matrix, \
     chart_point
 from .errors import DegeneracyViolation, MaximalDegenerate, \
     NumericalBreakdown, PoleOnChart
-from .groups import GroupSpec, InitialPoint, WeylElement, classify_initial_point, \
+from .groups import GroupSpec, InitialPoint, WeylElement, _classify, \
     parabolic_roots, reject_zero_orbit, same_group, weyl_group
 
 GELL_MANN = (
@@ -325,19 +326,32 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     matching the classical chains CP^{n-1} and CP^{2n-1}). Raises
     MaximalDegenerate when no such proper intermediate exists. Intermediate
     subgroups that are not standard parabolics (they occur for some
-    degenerate Sp orbits) are not searched.
+    degenerate Sp orbits) are not searched. The bundle depends only on the
+    group and the walls: it is formed once per group and wall set, a
+    maximally degenerate outcome too, which raises a fresh
+    MaximalDegenerate on every call.
     """
-    cls = classify_initial_point(spec, point)
-    stab = frozenset(point.walls)
+    reject_zero_orbit(point)
+    fib = _fibration(spec, point.walls)
+    if isinstance(fib, str):
+        raise MaximalDegenerate(fib)
+    return fib
+
+
+@lru_cache(maxsize=256)
+def _fibration(spec: GroupSpec, walls: tuple):
+    """``fibration`` on a wall set: the description, or the message of its
+    MaximalDegenerate."""
+    cls = _classify(spec, walls)
+    stab = frozenset(walls)
     missing = sorted(set(range(spec.rank)) - stab)
     if not missing:
-        raise MaximalDegenerate("stabilizer equals the group")
+        return "stabilizer equals the group"
     drop = missing[0] if spec.family == "sp" else missing[-1]
     k_gens = frozenset(set(range(spec.rank)) - {drop})
     if k_gens == stab:
-        raise MaximalDegenerate(
-            f"no standard parabolic sits strictly between the stabilizer "
-            f"and {spec.name}; the orbit is maximally degenerate")
+        return (f"no standard parabolic sits strictly between the stabilizer "
+                f"and {spec.name}; the orbit is maximally degenerate")
     # one chart coordinate per positive root, of G and of each parabolic
     n_stab, n_k = (int(np.count_nonzero(parabolic_roots(spec, gens)))
                    for gens in (stab, k_gens))

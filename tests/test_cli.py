@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coadjoint import orbit
+from coadjoint import cli, orbit
 from coadjoint.cli import main
 
 
@@ -764,3 +764,109 @@ def test_non_anti_hermitian_points_fail_verify_and_dress(
     code, out = run(capsys, "dress", *group, f"--z={z}", "--tol", "1e-5")
     assert code == 0
     assert json.loads(out)["residuals"]["anti_hermitian"]["tol"] == 1e-5
+
+
+# weights that share their walls, then other walls of the same groups, then
+# each maximally degenerate orbit twice with an all-zero point between them:
+# classify and betti read the class, the fibration and the Leray-Hirsch
+# result that an earlier report on the same group and walls kept, and must
+# still write what a fresh process does
+TOPOLOGY_POINTS = [("su", "4", "1,0,1"), ("su", "4", "2,0,3"),
+                   ("sp", "3", "1,0,1"), ("sp", "3", "3,0,2"),
+                   ("su", "4", "1,2,3"), ("sp", "3", "0,1,1"),
+                   ("su", "3", "1,0"), ("sp", "2", "1,0"), ("su", "3", "0,0"),
+                   ("so", "3", "1"), ("so", "4", "1,0"),
+                   ("su", "3", "1,0"), ("sp", "2", "1,0"), ("so", "3", "1"),
+                   ("so", "4", "1,0"), ("so", "4", "1,2")]
+
+
+def _fresh_runs(argvs, at_once=4):
+    """(exit code, stdout, stderr) of ``python -m coadjoint.cli`` per argv,
+    at most ``at_once`` processes at a time."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    runs = []
+    for start in range(0, len(argvs), at_once):
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "coadjoint.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env) for argv in argvs[start:start + at_once]]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            runs.append((proc.returncode, out, err))
+    return runs
+
+
+def test_topology_reports_in_one_process_match_fresh_processes():
+    sequence = [[command, "--group", family, "--n", n, "--weights", weights]
+                for family, n, weights in TOPOLOGY_POINTS
+                for command in ("classify", "betti")]
+    distinct = sorted({tuple(argv) for argv in sequence})
+    fresh = dict(zip(distinct, _fresh_runs([list(a) for a in distinct])))
+    codes = {fresh[a][0] for a in distinct}
+    assert codes == {0, 2}
+    for argv in sequence:
+        assert _in_process(argv) == fresh[tuple(argv)], argv
+
+
+def _parse_outcome(parse, argv):
+    """What a parse gives: the namespace and unread flags, the exit code and
+    help text of a SystemExit, or the message of a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, unread = parse(argv)
+            result = ("parsed", vars(args), unread)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except ValueError as exc:
+            result = ("error", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+DISPATCH_INPUTS = [
+    [], ["bogus"], ["bogus", *SU3], ["-h"], ["--help"], ["-h", "classify"],
+    ["--group", "su", "classify"], ["--n", "3", "betti", *SU3],
+    ["--", "classify", *SU3], ["clas", *SU3], ["classify"], ["verify"],
+    *[[c, "-h"] for c in COMMANDS],
+    *[[c, *SU3] for c in COMMANDS],
+    *[[c, *SU3, "--help"] for c in COMMANDS],
+    *[[c, *SU3, "--tol", "nan"] for c in COMMANDS],
+    *[[c, *SU3, "--z", "0,0;0,0;0,0", "--grid", "0,0;0,0;0,0"]
+      for c in COMMANDS],
+    ["verify", *SU3, "--poi", "3"], ["classify", *SU3, "--out", "csv"],
+    ["dress", *SU3, "--outp", "x"], ["betti", "--gro", "su", "--n", "3",
+                                     "--weights", "1,2"],
+    ["pairing", *SU3, "--ord", "8"], ["metric", *SU3, "--seed=3", "--z=0,0"],
+    ["decompose", *SU3, "--", "x"], ["potential", "--weights", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_INPUTS, ids=" ".join)
+def test_dispatch_matches_the_two_level_parser(monkeypatch, argv):
+    # main parses a request that opens with a command with that command's
+    # parser alone; a freshly built two-level parser is the oracle for its
+    # namespace, unread flags, exit code, help text and usage message
+    monkeypatch.setenv("COLUMNS", "100")
+    oracle = cli.build_parser().parse_known_args
+    got = _parse_outcome(cli._parse, argv)
+    assert got == _parse_outcome(oracle, argv)
+    # and main reports what the oracle stopped with
+    if got[0][0] == "exit":
+        assert _in_process(argv)[:2] == (got[0][1], got[1])
+    elif got[0][0] == "error":
+        assert _in_process(argv) == (2, "", json.dumps(
+            {"error": "ValueError", "message": got[0][1]},
+            sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_parser_gives_the_full_config(command):
+    full, _ = cli.build_parser().parse_known_args([command, *SU3])
+    alone, unread = cli._parse([command, *SU3])
+    assert unread == []
+    assert vars(alone) == vars(full)
+    assert {"command", "group", "n", "weights", "z", "grid", "seed", "tol",
+            "order"} <= set(vars(alone))

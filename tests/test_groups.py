@@ -9,6 +9,7 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        build_group, classify_initial_point, initial_point,
                        poincare_polynomial, root_datum, weyl_group)
 from coadjoint._families import Family, get_family
+from coadjoint.groups import WALL_TOL, InitialPoint
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import (CHART_GROUPS, composed_element, cycle_generator,
@@ -604,3 +605,74 @@ def test_mu0_spectrum_is_its_split_diagonal(family, n, scale):
         want = point.split_diagonal
         assert not want.real.any()
         assert np.array_equal(np.sort(got.imag), np.sort(want.imag))
+
+
+# the seven groups of the paper's examples, and SU(5)
+PIN_GROUPS = [("su", 2), ("su", 3), ("su", 4), ("su", 5), ("sp", 2),
+              ("sp", 3), ("so", 3), ("so", 4)]
+
+
+def _numpy_point(spec, weights):
+    """InitialPoint's checks and wall decision as numpy array operations:
+    the oracle for the Python ones. Returns (walls, coords) or raises."""
+    if len(weights) != spec.rank:
+        raise ValueError(f"{spec.name} needs {spec.rank} weights, "
+                         f"got {len(weights)}")
+    w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative "
+                         "(closed positive Weyl chamber)")
+    walls = np.nonzero((w == 0) | (w < WALL_TOL * w.max()))[0]
+    return (tuple(int(k) for k in walls),
+            tuple(spec.initial_coords(weights)))
+
+
+def _pin_weights(rank):
+    values = [0, 1, 2, -0.0, 5e-324, 1e-310, np.float64(0.5),
+              np.float32(1e-12), np.float64(1e-12), math.nan, math.inf,
+              -math.inf, -1.0, -5e-324, None]
+    out = []
+    for top in (1.0, 3.0, 2.5e-300):
+        cut = WALL_TOL * top
+        edge = [cut, math.nextafter(cut, 0.0), math.nextafter(cut, math.inf)]
+        for v in values + edge:
+            out.append((v,) * rank)
+            for k in range(rank):
+                w = [top] * rank
+                w[k] = v
+                out.append(tuple(w))
+            if rank > 1:
+                out.append((v, edge[1]) + (top,) * (rank - 2))
+    return out + [(1.0,) * (rank - 1), (1.0,) * (rank + 1), ()]
+
+
+def _outcome(make):
+    try:
+        walls, coords = make()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return walls, tuple(float(x).hex() for x in coords)
+
+
+@pytest.mark.parametrize("family,n", PIN_GROUPS)
+def test_initial_point_checks_match_the_numpy_decision(family, n):
+    def point(w):
+        p = InitialPoint(spec, w)
+        return p.walls, p.coords
+
+    spec = build_group(family, n)
+    cases = _pin_weights(spec.rank)
+    outcomes = [_outcome(lambda: _numpy_point(spec, w)) for w in cases]
+    for w, want in zip(cases, outcomes):
+        assert _outcome(lambda: point(w)) == want, w
+    errors = {o[1] for o in outcomes if o[0] is ValueError}
+    assert {"weights must be finite", "weights must be nonnegative "
+            "(closed positive Weyl chamber)"} < errors
+    # the boundary: WALL_TOL times the largest weight is no wall, the float
+    # below it is
+    rest = (1.0,) * (spec.rank - 1)
+    assert point((WALL_TOL,) + rest)[0] == ()
+    assert point((math.nextafter(WALL_TOL, 0.0),) + rest)[0] == (
+        (0,) if rest else ())
