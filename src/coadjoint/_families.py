@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -81,6 +82,7 @@ class Family:
     rankdim: int          # length of weight-coordinate vectors
     slots: int            # size of the split matrix realization
     pairing_scale: float  # B(A, B) = scale * Re Tr(A B)
+    weyl_order: int       # |W| in closed form (Bourbaki, ch. VI, Plates)
     # the chart keeps the entries with r + c <= slots - 1 - gap: 0 keeps the
     # anti-diagonal (Sp), 1 cuts it (SO), None keeps every entry (SU)
     _antidiagonal_gap: int | None = None
@@ -394,6 +396,7 @@ class SUFamily(Family):
         self.rankdim = n
         self.slots = n
         self.pairing_scale = 1.0
+        self.weyl_order = factorial(n)
         super().__init__(np.eye(n))
 
     @cached_property
@@ -515,6 +518,7 @@ class SpFamily(Family):
         self.rankdim = n
         self.slots = 2 * n
         self.pairing_scale = -0.5
+        self.weyl_order = 2 ** n * factorial(n)
         super().__init__()
         # Omega pairs slot i with s - 1 - i, signed as the weight of slot i
         self._omega = np.diag(np.sign(self.slot_weights.sum(axis=1)))[:, ::-1]
@@ -695,6 +699,7 @@ class SOFamily(Family):
         self.rankdim = m
         self.slots = n
         self.pairing_scale = -0.5
+        self.weyl_order = 2 ** (m - 1 + n % 2) * factorial(m)  # B_m or D_m
         super().__init__()
         # columns: ubar_k at slot k - 1 and u_k at slot n - k on the k-th
         # rotation plane, e_3 in the middle of SO(3)

@@ -345,8 +345,6 @@ def _fibration(spec: GroupSpec, walls: tuple):
     cls = _classify(spec, walls)
     stab = frozenset(walls)
     missing = sorted(set(range(spec.rank)) - stab)
-    if not missing:
-        return "stabilizer equals the group"
     drop = missing[0] if spec.family == "sp" else missing[-1]
     k_gens = frozenset(set(range(spec.rank)) - {drop})
     if k_gens == stab:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coadjoint import cli, orbit
+from coadjoint import cli, groups, orbit
 from coadjoint.cli import main
 
 
@@ -166,6 +166,20 @@ def test_verify_sp2(capsys):
     rep = json.loads(out)
     pairing = [c for c in rep["results"] if c["name"] == "pairing_identity"][0]
     assert pairing["pass"] and pairing["residual"] < 1e-6
+
+
+@pytest.mark.parametrize("group,n,weights", [
+    ("su", 8, "1,2,3,4,5,6,7"), ("su", 8, "1,0,1,0,1,0,1"),
+    ("sp", 5, "1,2,3,4,5"), ("sp", 5, "1,0,1,0,1")])
+def test_verify_enumerates_no_weyl_group(capsys, group, n, weights):
+    # |W| = 8! or 2^5 5! comes from the closed form, not from a closure
+    before = groups.weyl_group.cache_info()
+    code, out = run(capsys, "verify", "--group", group, "--n", str(n),
+                    "--weights", weights)
+    assert groups.weyl_group.cache_info() == before
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["results"]}
+    assert checks["betti_sum"]["pass"] and checks["betti_sum"]["residual"] == 0
 
 
 def test_verify_deterministic(capsys):

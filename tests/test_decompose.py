@@ -10,7 +10,8 @@ from coadjoint import (OutsideCell, ZeroTorusEntry, build_group, chart_matrix,
 from coadjoint._linalg import quaternion_iwasawa, quaternion_ul
 from coadjoint.decompose import bruhat_chart
 from coadjoint.quaternion import QuaternionMatrix
-from helpers import haar_su, identity_like, mat_max, random_chart
+from helpers import (CHART_GROUPS, haar_su, identity_like, mat_max,
+                     random_chart)
 
 SU3 = build_group("su", 3)
 
@@ -290,6 +291,44 @@ def test_torus_character_examples():
                       [1j * np.sinh(aa), np.cosh(aa), 0],
                       [0, 0, 1.0]])
     assert abs(torus_character(so3, block, (1.0,)) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_torus_character_sp(n):
+    # Sp(n): d = diag(d_1..d_n, 1/d_n..1/d_1) has coordinates (d_1..d_n)
+    spec = build_group("sp", n)
+    d = np.arange(2.0, n + 2)
+    xi = np.arange(1.0, n + 1)
+    a = np.diag(np.concatenate([d, 1 / d[::-1]])).astype(complex)
+    assert abs(torus_character(spec, a, xi) / np.prod(d ** xi) - 1) < 1e-13
+
+
+@pytest.mark.parametrize("family,n", CHART_GROUPS)
+def test_torus_character_of_a_split_diagonal_equals_the_matrix_form(family, n):
+    spec = build_group(family, n)
+    eps = spec.slot_weights
+    a = np.random.default_rng(n).standard_normal(eps.shape[1])
+    log_d = eps @ a
+    if family == "su":
+        log_d -= log_d.mean()                   # det 1
+    d = np.exp(log_d)
+    xi = np.arange(1.0, spec.rank + 1)
+    vec = torus_character(spec, d, xi)
+    mat = torus_character(spec, spec.working_from_split(np.diag(d)), xi)
+    assert abs(vec / mat - 1) < 1e-12
+
+
+def test_torus_character_rejects_a_matrix_off_the_torus():
+    a = np.eye(3, dtype=complex)
+    a[2, 0] = 0.5
+    with pytest.raises(ValueError, match="not in the .*torus"):
+        torus_character(SU3, a, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 1.0, 1.0)])
+def test_torus_character_needs_one_weight_per_coordinate(weights):
+    with pytest.raises(ValueError, match="one weight per torus coordinate"):
+        torus_character(SU3, np.eye(3), weights)
 
 
 def test_torus_character_zero_entry():

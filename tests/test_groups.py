@@ -36,7 +36,8 @@ def test_group_spec_is_the_family_type():
     assert coadjoint.GroupSpec is Family
 
 
-@pytest.mark.parametrize("family,n", [("so", 5), ("so", 2), ("su", 1), ("sp", 1)])
+@pytest.mark.parametrize("family,n", [("so", 5), ("so", 2), ("su", 1), ("sp", 1),
+                                      ("g", 2)])
 def test_build_group_rejects(family, n):
     with pytest.raises(UnsupportedGroup):
         build_group(family, n)
@@ -141,6 +142,16 @@ def test_weyl_orders():
     assert weyl_group(build_group("sp", 3)).order == 48
     assert weyl_group(build_group("so", 3)).order == 2
     assert weyl_group(build_group("so", 4)).order == 4
+
+
+@pytest.mark.parametrize("family,n", [("su", n) for n in range(2, 8)]
+                         + [("sp", n) for n in range(2, 6)]
+                         + [("so", 3), ("so", 4)])
+def test_closed_weyl_order_equals_the_closure_and_kostants_product(family, n):
+    # the closure is the oracle: |W| three ways
+    spec = build_group(family, n)
+    assert spec.weyl_order == weyl_group(spec).order \
+        == sum(poincare_polynomial(spec))
 
 
 def test_su3_weyl_element_words():

@@ -163,6 +163,13 @@ def test_transition_pole():
         chart_transition(SU3, (0,), chart_point(SU3, (0.0, 1.0, 1.0)))
 
 
+def test_closed_transition_w2_pole_and_unknown_letter():
+    with pytest.raises(PoleOnChart, match="w2"):
+        su3_transition_closed((1,), (1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="two simple reflections"):
+        su3_transition_closed((2,), (1.0, 1.0, 1.0))
+
+
 def test_transition_numeric_matches_closed():
     rng = np.random.default_rng(4)
     words = [(0,), (1,), (0, 1), (1, 0), (0, 1, 0)]
