@@ -215,13 +215,16 @@ def torus_coordinates(spec: GroupSpec, d) -> np.ndarray:
     Accepts the working-basis matrix or the split diagonal as a vector.
     Uses the family isomorphism T^C ~ (C*)^l: for SU the pattern
     diag(1/d_1, d_1/d_2, ..., d_{n-1}); for SO d_k = exp(a_k) read off the
-    rotation blocks; for Sp the first n split diagonal entries. Raises
-    ValueError for a matrix that is not diagonal in the split basis.
+    rotation blocks; for Sp the first n split diagonal entries. ValueError
+    for shapes but (slots,) and (slots, slots), or a matrix off the torus.
     """
     d = np.asarray(d, dtype=complex)
+    if d.ndim == 1 and d.size != spec.slots:
+        raise ValueError(f"{spec.name} split diagonals have {spec.slots} "
+                         f"entries, got {d.size}")
     if d.ndim == 1:
         return spec.torus_coords(d)
-    ds = spec.split_from_working(d)
+    ds = spec.split_from_working(element_batch(spec, d, ()))
     off = ds - np.diag(np.diagonal(ds))
     if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(ds))):
         raise ValueError("matrix is not in the (complexified) torus")

@@ -1,7 +1,7 @@
 """Groups, root data, Weyl groups, Poincare polynomials, orbit classification.
 
 A group is its ``Family`` (``build_group``), exported as ``GroupSpec``.
-Weyl words resolve on the multiplication table that the closure records.
+Weyl words resolve letter by letter (``weyl_element``), with no closure.
 
 Walls. The simple roots on which mu0 sits are decided once, in
 ``InitialPoint``: weight k is a wall when it is zero or below ``WALL_TOL``
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import isfinite
 from numbers import Integral
@@ -122,6 +122,7 @@ class WeylElement:
     matrix: np.ndarray             # representative in the working basis
     action: np.ndarray             # signed permutation of weight coords
     length: int
+    after: list = field(default=None, repr=False, compare=False)  # [k]: g_k w
 
     def action_key(self):
         return _action_key(self.action)
@@ -138,7 +139,6 @@ class WeylGroup:
     elements: tuple
     generators: tuple
     by_key: dict = field(repr=False, compare=False)   # _action_key -> element
-    steps: tuple = field(repr=False, compare=False)   # [i][k]: index of g_k elements[i]
 
     @property
     def order(self) -> int:
@@ -152,53 +152,89 @@ class WeylGroup:
 
     def element_by_word(self, word) -> WeylElement:
         """The element of a word of letters 0..rank-1; ValueError otherwise."""
-        i, rank = 0, self.spec.rank
-        for k in word:
-            if (type(k) is not int or not 0 <= k < rank) and (  # fast path
-                    not isinstance(k, Integral) or k not in range(rank)):
-                raise ValueError(f"{self.spec.name} has no simple reflection "
-                                 f"{k!r}, only 0..{rank - 1}")
-            i = self.steps[i][k]
-        return self.elements[i]
+        act = self.elements[0].action
+        for k in weyl_element(self.spec, word)[0]:
+            act = self.generators[k].action @ act
+        return self.find(act)
+
+
+def _reflections(spec: GroupSpec) -> list:
+    """Simple root alpha on weights: 1 - 2 alpha alpha^T / (alpha . alpha)."""
+    return [np.eye(spec.rankdim, dtype=int) - 2 * np.outer(a, a) // (a @ a)
+            for a in (np.array(i.vec, dtype=int) for i in spec.simple_roots)]
 
 
 @lru_cache(maxsize=16)
 def weyl_group(spec: GroupSpec) -> WeylGroup:
     """Enumerate the Weyl group by closure over the simple reflections.
 
-    Simple root alpha acts on weight coordinates as the integer matrix
-    1 - 2 alpha alpha^T / (alpha . alpha), composed exactly. Elements are
-    sorted by length, then word: the first reduced word in lexicographic order.
+    Their actions (``_reflections``) compose exactly. Elements are sorted
+    by length, then word: the first reduced word in lexicographic order.
     """
     ident = WeylElement(word=(), matrix=np.eye(spec.slots, dtype=complex),
                         action=np.eye(spec.rankdim, dtype=int), length=0)
-    gens = []
-    for k, (info, gm) in enumerate(zip(spec.simple_roots,
-                                       spec.weyl_generators())):
-        a = np.asarray(info.vec).astype(int)
-        act = ident.action - 2 * np.outer(a, a) // (a @ a)
-        gens.append(WeylElement(word=(k,), matrix=gm, action=act, length=1))
+    gens = [WeylElement(word=(k,), matrix=gm, action=act, length=1)
+            for k, (act, gm) in enumerate(zip(_reflections(spec),
+                                              spec.weyl_generators()))]
     seen = {ident.action_key(): ident}
-    after = {}                        # id(w) -> [g_k w for each k]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for k, g in enumerate(gens):
-                act = g.action @ el.action
-                key = _action_key(act)
-                if key not in seen:
-                    seen[key] = WeylElement(word=el.word + (k,), action=act,
-                                            matrix=el.matrix @ g.matrix,
-                                            length=el.length + 1)
-                    nxt.append(seen[key])
-                after.setdefault(id(el), []).append(seen[key])
-        frontier = nxt
+    order = [ident]
+    for el in order:                  # grows as it is read: breadth first
+        for k, g in enumerate(gens):
+            act = g.action @ el.action
+            if (key := _action_key(act)) not in seen:
+                seen[key] = WeylElement(word=el.word + (k,), action=act,
+                                        matrix=el.matrix @ g.matrix,
+                                        length=el.length + 1)
+                order.append(seen[key])
     elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-    index = {id(e): i for i, e in enumerate(elements)}
-    steps = tuple(tuple(index[id(x)] for x in after[id(e)]) for e in elements)
     return WeylGroup(spec=spec, elements=elements, generators=tuple(gens),
-                     by_key=seen, steps=steps)
+                     by_key=seen)
+
+
+@lru_cache(maxsize=16)
+def _elements_met(spec: GroupSpec) -> tuple:
+    """The identity and table (by action bytes) of the Weyl elements a
+    group's words have met; the simple reflections' actions and lifts."""
+    one = WeylElement((), *_read_only(np.eye(spec.slots, dtype=complex)),
+                      np.eye(spec.rankdim, dtype=int), 0, [None] * spec.rank)
+    return one, {one.action.tobytes(): one}, _reflections(spec), \
+        spec.weyl_generators()
+
+
+def _new_element(spec: GroupSpec, act) -> WeylElement:
+    """The element acting by ``act``: its first reduced word (the least k
+    with ``act`` alpha_k of negative height, then the word of act g_k;
+    Bjorner-Brenti ch. 1, 8) and the closure's lift, bit for bit."""
+    one, _, refl, gens = _elements_met(spec)
+    h, roots = spec.dual_weights.sum(0), np.array(
+        [i.vec for i in spec.simple_roots]).T
+    word, w = [], act
+    while (neg := np.flatnonzero(h @ w @ roots < 0)).size:
+        word.append(int(neg[0]))
+        w = w @ refl[word[-1]]
+    lift, = _read_only(reduce(np.matmul, (gens[j] for j in word), one.matrix))
+    return WeylElement(tuple(word), lift, act, len(word), [None] * len(refl))
+
+
+def weyl_element(spec: GroupSpec, word) -> tuple:
+    """(first reduced word, read-only lift) of a word of letters 0..rank-1,
+    ValueError for any other letter. No Weyl group is enumerated: a word met
+    before costs one list lookup per letter on the elements met so far."""
+    el, met, refl, _ = _elements_met(spec)
+    rank = spec.rank
+    for k in word:
+        if (type(k) is not int or not 0 <= k < rank) and (  # fast path
+                not isinstance(k, Integral) or k not in range(rank)):
+            raise ValueError(f"{spec.name} has no simple reflection "
+                             f"{k!r}, only 0..{rank - 1}")
+        nxt = el.after[k]
+        if nxt is None:
+            act = refl[k] @ el.action
+            if (key := act.tobytes()) not in met:
+                met[key] = _new_element(spec, act)
+            nxt = el.after[k] = met[key]
+        el = nxt
+    return el.word, el.matrix
 
 
 def _times_bracket(p, m: int) -> tuple:

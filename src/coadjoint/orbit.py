@@ -28,7 +28,7 @@ from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_matrix, \
 from .errors import DegeneracyViolation, MaximalDegenerate, \
     NumericalBreakdown, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, _classify, \
-    parabolic_roots, reject_zero_orbit, same_group, weyl_group
+    parabolic_roots, reject_zero_orbit, same_group, weyl_element
 
 GELL_MANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -275,24 +275,23 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     """Coordinates of the same orbit point on the w-translated chart.
 
     ``w`` is a WeylElement of this group or a word (tuple of simple
-    reflections), resolved on its multiplication table as the new tag is.
+    reflections), resolved letter by letter by ``weyl_element`` as the tag.
     Computed by the Gauss-Bruhat factorization of z(coords) w, a one-row
     ``bruhat_chart``; raises PoleOnChart where the target cell misses it,
     ValueError for a chart or Weyl element of another group.
     """
     same_group(spec, chart)
-    wg = weyl_group(spec)
-    el = wg.element_by_word(w.word if isinstance(w, WeylElement) else w)
-    if isinstance(w, WeylElement) and not (w is el or np.array_equal(
-            w.matrix, el.matrix)):    # equal: a copy from an earlier build
+    word, lift = weyl_element(spec, w.word if isinstance(w, WeylElement)
+                              else w)
+    if isinstance(w, WeylElement) and not np.array_equal(w.matrix, lift):
         raise ValueError(f"{w.word} is not a Weyl element of {spec.name}")
-    m = chart_matrix(spec, chart) @ el.matrix
+    m = chart_matrix(spec, chart) @ lift
     coords, _, in_cell = bruhat_chart(spec, m[None])
     if not in_cell[0]:
         exc = cell_miss(spec.split_from_working(m))
-        raise PoleOnChart(f"transition by word {el.word} undefined "
+        raise PoleOnChart(f"transition by word {word} undefined "
                           f"at this point: {exc}") from exc
-    new_word = wg.element_by_word(tuple(chart.chart) + el.word).word
+    new_word = weyl_element(spec, tuple(chart.chart) + word)[0]
     return chart_point(spec, coords[0], new_word)
 
 

@@ -16,7 +16,7 @@ from coadjoint.checks import (haar_su, iwasawa_residuals, random_chart,  # noqa:
                               spectral_mismatch)
 from coadjoint.cohomology import basis_cycles
 from coadjoint.errors import NumericalBreakdown, OutsideCell
-from coadjoint.groups import WeylGroup, _action_key, _poly_divide
+from coadjoint.groups import _action_key, _poly_divide, weyl_group
 from coadjoint.kahler import potential_batch
 from coadjoint.orbit import DUAL_PAIRING_SCALE, GELL_MANN, required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
@@ -183,7 +183,7 @@ def linear_find(wg, action):
 
 def composed_element(wg, word):
     """Element of a word by composing the integer actions letter by letter
-    and keying the product: the oracle for the table walk of
+    and keying the product: the oracle for ``groups.weyl_element`` and
     ``WeylGroup.element_by_word``."""
     act = wg.elements[0].action
     for k in word:
@@ -233,12 +233,19 @@ def bruhat_chart_full(spec, g) -> tuple:
     return fam.coords_from_zeta_split(zeta), d, in_cell
 
 
+def composed_weyl_element(spec, word):
+    """``groups.weyl_element`` on the enumerated group: the (word, lift) of
+    the element that ``composed_element`` keys."""
+    el = composed_element(weyl_group(spec), word)
+    return el.word, el.matrix
+
+
 def full_readout(monkeypatch):
     """Route transitions and cocycle shifts through ``bruhat_chart_full``
-    and words through ``composed_element`` while the patch holds."""
+    and words through ``composed_weyl_element`` while the patch holds."""
     monkeypatch.setattr(orbit, "bruhat_chart", bruhat_chart_full)
     monkeypatch.setattr(kahler, "bruhat_chart", bruhat_chart_full)
-    monkeypatch.setattr(WeylGroup, "element_by_word", composed_element)
+    monkeypatch.setattr(orbit, "weyl_element", composed_weyl_element)
 
 
 # ---------------------------------------------------------------------------

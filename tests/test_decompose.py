@@ -8,7 +8,7 @@ from coadjoint import (OutsideCell, ZeroTorusEntry, build_group, chart_matrix,
                        dressing_matrix, gauss_bruhat, gauss_bruhat_batch,
                        initial_point, iwasawa, torus_character, weyl_group)
 from coadjoint._linalg import quaternion_iwasawa, quaternion_ul
-from coadjoint.decompose import bruhat_chart
+from coadjoint.decompose import bruhat_chart, torus_coordinates
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import (CHART_GROUPS, haar_su, identity_like, mat_max,
                      random_chart)
@@ -409,3 +409,19 @@ def test_gauss_bruhat_inputs_are_checked_against_the_group(family, n):
         cocycle_shift(spec, point, chart, eye)
     for g in (eye, np.stack([eye] * rows)):
         assert cocycle_shift_batch(spec, point, coords, g)[2].all()
+
+
+@pytest.mark.parametrize("family,n,d", [
+    ("su", 3, [2.0, 3.0]), ("sp", 2, [2.0, 3.0]),
+    ("sp", 2, [2.0, 3.0, 1.0, 0.5, 1.0]), ("so", 4, [2.0, 3.0]),
+    ("su", 3, np.eye(2)), ("sp", 2, np.eye(3)), ("so", 4, np.eye(3))])
+def test_torus_coordinates_need_the_groups_shape(family, n, d):
+    # a split diagonal has one entry per slot and a matrix is slots x slots:
+    # SU(3) read [2, 3] as a character of 1/12, Sp(2) two or five entries as
+    # 6, and SU(3) a 2 x 2 identity as 1
+    spec = build_group(family, n)
+    name = re.escape(spec.name)
+    with pytest.raises(ValueError, match=name):
+        torus_coordinates(spec, d)
+    with pytest.raises(ValueError, match=name):
+        torus_character(spec, d, np.ones(spec.rank))

@@ -9,7 +9,7 @@ from coadjoint import (AllWeightsZero, OrbitKind, UnsupportedGroup,
                        build_group, classify_initial_point, initial_point,
                        poincare_polynomial, root_datum, weyl_group)
 from coadjoint._families import Family, get_family
-from coadjoint.groups import WALL_TOL, InitialPoint
+from coadjoint.groups import WALL_TOL, InitialPoint, weyl_element
 from coadjoint.orbit import required_zero_mask
 from coadjoint.quaternion import QuaternionMatrix
 from helpers import (CHART_GROUPS, composed_element, cycle_generator,
@@ -687,3 +687,47 @@ def test_initial_point_checks_match_the_numpy_decision(family, n):
     assert point((WALL_TOL,) + rest)[0] == ()
     assert point((math.nextafter(WALL_TOL, 0.0),) + rest)[0] == (
         (0,) if rest else ())
+
+
+# words resolved letter by letter, against the enumerated group
+
+
+def _same_as_the_closure(wg, word):
+    got, lift = weyl_element(wg.spec, word)
+    el = composed_element(wg, word)
+    assert got == el.word and lift.tobytes() == el.matrix.tobytes()
+    assert wg.element_by_word(word) is el
+    assert not lift.flags.writeable         # the table hands it to every call
+
+
+@pytest.mark.parametrize("family,n", [("su", 2), ("su", 3), ("su", 4),
+                                      ("su", 5), ("sp", 2), ("sp", 3),
+                                      ("so", 3), ("so", 4)])
+def test_weyl_element_equals_the_closure_on_every_short_word(family, n):
+    wg = weyl_group(build_group(family, n))
+    for length in range(2 * wg.spec.rank + 1):
+        for word in itertools.product(range(wg.spec.rank), repeat=length):
+            _same_as_the_closure(wg, word)
+
+
+@pytest.mark.parametrize("family,n", [("su", 6), ("su", 7), ("sp", 4),
+                                      ("sp", 5)])
+def test_weyl_element_equals_the_closure_on_long_seeded_words(family, n):
+    wg = weyl_group(build_group(family, n))
+    rng = np.random.default_rng(35 + n)
+    for _ in range(200):
+        word = rng.integers(0, wg.spec.rank, rng.integers(0, 14))
+        _same_as_the_closure(wg, word.tolist())
+        _same_as_the_closure(wg, tuple(word))
+
+
+@pytest.mark.parametrize("family,n", [("su", 3), ("sp", 2), ("so", 4)])
+def test_weyl_element_takes_integer_letters_within_the_rank(family, n):
+    spec = build_group(family, n)
+    for bad in (-1, spec.rank, 1.0, "1", None):
+        with pytest.raises(ValueError, match="no simple reflection"):
+            weyl_element(spec, (0, bad))
+    word, lift = weyl_element(spec, (np.int64(spec.rank - 1), 0))
+    assert word == weyl_element(spec, (spec.rank - 1, 0))[0]
+    assert all(type(k) is int for k in word)
+    assert lift.tobytes() == weyl_element(spec, (spec.rank - 1, 0))[1].tobytes()

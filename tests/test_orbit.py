@@ -547,3 +547,27 @@ def test_fibration_dimension_additivity():
         fib = fibration(spec, initial_point(spec, w))
         assert fib.total.real_dimension == \
             fib.base.real_dimension + fib.fiber.real_dimension
+
+
+def _round_trip(spec, seed):
+    # the reversed word returns to chart (); each coordinate comes back as z
+    # or -z, the known transition-sign defect
+    rng = np.random.default_rng(seed)
+    dim = spec.adapter.chart_dim
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    word = rng.integers(0, spec.rank, 2 * spec.rank).tolist()
+    there = chart_transition(spec, word, chart_point(spec, z))
+    back = chart_transition(spec, word[::-1], there)
+    assert back.chart == ()
+    assert np.max(np.abs(np.abs(back.array()) - np.abs(z))) < 1e-9
+
+
+def test_transitions_enumerate_no_weyl_group():
+    before = weyl_group.cache_info()
+    for spec in (build_group("su", 4), build_group("sp", 3)):
+        _round_trip(spec, 35)
+    assert weyl_group.cache_info() == before
+    # |W| = 9! and 2^6 6!: the closure took 33 s and 1.5 GB on SU(9)
+    for spec in (build_group("su", 9), build_group("sp", 6)):
+        _round_trip(spec, 35)
+    assert weyl_group.cache_info() == before
