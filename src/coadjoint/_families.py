@@ -315,10 +315,16 @@ class Family:
         (a_k . eps) / 2, so Phi_k = ln(1+|t|^2) on it, and eps^T eps is a
         multiple of the identity, so Phi_k = 0 on the others.
         """
-        simple = np.array([info.vec for info in self.simple_roots])
-        coroots = 2.0 * simple / (simple * simple).sum(axis=1, keepdims=True)
-        h, a = self.dual_weights @ self.slot_weights.T, coroots @ self.slot_weights.T
+        h = self.dual_weights @ self.slot_weights.T
+        a = self.simple_coroots @ self.slot_weights.T
         return _read_only(-2.0 * h / (h * a).sum(axis=1, keepdims=True))[0]
+
+    @cached_property
+    def simple_coroots(self) -> np.ndarray:
+        """Rows 2 a_k / <a_k, a_k>, a_k the simple roots; read-only. A row has
+        at most two nonzero entries, each +-1 or +-2: a pairing rounds once."""
+        a = np.array([info.vec for info in self.simple_roots])
+        return _read_only(2.0 * a / (a * a).sum(axis=1, keepdims=True))[0]
 
     @cached_property
     def simple_root_coefficients(self) -> np.ndarray:

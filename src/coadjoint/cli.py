@@ -4,12 +4,16 @@ Subcommands: classify, decompose, dress, potential, metric, betti, pairing,
 verify. Reports are canonical JSON objects {config, results, residuals,
 pass}; grids can be written as CSV. Complex numbers are entered as "re,im"
 pairs separated by ';'; grids as "re0:re1:steps,im0:im1:steps" per
-coordinate (or a constant "re,im"), also separated by ';'. Each
-subcommand parses only the flags it reads (``FLAGS``).
+coordinate (or a constant "re,im"), also separated by ';'.
 
-Exit codes: 0 ok, 1 verification failure, 2 invalid configuration,
-3 domain error while evaluating a valid request; 2 and 3 write a JSON
-error to stderr.
+``FLAGS`` declares every flag and its readers. A well-formed request is
+read from that table alone (``_table``); argparse, built when first needed,
+parses the rest (help, abbreviations, unknown or repeated flags, bad
+values) for its own usage messages.
+
+Exit codes: 0 ok, 1 verification failure, 2 invalid configuration (an
+unwritable --output-file included), 3 domain error while evaluating a
+valid request; 2 and 3 write a JSON error to stderr.
 """
 
 from __future__ import annotations
@@ -507,9 +511,14 @@ COMMANDS = {
 }
 
 
-# each optional flag: its argparse keywords and the commands that read it;
-# every command reads --group, --n, --weights and --output-file
+# each flag: its argparse keywords and the commands that read it, in help's
+# order; ``_table`` and argparse both read these declarations
 FLAGS = {
+    "--group": (dict(required=True, choices=["su", "sp", "so"]), COMMANDS),
+    "--n": (dict(required=True, type=int), COMMANDS),
+    "--weights": (dict(required=True,
+                       help="comma-separated chamber weights, e.g. 1,1"),
+                  COMMANDS),
     "--z": (dict(help="chart coordinates as re,im pairs joined by ';'"),
             ("decompose", *GRID_COLUMNS)),
     "--grid": (dict(help="per-coordinate grid re0:re1:steps,im0:im1:steps "
@@ -525,7 +534,14 @@ FLAGS = {
                       help="number of random points in verify"), ("verify",)),
     "--out": (dict(choices=["json", "csv"], default="json"),
               tuple(GRID_COLUMNS)),
+    "--output-file": (dict(default=None), COMMANDS),
 }
+REQUIRED = {flag for flag, (kw, _) in FLAGS.items() if kw.get("required")}
+# a grid command takes one point or one lattice
+POINT_FLAGS = {"--z", "--grid"}
+# every config key, read by the command or not, and its default
+DEFAULTS = {flag[2:].replace("-", "_"): kw.get("default")
+            for flag, (kw, _) in FLAGS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -536,63 +552,85 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-def _build() -> tuple:
-    """The two-level parser and its subparser for each command, which
-    carries ``command`` and every config default: its namespace alone is
-    the two-level parser's."""
+    """The two-level parser: per command, its flags and every default."""
     p = _Parser(
         prog="coadjoint",
         description="Coadjoint orbits of compact classical groups: "
                     "decompositions, dressing, Kahler data, cohomology.")
-    # a command's report lists every config key, read by it or not
-    defaults = {flag[2:]: kw.get("default") for flag, (kw, _) in FLAGS.items()}
-    p.set_defaults(**defaults)
     sub = p.add_subparsers(dest="command", required=True)
-    commands = {}
     for name in COMMANDS:
         # no prefix match: --out must not read as --output-file
-        q = commands[name] = sub.add_parser(name, allow_abbrev=False)
-        q.set_defaults(command=name, **defaults)
-        q.add_argument("--group", required=True, choices=["su", "sp", "so"])
-        q.add_argument("--n", required=True, type=int)
-        q.add_argument("--weights", required=True,
-                       help="comma-separated chamber weights, e.g. 1,1")
-        # a grid command takes one point or one lattice
+        q = sub.add_parser(name, allow_abbrev=False)
+        q.set_defaults(command=name, **DEFAULTS)
         point = q.add_mutually_exclusive_group() if name in GRID_COLUMNS else q
         for flag, (kw, readers) in FLAGS.items():
             if name in readers:
-                (point if flag in ("--z", "--grid") else q).add_argument(
-                    flag, **kw)
-        q.add_argument("--output-file", default=None)
-    return p, commands
+                (point if flag in POINT_FLAGS else q).add_argument(flag, **kw)
+    return p
+
+
+def _table(argv):
+    """The namespace argparse gives a well-formed request, or None. Well
+    formed: a command, then each flag it reads at most once, as ``--flag
+    value`` (value not opening with '-') or ``--flag=value``, no value '--'
+    (argparse drops it); the required flags, not both ``POINT_FLAGS``, and
+    every value converted by its ``type`` and among its ``choices``."""
+    if not (argv and all(isinstance(a, str) for a in argv)
+            and argv[0] in COMMANDS):
+        return None
+    command, given = argv[0], set()
+    args = dict(DEFAULTS, command=command)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, text = token.partition("=")
+        if not joined:
+            text = next(tokens, "-")
+        kw, readers = FLAGS.get(flag, (None, ()))
+        if (command not in readers or flag in given or text == "--"
+                or not joined and text.startswith("-")):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in kw.get("choices", [value]):
+            return None
+        given.add(flag)
+        args[flag[2:].replace("-", "_")] = value
+    if not REQUIRED <= given or POINT_FLAGS <= given:
+        return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(args)
+    return namespace
 
 
 @lru_cache(maxsize=None)
-def _parsers() -> tuple:
-    """``_build()``, once per process: parsing leaves the parsers unchanged."""
-    return _build()
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _parse(argv) -> tuple:
-    """The two-level parser's ``parse_known_args``. It hands an argv that
-    opens with a command to that command's parser whole, so that parser
-    runs alone; any other argv (none, an unknown command, a flag first)
-    goes through the two-level parser, for its usage messages and help."""
+    """The two-level parser's ``parse_known_args``: ``_table``'s namespace
+    for a well-formed request, else the parser's, built when first needed."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    if argv and argv[0] in commands:
-        return commands[argv[0]].parse_known_args(argv[1:])
-    return parser.parse_known_args(argv)
+    args = _table(argv)
+    if args is not None:
+        return args, []
+    return _parser().parse_known_args(argv)
+
+
+def _error(exc, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
+                     sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     """Run one request, ``argv`` or the process's arguments; return its
-    exit code. One command's parser parses it (``_parse``). The parsers
-    and the tables of groups, walls and polynomials that a report reads
-    are kept per process (README, *Command line*)."""
+    exit code. ``_parse`` reads it, from the flag table when it is well
+    formed. The parser and the tables of groups, walls and polynomials
+    that a report reads are kept per process (README, *Command line*)."""
     try:
         args, unread = _parse(argv)
         if unread:
@@ -608,9 +646,7 @@ def main(argv=None) -> int:
         code = (COMMANDS[args.command] if args.grid is None
                 else _grid)(args, spec, report)
     except CONFIG_ERRORS + DOMAIN_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2 if isinstance(exc, CONFIG_ERRORS) else 3
+        return _error(exc, 2 if isinstance(exc, CONFIG_ERRORS) else 3)
     if report["residuals"]:
         report["pass"] = report["pass"] and all(
             c["pass"] for c in report["residuals"].values())
@@ -624,11 +660,14 @@ def main(argv=None) -> int:
             report["csv_rows"] = grid[0].size // grid[0].shape[-1]
         payload = json.dumps(report, sort_keys=True,
                              separators=(",", ":")) + "\n"
-    if args.output_file:
+    if not args.output_file:
+        sys.stdout.write(payload)
+        return code
+    try:
         with open(args.output_file, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except (OSError, ValueError) as exc:    # a file that cannot be written
+        return _error(exc, 2)
     return code
 
 

@@ -177,14 +177,9 @@ def cocycle_shift(spec: GroupSpec, point: InitialPoint, chart: ChartPoint,
 def integrality_check(spec: GroupSpec, point: InitialPoint):
     """Quantization test 2<mu0, alpha_k>/<alpha_k, alpha_k> in Z per root.
 
-    Returns (flags, ratios); ratios are computed on weight coordinates,
-    where the chamber form is the euclidean dot product.
+    Returns (flags, ratios); ratios pair the weight coordinates, where the
+    chamber form is the euclidean dot product, with ``simple_coroots``.
     """
-    c = np.asarray(point.coords)
-    ratios, flags = [], []
-    for info in spec.simple_roots:
-        a = info.as_array()
-        ratio = 2.0 * float(c @ a) / float(a @ a)
-        ratios.append(ratio)
-        flags.append(bool(abs(ratio - round(ratio)) < 1e-9))
-    return tuple(flags), tuple(ratios)
+    ratios = spec.simple_coroots @ np.asarray(point.coords)
+    flags = np.abs(ratios - np.rint(ratios)) < 1e-9
+    return tuple(flags.tolist()), tuple(ratios.tolist())

@@ -172,6 +172,19 @@ def float_degeneracy(spec, point):
     return mask, 2 * nonzero, _float_stabilizer_description(fam, c)
 
 
+def integrality_per_root(spec, point):
+    """(flags, ratios) of 2<c, alpha_k>/<alpha_k, alpha_k>, one simple root
+    at a time: the oracle for ``kahler.integrality_check``."""
+    c = np.asarray(point.coords)
+    ratios, flags = [], []
+    for info in spec.simple_roots:
+        a = info.as_array()
+        ratio = 2.0 * float(c @ a) / float(a @ a)
+        ratios.append(ratio)
+        flags.append(bool(abs(ratio - round(ratio)) < 1e-9))
+    return tuple(flags), tuple(ratios)
+
+
 def linear_find(wg, action):
     """Weyl element with the given action, by scanning every element."""
     key = _action_key(action)

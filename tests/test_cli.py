@@ -855,6 +855,30 @@ DISPATCH_INPUTS = [
                                      "--weights", "1,2"],
     ["pairing", *SU3, "--ord", "8"], ["metric", *SU3, "--seed=3", "--z=0,0"],
     ["decompose", *SU3, "--", "x"], ["potential", "--weights", "1,2"],
+    # the flag table's edge cases: every flag a command reads, both forms
+    *[[c, *SU3, f, VALUES[f]] for f in READERS for c in sorted(READERS[f])],
+    *[[c, *SU3, f"{f}={VALUES[f]}"] for f in READERS
+      for c in sorted(READERS[f])],
+    *[[c, "--group=su", "--n=3", "--weights=1,2", "--output-file=x.json"]
+      for c in COMMANDS],
+    *[[c, "--output-file", "x.json", *SU3] for c in COMMANDS],
+    ["classify", *SU3, "--n", "4"], ["betti", *SU3, "--group=sp"],
+    ["potential", *SU3, "--seed", "1", "--seed=2"],
+    ["verify", *SU3, "--seed", "-3"], ["verify", *SU3, "--seed=-3"],
+    ["potential", *SU3, "--z", "-1,0;0.5,-0.25;0,0"],
+    ["potential", *SU3, "--z=-1,0;0.5,-0.25;0,0"],
+    ["potential", *SU3, "--z="], ["potential", *SU3, "--z", ""],
+    ["potential", *SU3, "--z=--"], ["potential", *SU3, "--z", "--"],
+    ["metric", *SU3, "--z"], ["classify", *SU3, "stray"],
+    ["classify", "--group", "su", "--n", "3"], ["betti", "--n", "3"],
+    ["classify", "--group", "xx", "--n", "3", "--weights", "1,2"],
+    ["betti", "--group", "su", "--n", "x", "--weights", "1,2"],
+    ["betti", "--group", "su", "--n", "3.0", "--weights", "1,2"],
+    ["verify", *SU3, "--tol=-1"], ["decompose", *SU3, "--tol", "x"],
+    ["metric", *SU3, "--out", "xml"], ["dress", *SU3, "--out=csv"],
+    ["dress", *SU3, "--z=0,0;0,0;0,0", "--grid=0,0;0,0;0,0"],
+    ["classify", "--group", "su", "--n", "3", "--weight=1,2"],
+    ["verify", *SU3, "--points=2", "--poi=3"],
 ]
 
 
@@ -874,6 +898,72 @@ def test_dispatch_matches_the_two_level_parser(monkeypatch, argv):
         assert _in_process(argv) == (2, "", json.dumps(
             {"error": "ValueError", "message": got[0][1]},
             sort_keys=True) + "\n")
+
+
+def test_non_str_token_fails_as_the_parser_does():
+    argv = ["classify", "--group", "su", "--n", 3, "--weights", "1,2"]
+    with pytest.raises(TypeError) as want:
+        cli.build_parser().parse_known_args(argv)
+    with pytest.raises(TypeError) as got:
+        cli._parse(argv)
+    assert str(got.value) == str(want.value)
+
+
+def test_well_formed_requests_build_no_parser(tmp_path):
+    # a fresh interpreter answers well-formed requests from the flag table
+    # alone; the first usage error builds the two-level parser, once
+    code = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from coadjoint.cli import main
+su3 = ["--group", "su", "--n", "3", "--weights", "1,2"]
+requests = [["classify", *su3], ["betti", "--group=sp", "--n=2", "--weights=1,0"],
+            ["potential", *su3, "--z=-1,0;0.5,-0.25;0,0"],
+            ["metric", *su3, "--grid", "0,0;0,0;0:1:2,0", "--out", "csv"],
+            ["verify", *su3, "--points", "2", "--order", "8", "--tol=1e-6"],
+            ["pairing", *su3, "--order", "8", "--output-file", sys.argv[1]]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in requests]
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(["verify", *su3, "--poi", "3"]))
+    counts.append(len(built))
+print(json.dumps([codes, counts]))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "pairing.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    codes, counts = json.loads(out.stdout)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2]
+    # the parser and its subparsers, each an ArgumentParser
+    assert counts == [0, 1 + len(COMMANDS), 1 + len(COMMANDS)]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, target, command):
+    # it raised a traceback and exited 1, the code of a failed check
+    counts = {"verify": ["--points", "2", "--order", "8"]}
+    code = main([command, *SU3, *counts.get(command, []),
+                 "--output-file", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] in ("FileNotFoundError", "IsADirectoryError")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", COMMANDS)

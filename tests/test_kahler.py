@@ -13,7 +13,7 @@ from coadjoint.checks import normal_coords
 from coadjoint.orbit import required_zero_mask
 from helpers import (CHART_GROUPS, KKS_METRIC_RATIO, fd_chart_jacobian,
                      fd_metric, fd_wirtinger_hessian, haar_sp, haar_su,
-                     pair_tensor_hessian, random_chart)
+                     integrality_per_root, pair_tensor_hessian, random_chart)
 
 SU3 = build_group("su", 3)
 SU2 = build_group("su", 2)
@@ -534,6 +534,39 @@ def test_integrality_examples():
     assert flags == (True, True)
     flags, _ = integrality_check(SU3, initial_point(SU3, (0.5, 1.0)))
     assert flags == (False, True)
+
+
+INTEGRALITY_GROUPS = ([("su", n) for n in range(2, 12)]
+                      + [("sp", n) for n in range(2, 9)]
+                      + [("so", 3), ("so", 4)])
+
+
+@pytest.mark.parametrize("family,n", INTEGRALITY_GROUPS)
+def test_integrality_check_matches_the_per_root_loop(family, n):
+    # one product over all simple roots gives the loop's flags and ratios
+    # bit for bit: integer, half-integer and random weights, walls, and
+    # magnitudes from 1e-300 to 1e300
+    spec = build_group(family, n)
+    rng = np.random.default_rng(INTEGRALITY_GROUPS.index((family, n)))
+    for case in range(60):
+        scale = 10.0 ** rng.integers(-300, 301) if case % 3 else 1.0
+        weights = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, rng.random() * 7],
+                             spec.rank) * scale
+        weights[rng.integers(spec.rank)] = scale      # not all zero
+        point = initial_point(spec, weights)
+        flags, ratios = integrality_check(spec, point)
+        want_flags, want_ratios = integrality_per_root(spec, point)
+        assert flags == want_flags
+        assert np.array(ratios).tobytes() == np.array(want_ratios).tobytes()
+        assert all(type(f) is bool for f in flags)
+        assert all(type(r) is float for r in ratios)
+
+
+def test_integrality_ratio_near_the_float_limit():
+    # 2<c, a> overflowed to inf before the division, and rounding inf
+    # raised OverflowError
+    assert integrality_check(SU2, initial_point(SU2, (1e308,))) \
+        == ((True,), (1e308,))
 
 
 def test_so4_potential_pair_crosscheck():
