@@ -846,7 +846,6 @@ class _Passes:
         self._keys = {}       # input key -> its column
         self._terms = [None]  # per column: [((a, b), coefficient), ...]
         self._depth = [0]
-        self._made = {}       # the column made for each sum of terms
 
     def _new(self, terms, depth) -> int:
         self._terms.append(terms)
@@ -874,20 +873,16 @@ class _Passes:
         return self._make(tuple(((0, c), v) for c, v in form.items()))
 
     def _make(self, terms) -> int:
-        """The column of a sum of terms, made once for equal sums. The terms
-        before its first deepest one are summed first, in a column of their
-        own, so that no pass adds more terms than it must; the sum is the
-        same, left to right."""
-        if terms not in self._made:
-            depth = [max(self._depth[a], self._depth[b])
-                     for (a, b), _ in terms]
-            cut = depth.index(max(depth))
-            head = self.column(dict(terms[:cut])) if cut > 1 else {}
-            summed = terms
-            if len(head) == 1 and 1.0 in head.values():
-                summed = (((0, *head), 1.0),) + terms[cut:]
-            self._made[terms] = self._new(summed, 1 + max(depth))
-        return self._made[terms]
+        """A new column for a sum of terms, one pass deeper than the deepest
+        column it reads. The terms before its first deepest one are summed
+        first, in a column of their own, so that no pass adds more terms
+        than it must; the sum is the same, left to right."""
+        depth = [max(self._depth[a], self._depth[b]) for (a, b), _ in terms]
+        cut = depth.index(max(depth))
+        head = self.column(dict(terms[:cut])) if cut > 1 else {}
+        if len(head) == 1 and 1.0 in head.values():
+            terms = (((0, *head), 1.0),) + terms[cut:]
+        return self._new(terms, 1 + max(depth))
 
     def compile(self, outputs) -> "_Passes":
         """Lay the columns out pass by pass; ``outputs`` are the columns read

@@ -148,7 +148,9 @@ def _matrix(m):
     return [[_c(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _check(name, value, tol):
+def _check(args, name, value, default):
+    """A check against ``--tol`` when given, 0 included, else ``default``."""
+    tol = default if args.tol is None else args.tol
     return {"name": name, "residual": float(value), "tol": float(tol),
             "pass": bool(value < tol)}
 
@@ -160,11 +162,6 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, got {text!r}")
     return value
-
-
-def _tol(args, default: float) -> float:
-    """``--tol`` when given, 0 included; else the check's default."""
-    return default if args.tol is None else args.tol
 
 
 def _at_least_one(flag: str, value: int) -> int:
@@ -226,10 +223,9 @@ def cmd_decompose(args, spec, report):
         "n": _matrix(fac.n),
         "k": _matrix(fac.k),
     })
-    report["residuals"]["multiply_back"] = _check("multiply_back", res_mb,
-                                                  _tol(args, 1e-10))
-    report["residuals"]["unitarity"] = _check("unitarity", res_un,
-                                              _tol(args, 1e-10))
+    report["residuals"]["multiply_back"] = _check(args, "multiply_back",
+                                                  res_mb, 1e-10)
+    report["residuals"]["unitarity"] = _check(args, "unitarity", res_un, 1e-10)
     return 0
 
 
@@ -296,13 +292,12 @@ def cmd_dress(args, spec, report):
         res["mu"] = [float(x) for x in op.coords]
         closed = orbit.su3_closed_form(point, chart)
         report["residuals"]["closed_form"] = _check(
-            "closed_form", float(np.max(np.abs(np.array(op.coords) - closed))),
-            _tol(args, 1e-10))
-    report["residuals"]["isospectrality"] = _check("isospectrality", spectrum,
-                                                   _tol(args, 1e-10))
+            args, "closed_form", np.max(np.abs(np.array(op.coords) - closed)),
+            1e-10)
+    report["residuals"]["isospectrality"] = _check(
+        args, "isospectrality", spectrum, 1e-10)
     report["residuals"]["anti_hermitian"] = _check(
-        "anti_hermitian", float(anti_hermitian_residual(op.mu_matrix)),
-        _tol(args, 1e-10))
+        args, "anti_hermitian", anti_hermitian_residual(op.mu_matrix), 1e-10)
     report["results"].append(res)
     return 0
 
@@ -328,8 +323,7 @@ def cmd_metric(args, spec, report):
         "g": _matrix(kt.g),
         "eigenvalues": [float(x) for x in eig],
     })
-    report["residuals"]["hermitian"] = _check("hermitian", herm,
-                                               _tol(args, 1e-9))
+    report["residuals"]["hermitian"] = _check(args, "hermitian", herm, 1e-9)
     report["residuals"]["positivity"] = {
         "name": "positivity", "residual": float(eig.min()), "tol": -1e-9,
         "pass": bool(eig.min() > -1e-9)}
@@ -364,8 +358,7 @@ def cmd_pairing(args, spec, report):
         "order": order,
         "normalization": "omega_j = (i/2pi) ddbar Phi_j",
     })
-    report["residuals"]["identity"] = _check("identity", dev,
-                                             _tol(args, 1e-6))
+    report["residuals"]["identity"] = _check(args, "identity", dev, 1e-6)
     return 0
 
 
@@ -380,8 +373,8 @@ def cmd_verify(args, spec, report):
     dim2 = 2 * spec.chart_dim
 
     def check(name, residuals, default):
-        worst = float(np.max(residuals, initial=0.0))
-        checks.append(_check(name, worst, _tol(args, default)))
+        checks.append(_check(args, name, np.max(residuals, initial=0.0),
+                             default))
 
     coords = normal_coords(spec, rng.standard_normal((npts, dim2)), point)
     # one factorization serves the residuals and the dressed points, which
@@ -633,6 +626,11 @@ def main(argv=None) -> int:
     that a report reads are kept per process (README, *Command line*)."""
     try:
         args, unread = _parse(argv)
+        # argparse drops a value '--' and hands the command a list
+        listed = [k for k, v in vars(args).items() if isinstance(v, list)]
+        if listed:
+            raise ValueError(f"argument --{listed[0].replace('_', '-')}: "
+                             "expected one argument")
         if unread:
             raise ValueError(f"{unread[0].split('=', 1)[0]} is not read by "
                              f"{args.command}")

@@ -330,11 +330,13 @@ def _quotient(spec: GroupSpec, gens, sub) -> tuple:
 
 @dataclass(frozen=True)
 class InitialPoint:
-    """A dominant weight: chamber weights, walls and the matrix they fix."""
+    """A dominant weight: chamber weights, walls and the matrix they fix.
+    Raises ValueError for weights that are negative or not finite, or whose
+    weight coordinates overflow."""
 
     spec: GroupSpec
     weights: tuple
-    coords: tuple = field(default=())
+    coords: tuple = field(init=False)    # weight coordinates
     walls: tuple = field(default=(), init=False)   # simple roots on mu0
 
     def __post_init__(self):
@@ -349,8 +351,11 @@ class InitialPoint:
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative "
                              "(closed positive Weyl chamber)")
-        object.__setattr__(self, "coords",
-                           tuple(self.spec.initial_coords(self.weights)))
+        coords = tuple(self.spec.initial_coords(self.weights).tolist())
+        if not all(map(isfinite, coords)):
+            raise ValueError("the weight coordinates overflow: they are not "
+                             "finite")
+        object.__setattr__(self, "coords", coords)
         # the one wall decision: zero, or small against the largest weight
         cut = WALL_TOL * max(w)
         object.__setattr__(self, "walls", tuple(

@@ -16,6 +16,7 @@ itself is never formed, so all of them hold far out on the chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -49,10 +50,14 @@ def potential_batch(spec: GroupSpec, point: InitialPoint, coords) -> np.ndarray:
 def potential(spec: GroupSpec, point: InitialPoint, chart: ChartPoint) -> float:
     """Kahler potential Phi = sum_k <mu0, alpha_k> ln r_k^2 at the point.
 
-    Raises ValueError for a point or chart of another group.
+    Raises NumericalBreakdown where Phi is not finite, ValueError for a
+    point or chart of another group.
     """
     same_group(spec, chart)
-    return float(potential_batch(spec, point, chart.array()[None])[0])
+    phi = float(potential_batch(spec, point, chart.array()[None])[0])
+    if not isfinite(phi):
+        raise NumericalBreakdown("the potential is not finite at this point")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,11 @@ def integrality_check(spec: GroupSpec, point: InitialPoint):
 
     Returns (flags, ratios); ratios pair the weight coordinates, where the
     chamber form is the euclidean dot product, with ``simple_coroots``.
+    Raises ValueError where a ratio overflows.
     """
     ratios = spec.simple_coroots @ np.asarray(point.coords)
+    values = tuple(ratios.tolist())
+    if not all(map(isfinite, values)):
+        raise ValueError("an integrality ratio overflows: it is not finite")
     flags = np.abs(ratios - np.rint(ratios)) < 1e-9
-    return tuple(flags.tolist()), tuple(ratios.tolist())
+    return tuple(flags.tolist()), values

@@ -974,3 +974,40 @@ def test_each_command_parser_gives_the_full_config(command):
     assert vars(alone) == vars(full)
     assert {"command", "group", "n", "weights", "z", "grid", "seed", "tol",
             "order"} <= set(vars(alone))
+
+
+@pytest.mark.parametrize("flag", cli.FLAGS)
+def test_flag_value_dash_dash_is_a_usage_error(capsys, flag):
+    # argparse drops a value '--' and handed the command an empty list: a
+    # traceback (exit 1) on most flags, and --seed, --out and --output-file
+    # exited 0 with the list as the value (the report went to stdout)
+    _, readers = cli.FLAGS[flag]
+    command = next(iter(readers))
+    given = dict(zip(SU3[::2], SU3[1::2]))
+    given[flag] = "--"
+    code = main([command, *(f"{f}={v}" for f, v in given.items())])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"argument {flag}: expected one argument"}
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["classify", "--group", "so", "--n", "3", "--weights", "1e308"], 2,
+     "ValueError"),
+    (["classify", "--group", "sp", "--n", "2", "--weights",
+      "1.7e308,1.7e308"], 2, "ValueError"),
+    (["potential", "--group", "su", "--n", "4", "--weights",
+      "1e308,1e308,1e308", "--z=0.5,0;0,0;0,0;0,0;0,0;0,0"], 3,
+     "NumericalBreakdown"),
+])
+def test_overflowing_weights_write_no_report(argv, code, error):
+    # the reports held Infinity or NaN, which is not JSON, and exited 0
+    proc = _script(argv)
+    assert proc.returncode == code and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+

@@ -731,3 +731,26 @@ def test_weyl_element_takes_integer_letters_within_the_rank(family, n):
     assert word == weyl_element(spec, (spec.rank - 1, 0))[0]
     assert all(type(k) is int for k in word)
     assert lift.tobytes() == weyl_element(spec, (spec.rank - 1, 0))[1].tobytes()
+
+
+@pytest.mark.parametrize("family,n,weights", [
+    ("sp", 2, (1.7e308, 1.7e308)), ("su", 4, (1e308, 1e308, 1.7e308)),
+    ("sp", 3, (1e308, 1e308, 1e308))])
+def test_initial_point_rejects_overflowing_weight_coordinates(family, n,
+                                                              weights):
+    # finite weights whose coordinates overflow gave an initial point of
+    # inf coordinates, and reports of inf or nan
+    spec = build_group(family, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(spec.initial_coords(weights)).all()
+        with pytest.raises(ValueError, match="weight coordinates overflow"):
+            initial_point(spec, weights)
+
+
+def test_initial_point_takes_no_coordinates():
+    # a caller's coords were accepted and silently overwritten
+    spec = build_group("su", 3)
+    with pytest.raises(TypeError):
+        InitialPoint(spec, (1.0, 2.0), (5.0, 5.0, 5.0))
+    assert InitialPoint(spec, (1.0, 2.0)).coords == tuple(
+        spec.initial_coords((1.0, 2.0)))

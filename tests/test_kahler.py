@@ -569,6 +569,25 @@ def test_integrality_ratio_near_the_float_limit():
         == ((True,), (1e308,))
 
 
+def test_integrality_ratio_that_overflows_raises():
+    # 2<c, a> of SO(3) at 1e308 is 2e308: the report wrote Infinity
+    so3 = build_group("so", 3)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="integrality ratio overflows"):
+        integrality_check(so3, initial_point(so3, (1e308,)))
+
+
+def test_potential_raises_where_it_is_not_finite():
+    # the weighted sum of finite log a overflowed: the report wrote NaN
+    su4 = build_group("su", 4)
+    ip = initial_point(su4, (1e308, 1e308, 1e308))
+    chart = chart_point(su4, (0.5, 0, 0, 0, 0, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(potential_batch(su4, ip, chart.array()[None])).all()
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            potential(su4, ip, chart)
+
+
 def test_so4_potential_pair_crosscheck():
     # the classical potentials Phi_1 = ln(1+|z1|^2) - ln(1+|z2|^2) and
     # Phi_2 = ln(1+|z1|^2) + ln(1+|z2|^2) span the same space as the basis
