@@ -39,8 +39,9 @@ is exp(t x_k); the base class reads all three off the chart.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import factorial
 
 import numpy as np
@@ -70,6 +71,22 @@ def _root(vec) -> RootInfo:
     terms = "".join(("-" if v < 0 else "+") + ("2" if abs(v) == 2 else "")
                     + f"e{i + 1}" for i, v in enumerate(vec) if v)
     return RootInfo(tuple(vec), terms.lstrip("+"))
+
+
+def per_group(fn):
+    """``fn(group, *args)``, computed once per group and ``args`` and kept
+    in a table on the group (``Family._tables``): the table is freed with
+    the group, and no lookup hashes the group. ``__wrapped__`` is ``fn``."""
+    @wraps(fn)
+    def kept(group, *args):
+        table = group._tables[fn]
+        try:
+            return table[args]
+        except KeyError:
+            pass
+        out = table[args] = fn(group, *args)
+        return out
+    return kept
 
 
 class Family:
@@ -105,6 +122,7 @@ class Family:
         self._rows, self._cols = np.array(positions).T
         self.positive_roots = [_root(eps[c] - eps[r]) for r, c in positions]
         self._eye = _read_only(np.eye(s, dtype=complex))[0]
+        self._tables = defaultdict(dict)    # per_group function -> table
 
     @cached_property
     def dual_weights(self) -> np.ndarray:
@@ -196,8 +214,9 @@ class Family:
         One coordinate vector (dim,) gives one matrix, a batch (N, dim) a
         stack of N.
         """
-        z = self.working_from_split(self.chart_split(coords))
-        return z if np.ndim(coords) == 2 else z[0]
+        c = np.asarray(coords, dtype=complex)
+        z = self.working_from_split(self.chart_split(c))
+        return z if c.ndim == 2 else z[0]
 
     def chart_jacobian(self, coords):
         """Split charts and their holomorphic derivatives at a coordinate batch.

@@ -115,40 +115,40 @@ def ul_decompose(g):
     return n, d, np.where(lower, zeta.reshape(w.shape), eye), in_cell
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _doolittle(g, at, rows) -> tuple:
     """``(w, d, zeta, in_cell)``: Doolittle without pivoting from the last
     pivot up, on a copy of the stack. w ends with n d above its diagonal, d
     on it and d zeta below it; ``zeta`` is zeta at the flat indices ``at``,
     in rows ``rows``. A step whose column is zero in every row would change
     only signs of zeros and is skipped; where 0 / pivot or 0 * row would be
-    nan instead, the stack is eliminated again without skips."""
+    nan instead, the stack is eliminated again without skips. On one row
+    (a transition) fixed calls dominate: they are ufuncs and ndarray methods,
+    and the error state is a decorator, cheaper than a ``with`` per call."""
     a = np.asarray(g, dtype=complex)
     nb, s = a.shape[0], a.shape[-1]
-    tol = CELL_TOL * np.maximum.reduce(np.abs(a.reshape(nb, s * s)), axis=1,
-                                       initial=1e-300)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for skip in (True, False):
-            w, lo = a.copy(), s         # lo: the last step skipped
-            for k in range(s - 1, 0, -1):
-                col = w[:, :k, k]
-                if skip and not np.count_nonzero(col):
-                    lo = k
-                    continue
-                w[:, :k, :k] -= ((col / w[:, k, k, None])[:, :, None]
-                                 * w[:, k, None, :k])
-            # contiguous: numpy's elementwise loops for strided input may
-            # round differently (np.log of a reversed view does)
-            flat = w.reshape(nb, s * s)
-            d = flat[:, ::s + 1].copy()
-            # a skip was exact unless its pivot is 0 or nan or its row is not
-            # finite; a zero pivot at a step not skipped leaves every later
-            # column non-finite, so no later step is skipped: rows lo on tell
-            if lo == s or (np.count_nonzero(d[:, lo:]) == nb * (s - lo) and
-                           np.logical_and.reduce(np.isfinite(w[:, lo:]), None)):
-                break
-        zeta = np.take(flat, at, axis=1) / np.take(d, rows, axis=1)
+    tol = CELL_TOL * np.maximum.reduce(abs(a), (1, 2), initial=1e-300)
+    for skip in (True, False):
+        w, lo = a.copy(), s             # lo: the last step skipped
+        for k in range(s - 1, 0, -1):
+            col = w[:, :k, k]
+            if skip and not np.count_nonzero(col):
+                lo = k
+                continue
+            block = w[:, :k, :k]        # in place: no write back
+            block -= (col / w[:, k, k, None])[:, :, None] * w[:, k, None, :k]
+        # contiguous: numpy's elementwise loops for strided input may
+        # round differently (np.log of a reversed view does)
+        d = w.diagonal(0, 1, 2).copy()
+        # a skip was exact unless its pivot is 0 or nan or its row is not
+        # finite; a zero pivot at a step not skipped leaves every later
+        # column non-finite, so no later step is skipped: rows lo on tell
+        if lo == s or (np.count_nonzero(d[:, lo:]) == nb * (s - lo) and
+                       np.logical_and.reduce(np.isfinite(w[:, lo:]), None)):
+            break
+    zeta = w.reshape(nb, s * s).take(at, 1) / d.take(rows, 1)
     # a nan pivot flags no row: fmin passes over it
-    return w, d, zeta, ~(np.fmin.reduce(np.abs(d), axis=1) < tol)
+    return w, d, zeta, ~(np.fmin.reduce(abs(d), 1) < tol)
 
 
 @lru_cache(maxsize=16)

@@ -25,6 +25,7 @@ import sys
 import threading
 import warnings
 from functools import lru_cache, partial
+from math import isfinite
 
 import numpy as np
 
@@ -149,10 +150,17 @@ def _matrix(m):
 
 
 def _check(args, name, value, default):
-    """A check against ``--tol`` when given, 0 included, else ``default``."""
+    """A check against ``--tol`` when given, 0 included, else ``default``.
+
+    Raises NumericalBreakdown where the residual is not finite: the report
+    would hold NaN or Infinity, which is not JSON.
+    """
+    value = float(value)
+    if not isfinite(value):
+        raise NumericalBreakdown(f"the {name} residual is not finite")
     tol = default if args.tol is None else args.tol
-    return {"name": name, "residual": float(value), "tol": float(tol),
-            "pass": bool(value < tol)}
+    return {"name": name, "residual": value, "tol": float(tol),
+            "pass": value < tol}
 
 
 def _tolerance(text: str) -> float:
@@ -622,8 +630,9 @@ def _error(exc, code: int) -> int:
 def main(argv=None) -> int:
     """Run one request, ``argv`` or the process's arguments; return its
     exit code. ``_parse`` reads it, from the flag table when it is well
-    formed. The parser and the tables of groups, walls and polynomials
-    that a report reads are kept per process (README, *Command line*)."""
+    formed. The parser is kept per process; the tables of walls and
+    polynomials a report reads are kept on its group and freed with it
+    (README, *Command line*)."""
     try:
         args, unread = _parse(argv)
         # argparse drops a value '--' and hands the command a list

@@ -21,7 +21,7 @@ each cycle needs only a one-dimensional Gauss-Legendre rule in theta on the
 real ray: one pass of ``order`` nodes yields the integrals of every basis
 form over it, and the pairing matrix costs rank such passes, linear in
 ``order``. The rows depend on neither weights nor seed, so each is
-computed once per process for each group, cycle and order:
+computed once per group, cycle and order and kept on the group:
 ``pairing_matrix``, ``pairing_integral`` and the convergence check read
 the same kept rows, and ``pairing_matrix`` stacks them into a fresh array.
 """
@@ -29,10 +29,10 @@ the same kept rows, and ``pairing_matrix`` stacks them into a fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._families import per_group
 from ._linalg import complex_laplacian, gauss_legendre
 from .decompose import ChartPoint, chart_point
 from .errors import QuadratureNotConverged
@@ -98,7 +98,7 @@ def leray_hirsch(spec: GroupSpec, point: InitialPoint) -> LerayHirschResult:
     return _leray_hirsch(spec, point.walls)
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _leray_hirsch(spec: GroupSpec, walls: tuple) -> LerayHirschResult:
     fib = _fibration(spec, walls)
     if isinstance(fib, str):        # maximally degenerate
@@ -154,12 +154,12 @@ def basis_two_forms(spec: GroupSpec) -> list:
             for j in range(spec.rank)]
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _pairing_quadrature(spec: GroupSpec, i: int, order: int) -> np.ndarray:
     """Row int_{gamma_i} omega_j, j = 1..rank, from one pass over the cycle.
 
-    Depends on neither weights nor seed: computed once per process for each
-    group, cycle and order, and read-only.
+    Depends on neither weights nor seed: computed once for each group, cycle
+    and order, kept on the group and read-only.
     """
     xs, ws = gauss_legendre(order)
     theta = (xs + 1.0) * (np.pi / 2.0)
@@ -219,8 +219,8 @@ def pairing_matrix(spec: GroupSpec, order: int = 128,
 
     Row i comes from one ``order``-node radial pass over gamma_i that
     differentiates every basis potential at once, so the matrix costs rank
-    one-dimensional quadratures, linear in ``order``, paid once per process
-    for each group and order. With ``check_convergence`` each row is
+    one-dimensional quadratures, linear in ``order``, paid once for each
+    group and order. With ``check_convergence`` each row is
     compared with a second rule as in ``pairing_integral``.
     """
     return np.array([_pairing_row(spec, cyc.index, order, check_convergence)

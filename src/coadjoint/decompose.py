@@ -153,7 +153,7 @@ class BruhatFactors:
 
 
 def _nan_off_cell(in_cell, *factors) -> None:
-    if not in_cell.all():
+    if np.count_nonzero(in_cell) < len(in_cell):
         for x in factors:
             x[~in_cell] = np.nan
 

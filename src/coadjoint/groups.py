@@ -30,7 +30,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ._families import Family as GroupSpec, get_family
+from ._families import Family as GroupSpec, get_family, per_group
 from ._linalg import _read_only
 from .errors import AllWeightsZero
 
@@ -49,9 +49,11 @@ def same_group(spec: GroupSpec, *parts) -> None:
 def build_group(family: str, n: int) -> GroupSpec:
     """Validate (family, n) and return the group: its cached ``Family``.
 
-    The group's cached tables live as long as something holds it, where a
-    separate handle's could be dropped after 32 other groups and rebuilt.
-    Raises UnsupportedGroup for SO(n) outside {3, 4} or any n < 2.
+    ``get_family`` keeps the last 32 groups built. The tables a group's
+    queries fill (Weyl elements met, parabolic masks, Poincare polynomials,
+    orbit classes, fibrations, pairing rows) are kept on the group
+    (``_families.per_group``) and freed with it. Raises UnsupportedGroup
+    for SO(n) outside {3, 4} or any n < 2.
     """
     return get_family(family, int(n))
 
@@ -191,7 +193,7 @@ def weyl_group(spec: GroupSpec) -> WeylGroup:
                      by_key=seen)
 
 
-@lru_cache(maxsize=16)
+@per_group
 def _elements_met(spec: GroupSpec) -> tuple:
     """The identity and table (by action bytes) of the Weyl elements a
     group's words have met; the simple reflections' actions and lifts."""
@@ -265,7 +267,7 @@ def parabolic_roots(spec: GroupSpec, gens) -> np.ndarray:
     return _parabolic(spec, _wall_set(spec, gens))
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _parabolic(spec: GroupSpec, gens) -> np.ndarray:
     coeff = spec.simple_root_coefficients
     outside = [] if gens is None else sorted(set(range(spec.rank)) - set(gens))
@@ -308,7 +310,7 @@ def poincare_quotient(spec: GroupSpec, gens, sub) -> tuple:
     return _quotient(spec, _wall_set(spec, gens), _wall_set(spec, sub))
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _poincare(spec: GroupSpec, gens) -> tuple:
     coeff = spec.simple_root_coefficients[_parabolic(spec, gens)]
     m = np.bincount(coeff.sum(axis=1), minlength=2).tolist() + [0]
@@ -319,7 +321,7 @@ def _poincare(spec: GroupSpec, gens) -> tuple:
     return p
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _quotient(spec: GroupSpec, gens, sub) -> tuple:
     return _poly_divide(_poincare(spec, gens), _poincare(spec, sub))
 
@@ -429,7 +431,7 @@ def classify_initial_point(spec: GroupSpec, point: InitialPoint) -> OrbitClass:
     return _classify(spec, point.walls)
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _classify(spec: GroupSpec, walls: tuple) -> OrbitClass:
     # one complex chart coordinate per positive root off the walls
     nonzero = int(np.count_nonzero(~parabolic_roots(spec, walls)))

@@ -18,13 +18,12 @@ maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._families import per_group
 from ._linalg import cell_miss, iwasawa_ak
-from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_matrix, \
-    chart_point
+from .decompose import ChartPoint, bruhat_chart, chart_batch, chart_point
 from .errors import DegeneracyViolation, MaximalDegenerate, \
     NumericalBreakdown, PoleOnChart
 from .groups import GroupSpec, InitialPoint, WeylElement, _classify, \
@@ -281,14 +280,15 @@ def chart_transition(spec: GroupSpec, w, chart: ChartPoint) -> ChartPoint:
     ValueError for a chart or Weyl element of another group.
     """
     same_group(spec, chart)
-    word, lift = weyl_element(spec, w.word if isinstance(w, WeylElement)
-                              else w)
-    if isinstance(w, WeylElement) and not np.array_equal(w.matrix, lift):
+    element = isinstance(w, WeylElement)
+    word, lift = weyl_element(spec, w.word if element else w)
+    if element and not np.array_equal(w.matrix, lift):
         raise ValueError(f"{w.word} is not a Weyl element of {spec.name}")
-    m = chart_matrix(spec, chart) @ lift
-    coords, _, in_cell = bruhat_chart(spec, m[None])
+    # a stack of one: the chart as ``bruhat_chart`` takes it
+    m = spec.chart_working(chart.array()[None]) @ lift
+    coords, _, in_cell = bruhat_chart(spec, m)
     if not in_cell[0]:
-        exc = cell_miss(spec.split_from_working(m))
+        exc = cell_miss(spec.split_from_working(m[0]))
         raise PoleOnChart(f"transition by word {word} undefined "
                           f"at this point: {exc}") from exc
     new_word = weyl_element(spec, tuple(chart.chart) + word)[0]
@@ -337,7 +337,7 @@ def fibration(spec: GroupSpec, point: InitialPoint) -> FibrationDescription:
     return fib
 
 
-@lru_cache(maxsize=256)
+@per_group
 def _fibration(spec: GroupSpec, walls: tuple):
     """``fibration`` on a wall set: the description, or the message of its
     MaximalDegenerate."""

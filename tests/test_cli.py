@@ -1011,3 +1011,20 @@ def test_overflowing_weights_write_no_report(argv, code, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
 
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "su", "--n", "4", "--weights", "1e308,1e308,1e308",
+     "--points", "2", "--order", "8"],
+    ["verify", "--group", "so", "--n", "3", "--weights", "1e308",
+     "--points", "2", "--order", "8"],
+])
+def test_verify_residual_that_is_not_finite_exits_3(argv):
+    # the potential overflows: the covariance residual was nan, and the
+    # report wrote "residual":NaN, which is not JSON, with exit 1
+    proc = _script(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "NumericalBreakdown"
+    assert "potential_covariance" in err["message"]

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -754,3 +758,50 @@ def test_initial_point_takes_no_coordinates():
         InitialPoint(spec, (1.0, 2.0), (5.0, 5.0, 5.0))
     assert InitialPoint(spec, (1.0, 2.0)).coords == tuple(
         spec.initial_coords((1.0, 2.0)))
+
+
+EVICTED_GROUP_PROBE = """
+import contextlib, gc, io, sys, weakref
+import numpy as np
+from coadjoint import (build_group, chart_point, chart_transition,
+                       cocycle_shift, fibration, initial_point)
+from coadjoint.cli import main
+family, n = sys.argv[1], int(sys.argv[2])
+spec = build_group(family, n)
+alive = weakref.ref(spec)
+weights = [str(k + 1) for k in range(spec.rank)]
+group = ["--group", family, "--n", str(n)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for walls in (weights, ["0"] + weights[1:]):
+        for command in ("classify", "betti"):
+            assert main([command, *group, "--weights", ",".join(walls)]) == 0
+    assert main(["verify", *group, "--weights", ",".join(weights),
+                 "--points", "2", "--order", "8"]) == 0
+point = initial_point(spec, [float(w) for w in weights])
+fibration(spec, point)
+chart = chart_point(spec, np.linspace(0.1, 0.9, spec.chart_dim) + 0.2j)
+chart_transition(spec, tuple(range(spec.rank)), chart)
+cocycle_shift(spec, point, chart, np.eye(spec.slots))
+del spec, point, chart
+others = [("su", k) for k in range(8, 38)] + [("sp", k) for k in range(4, 14)]
+assert (family, n) not in others and len(others) == 40
+for other in others:
+    build_group(*other)
+gc.collect()
+print(alive() is None)
+"""
+
+
+@pytest.mark.parametrize("family,n", [("su", 7), ("sp", 3)])
+def test_an_evicted_group_is_freed(family, n):
+    # the tables of orbit classes, fibrations, polynomials and pairing rows
+    # were module caches keyed by the group: they kept it alive after
+    # build_group's cache of 32 groups had dropped it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", EVICTED_GROUP_PROBE, family,
+                          str(n)], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout == "True\n"
