@@ -304,23 +304,22 @@ class Family:
         """log of the Iwasawa A-diagonal for a batch of split matrices.
 
         Only the trailing ``rank`` rows of each chart are factored (an
-        s x rank QR, ``_rq``); ``log_a_from_tail`` fills in the rest. The
-        trailing entries are the first steps of the QR, accurate relative to
-        their own rows, so log a holds far out on the chart, where the
-        leading entries of a full QR lose digits to the norm of z.
+        s x rank QR, ``_rq``); ``log_a_from_tail`` fills in the rest.
         """
         tail = np.asarray(z_split)[..., -self.rank:, :]
         return self.log_a_from_tail(_rq(tail, r_only=True))
 
-    def log_a_from_tail(self, a_tail):
+    def log_a_from_tail(self, d):
         """The (..., slots) log-diagonal of a torus element from the moduli
-        (..., rank) of its last ``rank`` entries.
+        of the last ``rank`` entries of ``d``: log a is read off here alone.
 
-        Sp and SO: the split slots pair as i <-> slots - 1 - i with opposite
-        weights, so log a_i = -log a_(slots-1-i), and the SO(3) middle slot
-        is 0. SU overrides this with its determinant.
+        ``d`` is a triangular factor's diagonal, real or complex (an Iwasawa
+        A, a Gauss-Bruhat d), or its trailing entries (``_rq``): the
+        factorization's first steps, accurate far out on the chart. Sp and
+        SO: log a_i = -log a_(s-1-i), s the slots, and the SO(3) middle
+        slot is 0. SU overrides this with its determinant.
         """
-        tail = np.log(a_tail)
+        tail = np.log(abs(np.asarray(d)[..., -self.rank:]))
         mid = np.zeros(tail.shape[:-1] + (self.slots - 2 * self.rank,))
         return np.concatenate([-tail[..., ::-1], mid, tail], axis=-1)
 
@@ -386,8 +385,6 @@ class Family:
         """Family torus parameters of an A-element from its split log-diagonal.
 
         The log-diagonal may be a stack (..., slots); the parameters are last.
-        They are read from its trailing ``rank`` entries, which fix it
-        (``log_a_from_tail``) and are the accurate ones far out.
         """
         raise NotImplementedError
 
@@ -454,9 +451,9 @@ class SUFamily(Family):
         d = np.asarray(d_diag, dtype=complex)
         return 1.0 / np.cumprod(d)[: self.rank]
 
-    def log_a_from_tail(self, a_tail):
+    def log_a_from_tail(self, d):
         # a unitriangular chart has det 1: the log-diagonal sums to 0
-        tail = np.log(a_tail)
+        tail = np.log(abs(np.asarray(d)[..., -self.rank:]))
         return np.concatenate([-tail.sum(axis=-1, keepdims=True), tail],
                               axis=-1)
 

@@ -13,7 +13,8 @@ values) for its own usage messages.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid configuration (an
 unwritable --output-file included), 3 domain error while evaluating a
-valid request; 2 and 3 write a JSON error to stderr.
+valid request, a JSON report holding NaN or Infinity included; 2 and 3
+write a JSON error to stderr.
 """
 
 from __future__ import annotations
@@ -152,8 +153,7 @@ def _matrix(m):
 def _check(args, name, value, default):
     """A check against ``--tol`` when given, 0 included, else ``default``.
 
-    Raises NumericalBreakdown where the residual is not finite: the report
-    would hold NaN or Infinity, which is not JSON.
+    Raises NumericalBreakdown, naming the residual, where it is not finite.
     """
     value = float(value)
     if not isfinite(value):
@@ -195,8 +195,7 @@ def _get_chart(args, spec, point):
 # subcommands
 
 
-def cmd_classify(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_classify(args, spec, point, report):
     cls = classify_initial_point(spec, point)
     bv = cohomology.betti(spec, point)
     res = {
@@ -220,8 +219,7 @@ def cmd_classify(args, spec, report):
     return 0
 
 
-def cmd_decompose(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_decompose(args, spec, point, report):
     chart = _get_chart(args, spec, point)
     fac = decompose.iwasawa(spec, chart)
     res_mb, res_un = iwasawa_residuals(spec, chart.array(), fac)
@@ -231,9 +229,8 @@ def cmd_decompose(args, spec, report):
         "n": _matrix(fac.n),
         "k": _matrix(fac.k),
     })
-    report["residuals"]["multiply_back"] = _check(args, "multiply_back",
-                                                  res_mb, 1e-10)
-    report["residuals"]["unitarity"] = _check(args, "unitarity", res_un, 1e-10)
+    report["residuals"] += [_check(args, "multiply_back", res_mb, 1e-10),
+                            _check(args, "unitarity", res_un, 1e-10)]
     return 0
 
 
@@ -250,8 +247,7 @@ def _dress_columns(spec, point, pts) -> dict:
         for r, c in zip(*np.triu_indices(h.shape[-1])):
             cols[f"h_{r + 1}{c + 1}_re"] = h[:, r, c].real
             cols[f"h_{r + 1}{c + 1}_im"] = h[:, r, c].imag
-    cols["phi"] = spec.fold(spec.log_a_from_tail(d[:, -spec.rank:]),
-                            point.weights)
+    cols["phi"] = spec.fold(spec.log_a_from_tail(d), point.weights)
     return cols
 
 
@@ -278,17 +274,16 @@ GRID_COLUMNS = {"dress": _dress_columns, "potential": _potential_columns,
                 "metric": _metric_columns}
 
 
-def _grid(args, spec, report) -> int:
+def _grid(args, spec, point, report) -> int:
     """A ``--grid`` report: the command's columns, in ``_in_chunks``."""
-    columns = partial(GRID_COLUMNS[args.command], spec, _get_point(args, spec))
+    columns = partial(GRID_COLUMNS[args.command], spec, point)
     lattice, pts = _grid_points(_parse_grid(args.grid))
     report["grid"] = (lattice, _in_chunks(columns, pts))
     report["results"].append({"grid_points": int(pts.shape[0])})
     return 0
 
 
-def cmd_dress(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_dress(args, spec, point, report):
     chart = _get_chart(args, spec, point)
     op = orbit.dress(spec, point, chart)
     if not np.isfinite(op.mu_matrix).all():
@@ -299,19 +294,18 @@ def cmd_dress(args, spec, report):
     if op.coords:
         res["mu"] = [float(x) for x in op.coords]
         closed = orbit.su3_closed_form(point, chart)
-        report["residuals"]["closed_form"] = _check(
+        report["residuals"].append(_check(
             args, "closed_form", np.max(np.abs(np.array(op.coords) - closed)),
-            1e-10)
-    report["residuals"]["isospectrality"] = _check(
-        args, "isospectrality", spectrum, 1e-10)
-    report["residuals"]["anti_hermitian"] = _check(
-        args, "anti_hermitian", anti_hermitian_residual(op.mu_matrix), 1e-10)
+            1e-10))
+    report["residuals"] += [
+        _check(args, "isospectrality", spectrum, 1e-10),
+        _check(args, "anti_hermitian", anti_hermitian_residual(op.mu_matrix),
+               1e-10)]
     report["results"].append(res)
     return 0
 
 
-def cmd_potential(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_potential(args, spec, point, report):
     chart = _get_chart(args, spec, point)
     val = kahler.potential(spec, point, chart)
     report["results"].append({"z": [_c(v) for v in chart.coords],
@@ -319,8 +313,7 @@ def cmd_potential(args, spec, report):
     return 0
 
 
-def cmd_metric(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_metric(args, spec, point, report):
     chart = _get_chart(args, spec, point)
     kt = kahler.metric(spec, point, chart)
     herm = float(np.max(np.abs(kt.g - kt.g.conj().T)))
@@ -331,21 +324,20 @@ def cmd_metric(args, spec, report):
         "g": _matrix(kt.g),
         "eigenvalues": [float(x) for x in eig],
     })
-    report["residuals"]["hermitian"] = _check(args, "hermitian", herm, 1e-9)
-    report["residuals"]["positivity"] = {
-        "name": "positivity", "residual": float(eig.min()), "tol": -1e-9,
-        "pass": bool(eig.min() > -1e-9)}
+    report["residuals"] += [
+        _check(args, "hermitian", herm, 1e-9),
+        {"name": "positivity", "residual": float(eig.min()), "tol": -1e-9,
+         "pass": bool(eig.min() > -1e-9)}]
     return 0
 
 
-def cmd_betti(args, spec, report):
-    point = _get_point(args, spec)
+def cmd_betti(args, spec, point, report):
     bv = cohomology.betti(spec, point)
     lh = cohomology.leray_hirsch(spec, point)
     report["results"].append({
         "betti": list(bv.b),
         "total": bv.total,
-        "weyl_order": sum(poincare_polynomial(spec)),
+        "weyl_order": spec.weyl_order,
         "leray_hirsch": {"ok": lh.ok, "total": list(lh.total),
                          "base": list(lh.base), "fiber": list(lh.fiber),
                          "note": lh.note},
@@ -356,8 +348,7 @@ def cmd_betti(args, spec, report):
     return 0
 
 
-def cmd_pairing(args, spec, report):
-    _get_point(args, spec)      # checked, though the matrix does not read it
+def cmd_pairing(args, spec, point, report):
     order = _at_least_one("order", args.order)
     m = cohomology.pairing_matrix(spec, order=order)
     dev = float(np.max(np.abs(m - np.eye(m.shape[0]))))
@@ -366,18 +357,16 @@ def cmd_pairing(args, spec, report):
         "order": order,
         "normalization": "omega_j = (i/2pi) ddbar Phi_j",
     })
-    report["residuals"]["identity"] = _check(args, "identity", dev, 1e-6)
+    report["residuals"].append(_check(args, "identity", dev, 1e-6))
     return 0
 
 
-def cmd_verify(args, spec, report):
+def cmd_verify(args, spec, point, report):
     npts = _at_least_one("points", args.points)
     order = _at_least_one("order", args.order)
-    point = _get_point(args, spec)
     reject_zero_orbit(point)
     rng = np.random.default_rng(args.seed)
     checks = []
-    ref = point.split_diagonal
     dim2 = 2 * spec.chart_dim
 
     def check(name, residuals, default):
@@ -393,8 +382,8 @@ def cmd_verify(args, spec, report):
     mu = orbit._action(point, k)
     check("iwasawa_multiply_back", res_mb, 1e-10)
     check("compactness_kk*", res_un, 1e-10)
-    check("isospectrality", spectral_mismatch(spec.spectrum(mu), ref),
-          1e-10)
+    check("isospectrality",
+          spectral_mismatch(spec.spectrum(mu), point.split_diagonal), 1e-10)
     # the spectrum reads the lower triangle of each mu; this reads the rest
     check("anti_hermitian", anti_hermitian_residual(mu), 1e-10)
 
@@ -646,27 +635,32 @@ def main(argv=None) -> int:
         config = ("command", "group", "n", "weights", "z", "grid", "seed",
                   "tol", "order")
         report = {"config": {key: getattr(args, key) for key in config},
-                  "results": [], "residuals": {}, "pass": True}
+                  "results": [], "residuals": [], "pass": True}
         spec = build_group(args.group, args.n)
         if args.out == "csv" and args.grid is None:
             raise ValueError("--out csv writes a grid: it needs --grid")
+        point = _get_point(args, spec)
         code = (COMMANDS[args.command] if args.grid is None
-                else _grid)(args, spec, report)
+                else _grid)(args, spec, point, report)
     except CONFIG_ERRORS + DOMAIN_ERRORS as exc:
         return _error(exc, 2 if isinstance(exc, CONFIG_ERRORS) else 3)
-    if report["residuals"]:
-        report["pass"] = report["pass"] and all(
-            c["pass"] for c in report["residuals"].values())
-        if not report["pass"] and code == 0:
-            code = 1
+    checks = report["residuals"]
+    report["residuals"] = {c["name"]: c for c in checks}
+    report["pass"] = report["pass"] and all(c["pass"] for c in checks)
+    if not report["pass"] and code == 0:
+        code = 1
     grid = report.pop("grid", None)
     if args.out == "csv":               # a grid: main checked it is given
         payload = _grid_csv(*grid)
     else:
         if grid is not None:
             report["csv_rows"] = grid[0].size // grid[0].shape[-1]
-        payload = json.dumps(report, sort_keys=True,
-                             separators=(",", ":")) + "\n"
+        try:                                # NaN and Infinity are not JSON
+            payload = json.dumps(report, sort_keys=True, allow_nan=False,
+                                 separators=(",", ":")) + "\n"
+        except ValueError:
+            return _error(NumericalBreakdown("a report value is not finite"),
+                          3)
     if not args.output_file:
         sys.stdout.write(payload)
         return code

@@ -3,16 +3,17 @@
 The chart Z of an orbit is parameterized by one holomorphic coordinate per
 positive root. ``iwasawa_batch`` factors the chart representatives of a
 batch (N, chart_dim) of coordinates as z = n a k with one stacked
-Householder QR (``_linalg._rq``), with no Gram matrix z z*; ``iwasawa`` is
-its one-row case. They, and ``dressing_matrix`` through ``iwasawa``, are
-the only paths that form n: dressing reads a and k alone
-(``orbit.dress_batch``). ``gauss_bruhat_batch`` factors a stack of
-complexified group elements as g = n d zeta on the open cell with one
-stacked Doolittle elimination (``_linalg.ul_decompose``), ``gauss_bruhat``
-is its one-row case and ``bruhat_chart`` reads only d and the entries of
-zeta its family's read-out needs. All of them work in the split basis,
-where the Borel subgroup is upper triangular, and map back with
-``working_from_split``: the identity for SU and Sp, a unitary for SO.
+Householder QR (``_linalg._rq``), with no Gram matrix z z*, and reads log a
+off A in ``Family.log_a_from_tail``; ``iwasawa`` is its one-row case. They,
+and ``dressing_matrix`` through ``iwasawa``, are the only paths that form
+n: dressing reads a and k alone (``orbit.dress_batch``).
+``gauss_bruhat_batch`` factors a stack of complexified group elements as
+g = n d zeta on the open cell with one stacked Doolittle elimination
+(``_linalg.ul_decompose``), ``gauss_bruhat`` is its one-row case and
+``bruhat_chart`` reads only d and the entries of zeta its family's
+read-out needs. All of them work in the split basis, where the Borel
+subgroup is upper triangular, and map back with ``working_from_split``:
+the identity for SU and Sp, a unitary for SO.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ def _working_factors(spec: GroupSpec, n, d, k) -> IwasawaFactors:
     """The ``iwasawa_batch`` factors of the split-basis ``iwasawa_nak``
     output (n, d, k), mapped to the working realization."""
     to_w = spec.working_from_split
-    # the trailing entries are the accurate ones far out (``Family.log_a``)
-    log_d = spec.log_a_from_tail(d[:, -spec.rank:])
+    log_d = spec.log_a_from_tail(d)
     a = to_w(d[..., None] * np.eye(spec.slots))
     return IwasawaFactors(n=to_w(n), a=a, k=to_w(k),
                           a_parameters=spec.a_parameters(log_d),

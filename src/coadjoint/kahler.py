@@ -7,10 +7,10 @@ torus parameters). Each Phi_k is a combination of log det of the trailing
 minors of z z*, so the metric, the Wirtinger Hessian of Phi on the active
 chart coordinates, is exact and exactly hermitian (``wirtinger_hessian``).
 Both come from Householder QR (``_linalg._rq``): the metric from one QR of
-z, the potential from the QR of its trailing ``rank`` rows alone
-(``Family.log_a``), since log a is fixed by its last ``rank`` entries. The
-cocycle shift reads the same trailing entries of its Gauss-Bruhat d. z z*
-itself is never formed, so all of them hold far out on the chart.
+z, the potential from the QR of its trailing ``rank`` rows alone. z z* is
+never formed, so both hold far out on the chart. The potential and the
+cocycle shift, from its Gauss-Bruhat d, read log a off in
+``Family.log_a_from_tail``.
 """
 
 from __future__ import annotations
@@ -137,10 +137,7 @@ def _cocycle(spec: GroupSpec, point: InitialPoint, coords, g) -> tuple:
     g = element_batch(spec, g, (), (len(coords),))
     zg = spec.chart_working(coords) @ g
     coords_g, d, in_cell = bruhat_chart(spec, zg)
-    # the trailing pivots are the first Doolittle steps on the reversed
-    # matrix, the accurate ones; they fix log |d| as they fix log a
-    log_d = spec.log_a_from_tail(np.abs(d[:, -spec.rank:]))
-    shift = spec.fold(log_d, -np.asarray(point.weights))
+    shift = spec.fold(spec.log_a_from_tail(d), -np.asarray(point.weights))
     return zg, coords_g, shift, in_cell
 
 

@@ -1028,3 +1028,23 @@ def test_verify_residual_that_is_not_finite_exits_3(argv):
     err = json.loads(lines[0])
     assert err["error"] == "NumericalBreakdown"
     assert "potential_covariance" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--group", "su", "--n", "5", "--weights", "1,1,1,1",
+     "--z=" + ";".join(["1e100,0"] * 10)],
+    ["decompose", "--group", "su", "--n", "3", "--weights", "1,2",
+     "--z=" + ";".join(["1e160,0"] * 3)],
+])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_decompose_report_that_is_not_finite_exits_3(tmp_path, argv):
+    # the a parameters overflow: the report wrote "a_parameters":[Infinity,
+    # ...], which is not JSON, with exit 1
+    proc = _script(argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NumericalBreakdown"
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output-file", str(out)]) == 3
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -448,3 +449,54 @@ def test_unconverged_pairing_raises_on_every_call():
         with pytest.raises(QuadratureNotConverged):
             pairing_integral(basis_two_forms(SU3)[0], basis_cycles(SU3)[0],
                              order=4)
+
+
+# exact topology oracles, in Python ints: on the orbit of one fundamental
+# weight the chart is a Grassmannian, whose Poincare polynomial (in q = t^2)
+# is known in closed form
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _gaussian_binomials(n):
+    """[n, k]_q for k = 0..n, as coefficient lists, from the q-Pascal rule
+    [m, k] = [m-1, k-1] + q^k [m-1, k]."""
+    row = [[1]]
+    for m in range(1, n + 1):
+        row = [[1]] + [
+            [x + y for x, y in itertools.zip_longest(
+                row[k - 1], [0] * k + row[k], fillvalue=0)]
+            for k in range(1, m)] + [[1]]
+    return row
+
+
+def test_betti_of_every_su40_grassmannian_is_the_gaussian_binomial():
+    # weight 1 at label k alone: Gr(k, 40)
+    spec = build_group("su", 40)
+    binomials = _gaussian_binomials(40)
+    for k in range(1, 40):
+        weights = [0.0] * 39
+        weights[k - 1] = 1.0
+        bv = betti(spec, initial_point(spec, weights))
+        assert list(bv.b) == binomials[k], k
+        assert bv.total == comb(40, k), k
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_betti_of_sp_lagrangian_grassmannian_and_projective_space(n):
+    spec = build_group("sp", n)
+    # the last weight alone: LG(n), prod_{i <= n} (1 + q^i)
+    lagrangian = [1]
+    for i in range(1, n + 1):
+        lagrangian = _poly_mul(lagrangian, [1] + [0] * (i - 1) + [1])
+    last = [0.0] * (n - 1) + [1.0]
+    assert list(betti(spec, initial_point(spec, last)).b) == lagrangian
+    # the first weight alone: CP^(2n-1)
+    first = [1.0] + [0.0] * (n - 1)
+    assert betti(spec, initial_point(spec, first)).b == (1,) * (2 * n)

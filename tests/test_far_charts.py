@@ -99,6 +99,21 @@ def test_log_a_reads_the_trailing_rows(family, n):
 
 
 @pytest.mark.parametrize("family,n", GROUPS)
+def test_log_a_is_read_off_any_diagonal(family, n):
+    # one read-off: a full diagonal, real or complex, its trailing rank
+    # entries and their moduli give the same bits, on a stack of any depth
+    fam = build_group(family, n).adapter
+    rng = np.random.default_rng(9)
+    shape = (3, 10, fam.slots)
+    real = np.exp(rng.uniform(-300.0, 300.0, shape))
+    for d in (real, real * np.exp(2j * np.pi * rng.uniform(size=shape))):
+        log_a = fam.log_a_from_tail(d)
+        assert log_a.shape == shape
+        for same in (d[..., -fam.rank:], abs(d)):
+            assert fam.log_a_from_tail(same).tobytes() == log_a.tobytes()
+
+
+@pytest.mark.parametrize("family,n", GROUPS)
 def test_iwasawa_log_a_split_is_log_a(family, n):
     # the leading entries of the full QR's diagonal lose digits far out
     # (8e-6 relative on SU(5) at 1e4); log_a_split fills them in from the
